@@ -10,9 +10,11 @@
 //! replaced, the weight-lane dispatch must cost ≤ 1.1× on the
 //! unweighted step path against the preserved pre-weight-lane kernel, and
 //! the fault-free chaos wrapper must cost ≤ 1.1× of the bare sharded run
-//! (the zero plan short-circuits to the inner transport). All
-//! measurements are best-of-samples, so scheduler noise shifts the ratio,
-//! not the verdict.
+//! (the zero plan short-circuits to the inner transport). The kernel
+//! measurements are best-of-samples; the chaos-wrapper bar, whose run
+//! lasts only milliseconds, gates the median ratio of interleaved
+//! bare/wrapped pairs. Either way scheduler noise shifts the ratio, not the
+//! verdict.
 
 use cdrw_bench::perf;
 use cdrw_congest::CongestConfig;
@@ -78,7 +80,10 @@ fn fault_free_chaos_wrapper_costs_at_most_1_1x_of_the_bare_sharded_run() {
     // fault-free plan short-circuits straight to the inner transport — no
     // hashing, no delay queues, no locks on the hot path. Both sides run
     // the identical sharded pipeline on the same graph; the wrapped side
-    // merely routes through the inert wrapper.
+    // merely routes through the inert wrapper. A run lasts a few
+    // milliseconds, so host drift over a block of samples would swamp the
+    // difference: the two sides run in interleaved pairs, alternating which
+    // goes first, and the median per-pair ratio is gated.
     let n = 256usize;
     let p = (12.0 * (n as f64).ln() / n as f64).min(1.0);
     let params = PpmParams::new(n, 2, p, (p / 40.0).min(1.0)).unwrap();
@@ -93,23 +98,36 @@ fn fault_free_chaos_wrapper_costs_at_most_1_1x_of_the_bare_sharded_run() {
         .unwrap()
         .with_fault_plan(FaultPlan::fault_free());
 
-    let best_of = |engine: &KMachineEngine| {
-        let mut best = f64::INFINITY;
-        for _ in 0..6 {
-            let start = Instant::now();
-            let report = engine.run(&graph).unwrap();
-            best = best.min(start.elapsed().as_secs_f64() * 1e3);
-            assert!(report.fault_log.is_clean());
-        }
-        best
+    let run_ms = |engine: &KMachineEngine| {
+        let start = Instant::now();
+        let report = engine.run(&graph).unwrap();
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        assert!(report.fault_log.is_clean());
+        ms
     };
-    let bare_ms = best_of(&bare);
-    let wrapped_ms = best_of(&wrapped);
+    // Warm both paths before timing.
+    run_ms(&bare);
+    run_ms(&wrapped);
+    const PAIRS: usize = 15;
+    let mut pairs: Vec<(f64, f64)> = (0..PAIRS)
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let bare_ms = run_ms(&bare);
+                (bare_ms, run_ms(&wrapped))
+            } else {
+                let wrapped_ms = run_ms(&wrapped);
+                (run_ms(&bare), wrapped_ms)
+            }
+        })
+        .collect();
+    pairs.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
+    let (bare_ms, wrapped_ms) = pairs[PAIRS / 2];
+    let ratio = wrapped_ms / bare_ms;
     assert!(
-        wrapped_ms <= bare_ms * 1.1,
-        "fault-free chaos wrapper at {:.3}x of the bare sharded run, above \
-         the 1.1x acceptance bar (wrapped {wrapped_ms:.1} ms, bare {bare_ms:.1} ms)",
-        wrapped_ms / bare_ms
+        ratio <= 1.1,
+        "fault-free chaos wrapper at a median {ratio:.3}x of the bare sharded \
+         run over {PAIRS} interleaved pairs, above the 1.1x acceptance bar \
+         (median pair: wrapped {wrapped_ms:.1} ms, bare {bare_ms:.1} ms)"
     );
 }
 

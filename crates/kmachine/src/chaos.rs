@@ -477,7 +477,7 @@ mod tests {
             Message::StepDone {
                 seq: 1,
                 shard: 0,
-                lanes: Vec::new(),
+                lanes: Default::default(),
             },
         );
         assert!(matches!(links.recv(), Ok(Message::StepDone { seq: 1, .. })));

@@ -53,6 +53,7 @@
 //! [`ResiliencePolicy::max_recoveries`] the run fails with the typed
 //! [`CdrwError::ShardFailure`] — never a hang.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use cdrw_congest::primitives::sparse_walk_step_cost;
@@ -63,6 +64,7 @@ use cdrw_core::{
 };
 use cdrw_graph::{Graph, SubCsr, VertexId};
 use cdrw_walk::evidence::{community_scale_vote, select_interior_seeds, WalkEvidence};
+use cdrw_walk::shard::merge_runs;
 use cdrw_walk::{WalkEngine, WalkWorkspace};
 
 use crate::chaos::{ChaosHarness, FaultPlan};
@@ -584,9 +586,16 @@ impl<'g, 'l> Coordinator<'g, 'l> {
         Ok(())
     }
 
-    /// Handles one non-`StepDone` shard message inside a collect loop,
-    /// marking the sender alive in `heard`.
-    fn absorb_control(&mut self, message: Message, current_seq: u64, heard: &mut [bool]) {
+    /// Handles one non-`StepDone` shard message inside the collect loop of
+    /// round `current_seq`, marking the sender alive in `heard`. `done` marks
+    /// the shards whose reply for that round has been accepted.
+    fn absorb_control(
+        &mut self,
+        message: Message,
+        current_seq: u64,
+        heard: &mut [bool],
+        done: &[bool],
+    ) {
         match message {
             Message::Busy { shard, .. } => heard[shard] = true,
             Message::Nack { shard, expected } => {
@@ -605,7 +614,13 @@ impl<'g, 'l> Coordinator<'g, 'l> {
             }
             Message::Checkpoint { seq, shard, lanes } => {
                 heard[shard] = true;
-                if seq > self.checkpoints[shard].0 {
+                // A checkpoint taken after the round being collected, from
+                // a shard whose reply to that round is still missing, is not
+                // adopted: a replacement restored from it would start past
+                // the round with an empty reply cache, so it could never
+                // answer the round's retries and every recovery would fail
+                // the same way. The shard's next checkpoint is adopted.
+                if seq > self.checkpoints[shard].0 && (seq < current_seq || done[shard]) {
                     self.checkpoints[shard] = (seq, lanes);
                     self.prune_log();
                 }
@@ -662,7 +677,9 @@ impl<'g, 'l> Coordinator<'g, 'l> {
 
         let k = self.links.num_shards();
         let mut measured = 0u64;
-        let mut gathered: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); lanes.len()];
+        // Each shard's accepted reply: its owned slice of every stepped
+        // lane's support, read in place by the gather below.
+        let mut replies: Vec<Arc<Vec<LaneState>>> = Vec::with_capacity(k);
         let mut done = vec![false; k];
         let mut late = vec![false; k];
         // Shards heard from (any message) since the current timeout streak
@@ -693,11 +710,11 @@ impl<'g, 'l> Coordinator<'g, 'l> {
                             self.fault_log.stragglers += 1;
                         }
                         debug_assert_eq!(shard_lanes.len(), lanes.len());
-                        for (slot, state) in shard_lanes.into_iter().enumerate() {
+                        for (slot, state) in shard_lanes.iter().enumerate() {
                             debug_assert_eq!(state.lane, lanes[slot]);
                             measured += state.emitted_messages;
-                            gathered[slot].extend(state.support);
                         }
+                        replies.push(shard_lanes);
                     } else {
                         // A replay or a chaos duplicate: charged to the fault
                         // log, never to the conformance ledger.
@@ -708,7 +725,7 @@ impl<'g, 'l> Coordinator<'g, 'l> {
                             .sum::<u64>();
                     }
                 }
-                Ok(other) => self.absorb_control(other, seq, &mut heard),
+                Ok(other) => self.absorb_control(other, seq, &mut heard, &done),
                 // The mesh's reconnector keeps the coordinator channel open,
                 // so a disconnect here means every shard endpoint crashed at
                 // once — handled like silence: retry, then recover.
@@ -770,11 +787,17 @@ impl<'g, 'l> Coordinator<'g, 'l> {
                 }
             }
         }
-        for (slot, mut support) in gathered.into_iter().enumerate() {
-            // Shard supports are disjoint (each vertex has one home), so an
-            // unstable sort by vertex is deterministic.
-            support.sort_unstable_by_key(|&(v, _)| v);
-            self.lanes[lanes[slot] as usize]
+        // Every shard's slice is ascending by vertex and the slices are
+        // disjoint (each vertex has one home), so merging them yields the
+        // global support in order.
+        let mut support: Vec<(VertexId, f64)> = Vec::new();
+        let mut runs: Vec<&[(VertexId, f64)]> = Vec::with_capacity(k);
+        for (slot, &lane) in lanes.iter().enumerate() {
+            runs.clear();
+            runs.extend(replies.iter().map(|reply| reply[slot].support.as_slice()));
+            support.clear();
+            merge_runs(&runs, |&(v, _)| v, |&entry| support.push(entry));
+            self.lanes[lane as usize]
                 .load_sparse(&support)
                 .expect("gathered support is in range");
         }

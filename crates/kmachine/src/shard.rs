@@ -17,7 +17,10 @@
 //! * `seq == last + 1` — execute it (the normal case).
 //! * `seq ≤ last` — a duplicate (a coordinator retry, or a chaos-delayed
 //!   copy): for a `Step`, re-send the cached outgoing delta buckets and the
-//!   cached `StepDone` reply for that round; never re-execute. A duplicate
+//!   cached `StepDone` reply for that round; never re-execute. The cache
+//!   holds the very `Arc`s that were sent, so a re-send copies no payload,
+//!   and it holds no bucket for the shard itself — that one never touches
+//!   the wire and is dropped once absorbed. A duplicate
 //!   `LoadLanes` is ignored outright — re-running it would reset live walk
 //!   state.
 //! * `seq > last + 1` — a gap: reply [`Message::Nack`] naming the first
@@ -36,13 +39,16 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cdrw_graph::{SubCsr, VertexId};
-use cdrw_walk::shard::{absorb_step_deltas, emit_step_deltas, sort_step_deltas, MassDelta};
+use cdrw_walk::shard::{absorb_step_deltas, emit_step_deltas, MassDelta};
 use cdrw_walk::WalkWorkspace;
 
-use crate::transport::{LaneDeltas, LaneState, Message, Peer, Transport, TransportError};
+use crate::transport::{
+    DeltaBuckets, LaneDeltas, LaneState, Message, Peer, Transport, TransportError,
+};
 
 /// Fault-tolerance knobs of one worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,10 +94,11 @@ impl ShardOptions {
 #[derive(Debug)]
 struct RoundCache {
     seq: u64,
-    /// Outgoing delta buckets, indexed by destination shard (own slot empty).
-    outgoing: Vec<Vec<LaneDeltas>>,
+    /// The buckets sent to each peer, indexed by destination shard (`None`
+    /// in the shard's own slot).
+    outgoing: Vec<Option<DeltaBuckets>>,
     /// The `StepDone` lanes reply.
-    reply: Vec<LaneState>,
+    reply: Arc<Vec<LaneState>>,
 }
 
 /// One worker shard of the execution engine.
@@ -109,9 +116,7 @@ pub struct ShardWorker<'a> {
     seq: u64,
     /// Per-lane shard-local walk state; grown on demand by `LoadLanes`.
     lanes: Vec<WalkWorkspace>,
-    /// Reusable emission buffer.
-    emitted: Vec<MassDelta>,
-    /// Reusable per-destination delta buckets (`k` of them).
+    /// Per-destination delta buckets (`k` of them) the emission fills.
     buckets: Vec<Vec<MassDelta>>,
     /// Completed rounds, newest last, bounded by `options.cache_depth`.
     cache: VecDeque<RoundCache>,
@@ -138,7 +143,6 @@ impl<'a> ShardWorker<'a> {
             options,
             seq: 0,
             lanes: Vec::new(),
-            emitted: Vec::new(),
             buckets: (0..k).map(|_| Vec::new()).collect(),
             cache: VecDeque::new(),
         }
@@ -178,7 +182,7 @@ impl<'a> ShardWorker<'a> {
         // Delta buckets that raced ahead of this shard's own `Step` command
         // (a peer received its command first, or a recovery assist replayed
         // a future round), keyed by (seq, sender).
-        let mut early: BTreeMap<(u64, usize), Vec<LaneDeltas>> = BTreeMap::new();
+        let mut early: BTreeMap<(u64, usize), DeltaBuckets> = BTreeMap::new();
         let mut last_heard = Instant::now();
         loop {
             let message = match transport.recv_deadline(self.options.patience) {
@@ -250,6 +254,28 @@ impl<'a> ShardWorker<'a> {
         );
     }
 
+    /// Sends round `seq`'s buckets to every peer, sharing each bucket's
+    /// allocation with the caller's copy.
+    fn send_buckets<T: Transport>(
+        &self,
+        seq: u64,
+        outgoing: &[Option<DeltaBuckets>],
+        transport: &mut T,
+    ) {
+        for (m, bucket) in outgoing.iter().enumerate() {
+            if let Some(bucket) = bucket {
+                transport.send(
+                    Peer::Shard(m),
+                    Message::Deltas {
+                        seq,
+                        from: self.id,
+                        lanes: Arc::clone(bucket),
+                    },
+                );
+            }
+        }
+    }
+
     /// Re-sends a completed round's cached artefacts: the outgoing delta
     /// buckets to every peer and (when `with_reply`) the `StepDone` to the
     /// coordinator. A round that has aged out of the cache is ignored — the
@@ -258,25 +284,14 @@ impl<'a> ShardWorker<'a> {
         let Some(entry) = self.cache.iter().find(|c| c.seq == seq) else {
             return;
         };
-        for (m, bucket) in entry.outgoing.iter().enumerate() {
-            if m != self.id {
-                transport.send(
-                    Peer::Shard(m),
-                    Message::Deltas {
-                        seq,
-                        from: self.id,
-                        lanes: bucket.clone(),
-                    },
-                );
-            }
-        }
+        self.send_buckets(seq, &entry.outgoing, transport);
         if with_reply {
             transport.send(
                 Peer::Coordinator,
                 Message::StepDone {
                     seq,
                     shard: self.id,
-                    lanes: entry.reply.clone(),
+                    lanes: Arc::clone(&entry.reply),
                 },
             );
         }
@@ -289,13 +304,16 @@ impl<'a> ShardWorker<'a> {
             return;
         }
         for entry in &self.cache {
-            if entry.seq >= from_seq && entry.seq <= to_seq {
+            if !(from_seq..=to_seq).contains(&entry.seq) {
+                continue;
+            }
+            if let Some(bucket) = &entry.outgoing[shard] {
                 transport.send(
                     Peer::Shard(shard),
                     Message::Deltas {
                         seq: entry.seq,
                         from: self.id,
-                        lanes: entry.outgoing[shard].clone(),
+                        lanes: Arc::clone(bucket),
                     },
                 );
             }
@@ -351,26 +369,22 @@ impl<'a> ShardWorker<'a> {
         seq: u64,
         lanes: &[u32],
         transport: &mut T,
-        early: &mut BTreeMap<(u64, usize), Vec<LaneDeltas>>,
+        early: &mut BTreeMap<(u64, usize), DeltaBuckets>,
     ) -> bool {
-        // Emit every lane's deltas, bucketed by the target's home shard.
-        let mut outgoing: Vec<Vec<LaneDeltas>> = (0..self.k).map(|_| Vec::new()).collect();
+        // Emit every lane's deltas straight into the bucket of the target's
+        // home shard. Bucketing keeps the emission order, so every bucket is
+        // ascending by source — the precondition of the absorb-side merge.
+        let mut outgoing: Vec<Vec<LaneDeltas>> = (0..self.k)
+            .map(|_| Vec::with_capacity(lanes.len()))
+            .collect();
         let mut reports: Vec<LaneState> = Vec::with_capacity(lanes.len());
         for &lane in lanes {
             self.ensure_lane(lane);
-            self.emitted.clear();
-            let messages = emit_step_deltas(
-                &self.sub,
-                self.laziness,
-                &self.lanes[lane as usize],
-                &mut self.emitted,
-            );
-            for bucket in &mut self.buckets {
-                bucket.clear();
-            }
-            for &d in &self.emitted {
-                self.buckets[self.machine_of[d.target]].push(d);
-            }
+            let (buckets, machine_of) = (&mut self.buckets, self.machine_of);
+            let messages =
+                emit_step_deltas(&self.sub, self.laziness, &self.lanes[lane as usize], |d| {
+                    buckets[machine_of[d.target]].push(d)
+                });
             for (m, bucket) in self.buckets.iter_mut().enumerate() {
                 outgoing[m].push(LaneDeltas {
                     lane,
@@ -384,25 +398,20 @@ impl<'a> ShardWorker<'a> {
             });
         }
 
-        // Send every peer its bucket (always, even when empty — the barrier
-        // counts k − 1 senders); keep our own. The buckets stay cached for
-        // duplicate-triggered re-sends and recovery assists.
-        for (m, bucket) in outgoing.iter().enumerate() {
-            if m != self.id {
-                transport.send(
-                    Peer::Shard(m),
-                    Message::Deltas {
-                        seq,
-                        from: self.id,
-                        lanes: bucket.clone(),
-                    },
-                );
-            }
-        }
-        let mut incoming: Vec<Vec<LaneDeltas>> = Vec::with_capacity(self.k);
+        // Keep our own bucket off the wire; share every peer's bucket (sent
+        // always, even when empty — the barrier counts k − 1 senders) with
+        // the round cache, which serves duplicate-triggered re-sends and
+        // recovery assists from the same allocations.
+        let own = std::mem::take(&mut outgoing[self.id]);
+        let outgoing: Vec<Option<DeltaBuckets>> = outgoing
+            .into_iter()
+            .enumerate()
+            .map(|(m, bucket)| (m != self.id).then(|| Arc::new(bucket)))
+            .collect();
+        self.send_buckets(seq, &outgoing, transport);
+        let mut incoming: Vec<DeltaBuckets> = Vec::with_capacity(self.k - 1);
         let mut have = vec![false; self.k];
         have[self.id] = true;
-        incoming.push(std::mem::take(&mut outgoing[self.id]));
         for (from, seen) in have.iter_mut().enumerate() {
             if let Some(bucket) = early.remove(&(seq, from)) {
                 if !*seen {
@@ -416,7 +425,7 @@ impl<'a> ShardWorker<'a> {
         // duplicates/stale traffic and serving retries and assists so a
         // faulty transport cannot wedge two shards against each other.
         let mut waited = Instant::now();
-        while incoming.len() < self.k {
+        while incoming.len() + 1 < self.k {
             match transport.recv_deadline(Duration::from_millis(20)) {
                 Ok(Message::Deltas {
                     seq: s,
@@ -438,18 +447,7 @@ impl<'a> ShardWorker<'a> {
                         // peer may be missing our buckets — re-send them —
                         // and tell the coordinator we are alive-but-blocked
                         // so it recovers the silent peer, not us.
-                        for (m, bucket) in outgoing.iter().enumerate() {
-                            if m != self.id {
-                                transport.send(
-                                    Peer::Shard(m),
-                                    Message::Deltas {
-                                        seq,
-                                        from: self.id,
-                                        lanes: bucket.clone(),
-                                    },
-                                );
-                            }
-                        }
+                        self.send_buckets(seq, &outgoing, transport);
                         transport.send(
                             Peer::Coordinator,
                             Message::Busy {
@@ -491,42 +489,40 @@ impl<'a> ShardWorker<'a> {
             }
         }
 
-        // Absorb per lane: collect this lane's deltas from every sender,
-        // sort into the sequential accumulation order, accumulate.
-        for report in &mut reports {
+        // Absorb per lane: merge our own run and every peer's run of this
+        // lane, in arrival order, straight into the accumulation.
+        let mut runs: Vec<&[MassDelta]> = Vec::with_capacity(self.k);
+        for (slot, report) in reports.iter_mut().enumerate() {
             let lane = report.lane;
-            let mut collected: Vec<MassDelta> = incoming
-                .iter()
-                .flat_map(|sender| {
-                    sender
-                        .iter()
-                        .filter(|ld| ld.lane == lane)
-                        .flat_map(|ld| ld.deltas.iter().copied())
-                })
-                .collect();
-            sort_step_deltas(&mut collected);
+            runs.clear();
+            runs.push(&own[slot].deltas);
+            runs.extend(
+                incoming
+                    .iter()
+                    .filter_map(|sender| sender.iter().find(|ld| ld.lane == lane))
+                    .map(|ld| ld.deltas.as_slice()),
+            );
             let ws = &mut self.lanes[lane as usize];
-            absorb_step_deltas(ws, &collected);
+            absorb_step_deltas(ws, &runs);
             report.support = ws
                 .support()
                 .iter()
                 .map(|&v| (v, ws.probability(v)))
                 .collect();
         }
+        let reply = Arc::new(reports);
         transport.send(
             Peer::Coordinator,
             Message::StepDone {
                 seq,
                 shard: self.id,
-                lanes: reports.clone(),
+                lanes: Arc::clone(&reply),
             },
         );
-        // Our own bucket was consumed by the barrier; rebuild the cached
-        // slot as empty (it is never re-sent to ourselves anyway).
         self.cache.push_back(RoundCache {
             seq,
             outgoing,
-            reply: reports,
+            reply,
         });
         while self.cache.len() > self.options.cache_depth {
             self.cache.pop_front();

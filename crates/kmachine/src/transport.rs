@@ -25,10 +25,11 @@
 //!   the `Nack` rule when the next `Step` arrives.
 //! * [`Message::Step`] — one physical walk round for the listed lanes: every
 //!   shard emits its mass deltas ([`cdrw_walk::shard::emit_step_deltas`]),
-//!   sends each peer its bucket in one [`Message::Deltas`], absorbs the
+//!   sends each peer its bucket in one [`Message::Deltas`], merges the
 //!   `k − 1` buckets it receives (plus its own, which never touches the
-//!   wire), and replies [`Message::StepDone`] with its owned slice of every
-//!   stepped lane's support.
+//!   wire) by source ([`cdrw_walk::shard::absorb_step_deltas`]), and replies
+//!   [`Message::StepDone`] with its owned slice of every stepped lane's
+//!   support.
 //! * [`Message::Checkpoint`] — shard → coordinator, every few rounds: a
 //!   snapshot of every lane's owned support, enough to re-materialise the
 //!   shard after a crash (see `ShardWorker::from_checkpoint`).
@@ -43,6 +44,17 @@
 //! sequence numbers are pure bookkeeping. Under faults (see the
 //! [`chaos`](crate::chaos) module) they are what makes retries idempotent:
 //! duplicates are absorbed by the `(seq, from)` keys, never double-counted.
+//!
+//! ## Shared payloads
+//!
+//! The bulk payloads — a `Deltas` message's buckets ([`DeltaBuckets`]) and a
+//! `StepDone`'s lane reports — travel behind an [`Arc`]. A shard builds each
+//! peer's bucket once and keeps the same `Arc` in its round cache, so the
+//! first send, a retry's re-send, a recovery assist and a chaos duplicate
+//! all share one allocation; the receiver only reads it. A shard never
+//! caches its own bucket: that bucket never touches the wire, is read in
+//! place by the absorb, and is dropped with the round. A socket transport
+//! would serialise the pointee, so the wire format is unaffected.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, RwLock};
@@ -78,9 +90,15 @@ impl std::error::Error for TransportError {}
 pub struct LaneDeltas {
     /// The walk lane the deltas belong to.
     pub lane: u32,
-    /// The mass contributions, in the sender's emission order.
+    /// The mass contributions, in the sender's emission order (ascending by
+    /// source).
     pub deltas: Vec<MassDelta>,
 }
+
+/// One sender's per-lane delta buckets for one receiver and round,
+/// ascending by lane, shared between the message and the sender's re-send
+/// cache.
+pub type DeltaBuckets = Arc<Vec<LaneDeltas>>;
 
 /// A shard's post-step report for one walk lane.
 #[derive(Debug, Clone)]
@@ -120,7 +138,7 @@ pub enum Message {
         /// The sending shard.
         from: usize,
         /// Per-lane delta buckets, ascending by lane.
-        lanes: Vec<LaneDeltas>,
+        lanes: DeltaBuckets,
     },
     /// Shard → coordinator: the step round is complete on this shard.
     StepDone {
@@ -129,8 +147,8 @@ pub enum Message {
         /// The reporting shard.
         shard: usize,
         /// Per-lane emitted counts and owned support slices, ascending by
-        /// lane.
-        lanes: Vec<LaneState>,
+        /// lane; shared with the shard's re-send cache.
+        lanes: Arc<Vec<LaneState>>,
     },
     /// Shard → shard-coordinator liveness signal: the shard is alive and
     /// inside the exchange barrier of round `seq` (sent when a coordinator
@@ -400,7 +418,7 @@ mod tests {
             Message::Deltas {
                 seq: 1,
                 from: 0,
-                lanes: Vec::new(),
+                lanes: Arc::default(),
             },
         );
         assert!(matches!(
@@ -417,7 +435,7 @@ mod tests {
             Message::StepDone {
                 seq: 1,
                 shard: 1,
-                lanes: Vec::new(),
+                lanes: Arc::default(),
             },
         );
         assert!(matches!(
@@ -475,7 +493,7 @@ mod tests {
             Message::Deltas {
                 seq: 3,
                 from: 0,
-                lanes: Vec::new(),
+                lanes: Arc::default(),
             },
         );
         assert!(matches!(replacement.recv(), Ok(Message::Halt)));
