@@ -46,7 +46,8 @@ fn parse_field<T: std::str::FromStr>(
 ///
 /// # Errors
 ///
-/// [`GraphError::ParseError`] on malformed lines,
+/// [`GraphError::ParseError`] on malformed lines (including a vertex id of
+/// `usize::MAX`, whose vertex count would overflow),
 /// [`GraphError::InvalidParameter`] on non-positive or non-finite weights.
 pub fn parse_edge_list(text: &str) -> Result<Graph, GraphError> {
     let mut edges: Vec<(VertexId, VertexId, Option<f64>)> = Vec::new();
@@ -78,6 +79,17 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, GraphError> {
         };
         if fields.next().is_some() {
             return Err(parse_err(line_no, "expected at most three fields"));
+        }
+        // The vertex count is `max id + 1`, so the largest id must leave
+        // room for it.
+        if u.max(v) == VertexId::MAX {
+            return Err(parse_err(
+                line_no,
+                format!(
+                    "vertex id {} leaves no room for a vertex count",
+                    VertexId::MAX
+                ),
+            ));
         }
         max_vertex = max_vertex.max(u).max(v);
         if u == v {

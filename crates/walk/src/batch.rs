@@ -7,34 +7,84 @@
 //! the graph's CSR is streamed through the cache K times per logical step.
 //! [`WalkBatch`] steps all K walks in lockstep instead: one pass over the
 //! union of the lanes' supports reads each adjacency list once and pushes
-//! probability for every lane that holds mass on the vertex.
+//! probability for every lane that holds mass on the vertex — or, once the
+//! supports are dense, one pass over the whole CSR pulls it.
 //!
-//! Batching is purely a physical-machine optimisation — each lane's
-//! distribution evolves **bit-identically** to a solo
-//! [`crate::WalkEngine::step`]:
+//! # Direction: push sparse frontiers, pull dense ones
 //!
-//! * the union of the sorted per-lane supports is iterated in ascending
+//! A push step costs `O(Σ_l vol(support_l))` scattered writes, which is what
+//! makes a young walk cheap. The ensemble's follow-up walks spread over
+//! most of the graph, though, and there a scatter is the most expensive way
+//! to take the step. So each step picks a direction (direction-optimizing
+//! traversal, Beamer et al., SC 2012): it **pulls** once the live lanes'
+//! summed support volume reaches a quarter of the graph volume
+//! (`Σ_l vol(support_l) · 4 ≥ 2m`) and **pushes** below that. The threshold
+//! is an internal constant, not a knob.
+//!
+//! The pull runs the live lanes in chunks of at most 8:
+//!
+//! 1. *Prologue.* For each lane `l` of the chunk, walk its support once:
+//!    set bit `l` of a per-vertex lane byte where `p ≠ 0`, and write
+//!    `share = p · (1−α) / w(u)` into a lane-interleaved plane
+//!    `shares[u·L + l]`.
+//! 2. *Gather.* For every target `v`, walk its ascending CSR row, adding
+//!    each neighbour's `L` shares into `L` accumulators (times `w` on a
+//!    weighted graph) and OR-ing the neighbours' lane bytes into `touched`.
+//!    The lazy self-term `p_l(v) · α` goes in at `v`'s ascending position; a
+//!    degree-0 `v` keeps `p_l(v)`.
+//! 3. *Output.* For every lane in `touched`, write `next_l[v]`, set the mask
+//!    bit and append `v` to the support, which therefore comes out
+//!    ascending: the pull skips the push's support sort.
+//! 4. *Epilogue.* Zero the shares and lane bytes over the old supports.
+//!
+//! The share plane (8 B per vertex per lane of the widest chunk) and the
+//! lane bytes (1 B per vertex) belong to the [`WalkBatch`] and are
+//! allocated on its first pull.
+//!
+//! # Bit-identity
+//!
+//! Batching is purely a physical-machine optimisation — in either direction
+//! each lane's distribution evolves **bit-identically** to a solo
+//! [`crate::WalkEngine::step`].
+//!
+//! The push:
+//!
+//! * iterates the union of the sorted per-lane supports in ascending
 //!   vertex order, so each lane's contributors are processed in exactly the
 //!   order its solo step would process them (union vertices outside a lane's
 //!   support carry `0.0` there and are skipped, just like the solo step skips
 //!   underflowed support entries);
-//! * accumulation into each lane's double buffer uses the same bit-masked
+//! * accumulates into each lane's double buffer through the same bit-masked
 //!   [`accumulate`](crate::WalkEngine::step) helper, so the per-vertex sums
 //!   are performed in the same order with the same operands.
+//!
+//! The pull:
+//!
+//! * gives every `next_l[v]` the same `f64` operands as the push — the same
+//!   share expression, multiplied by the same weight — in the same
+//!   ascending-source order, the self-term included;
+//! * adds `+0.0` for a neighbour with no mass in that lane, which is exact,
+//!   and starts from `+0.0`, which the first operand replaces exactly;
+//! * marks `v` touched in lane `l` iff some source of `v` has `p_l ≠ 0` —
+//!   the push's first-touch rule, zero-mass underflow included;
+//! * relies on weights being positive and finite (the builder enforces it)
+//!   and on the CSR storing each edge's weight in both rows.
 //!
 //! Physically, each lane is struct-of-arrays: two contiguous `f64` mass
 //! planes plus a one-bit-per-vertex membership mask (see the
 //! [`crate::WalkEngine`] module docs for the per-vertex memory table). The
 //! stepping loop hoists the active lanes into one compact scratch table up
-//! front, so the hot per-union-vertex scan touches exactly the lanes that
-//! step — no per-`(vertex, lane)` activity branch, and the lane state the
-//! scan reads (mass plane pointer, mask words) stays hot across union
-//! vertices. The pre-mask layout and loop structure are preserved in
+//! front, so the hot per-vertex loops touch exactly the lanes that step —
+//! no per-`(vertex, lane)` activity branch, and the lane state they read
+//! (mass plane pointer, mask words) stays hot across vertices. The pre-mask
+//! layout and push loop structure are preserved in
 //! [`crate::stamp_reference`] as the correctness and perf rail.
 //!
 //! A property test pins `step_batch` against per-lane solo steps bit for bit
-//! (distributions *and* supports), and `cdrw-core` pins the batched ensemble
-//! against a sequential reference. Lanes can be deactivated mid-flight
+//! (distributions *and* supports) on weighted and unweighted graphs, with
+//! more lanes than one pull chunk, and with each step's direction chosen or
+//! forced either way; `cdrw-core` pins the batched ensemble against a
+//! sequential reference. Lanes can be deactivated mid-flight
 //! ([`WalkBatch::set_active`]) — a walk whose growth rule fired stops paying
 //! for steps while the rest of the batch walks on.
 //!
@@ -82,8 +132,17 @@ pub struct WalkBatch {
     lanes: Vec<WalkWorkspace>,
     /// Which lanes the next [`WalkEngine::step_batch`] advances.
     active: Vec<bool>,
-    /// Scratch: sorted, deduplicated union of the active lanes' supports.
+    /// Push scratch: sorted, deduplicated union of the active lanes'
+    /// supports.
     union: Vec<VertexId>,
+    /// Pull scratch: lane-interleaved outgoing shares, `shares[u·L + l]` for
+    /// lane `l` of a chunk of `L` lanes. Empty until the first pull; all
+    /// zero between steps.
+    shares: Vec<f64>,
+    /// Pull scratch: bit `l` of `lane_bits[u]` is set while lane `l` of the
+    /// current chunk holds mass on `u`. Empty until the first pull; all zero
+    /// between steps.
+    lane_bits: Vec<u8>,
     /// Number of vertices every lane is sized for.
     len: usize,
 }
@@ -95,6 +154,8 @@ impl WalkBatch {
             lanes: Vec::new(),
             active: Vec::new(),
             union: Vec::new(),
+            shares: Vec::new(),
+            lane_bits: Vec::new(),
             len: n,
         }
     }
@@ -188,9 +249,28 @@ impl WalkBatch {
     }
 }
 
+/// The step pulls once the live lanes' summed support volume reaches
+/// `1/PULL_VOLUME_FRACTION` of the graph volume `2m`. The choice is not
+/// sensitive: fractions 2, 4 and 16 gave `sbm8-ensemble` detection times
+/// within 8% of each other, 4 the fastest.
+const PULL_VOLUME_FRACTION: usize = 4;
+
+/// Lanes per pull pass: one bit each in the per-vertex lane byte.
+const PULL_CHUNK: usize = 8;
+
+/// How one [`WalkEngine::step_batch`] moves mass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StepDirection {
+    /// Scatter each support vertex's shares to its neighbours.
+    Push,
+    /// Gather every vertex's incoming shares from its neighbours.
+    Pull,
+}
+
 impl WalkEngine<'_> {
     /// Applies one walk step to every active lane of the batch, reading each
-    /// adjacency list once for all lanes.
+    /// adjacency list once for all lanes (or once per 8 lanes when the step
+    /// pulls).
     ///
     /// Each lane's resulting distribution and support are bit-identical to a
     /// solo [`WalkEngine::step`] on that lane (see the
@@ -200,42 +280,65 @@ impl WalkEngine<'_> {
     ///
     /// Panics if the batch was sized for a different graph.
     pub fn step_batch(&self, batch: &mut WalkBatch) {
+        let direction = self.batch_direction(batch);
+        self.step_batch_in(batch, direction);
+    }
+
+    /// The direction the next [`WalkEngine::step_batch`] takes: pull once
+    /// the active lanes' summed support volume reaches a fixed fraction of
+    /// the graph volume, push below it.
+    pub(crate) fn batch_direction(&self, batch: &WalkBatch) -> StepDirection {
         let graph = self.graph();
+        self.assert_sized(batch);
+        let volume: usize = batch
+            .lanes
+            .iter()
+            .zip(&batch.active)
+            .filter(|(_, &is_active)| is_active)
+            .flat_map(|(ws, _)| ws.support.iter())
+            .map(|&u| graph.degree(u))
+            .sum();
+        if volume > 0 && volume * PULL_VOLUME_FRACTION >= graph.total_volume() {
+            StepDirection::Pull
+        } else {
+            StepDirection::Push
+        }
+    }
+
+    fn assert_sized(&self, batch: &WalkBatch) {
+        let n = self.graph().num_vertices();
         assert_eq!(
             batch.len(),
-            graph.num_vertices(),
-            "batch is over {} vertices but the graph has {}",
-            batch.len(),
-            graph.num_vertices()
+            n,
+            "batch is over {} vertices but the graph has {n}",
+            batch.len()
         );
+    }
+
+    /// [`WalkEngine::step_batch`] in a given direction; both directions give
+    /// the same bits.
+    pub(crate) fn step_batch_in(&self, batch: &mut WalkBatch, direction: StepDirection) {
+        self.assert_sized(batch);
+        let graph = self.graph();
         let laziness = self.laziness();
-        let move_fraction = 1.0 - laziness;
         let WalkBatch {
             lanes,
             active,
             union,
+            shares,
+            lane_bits,
             ..
         } = batch;
 
         // Hoist the active lanes into one compact scratch table: the hot
-        // per-union-vertex scan below then iterates exactly the lanes that
-        // step, with no activity branch per `(vertex, lane)` pair, and the
-        // per-lane state it reads stays hot across union vertices.
+        // per-vertex loops below then iterate exactly the lanes that step,
+        // with no activity branch per `(vertex, lane)` pair, and the
+        // per-lane state they read stays hot across vertices.
         let mut live: Vec<&mut WalkWorkspace> = lanes
             .iter_mut()
             .zip(active.iter())
             .filter_map(|(ws, &is_active)| is_active.then_some(ws))
             .collect();
-
-        // The union of the active supports, ascending: every lane's own
-        // support is a subsequence, so per-lane contributor order matches the
-        // solo step exactly.
-        union.clear();
-        for ws in live.iter() {
-            union.extend_from_slice(&ws.support);
-        }
-        union.sort_unstable();
-        union.dedup();
 
         // Release each live lane's outgoing mask bits (the batched analogue
         // of the solo step's up-front bit clears).
@@ -247,36 +350,26 @@ impl WalkEngine<'_> {
             }
         }
 
-        for &u in union.iter() {
-            let degree = graph.degree(u);
-            let weighted_degree = graph.weighted_degree(u);
-            let neighbors = graph.neighbor_slice(u);
-            let row_weights = graph.weight_slice(u);
-            for ws in live.iter_mut() {
-                let p = ws.current[u];
-                if p == 0.0 {
-                    // Outside this lane's support — or an underflowed support
-                    // entry, which the solo step also skips.
-                    continue;
+        match direction {
+            StepDirection::Push => push(graph, laziness, &mut live, union),
+            StepDirection::Pull => {
+                let n = graph.num_vertices();
+                // Allocated on the first pull; all zero between pulls.
+                lane_bits.resize(n, 0);
+                let width = live.len().min(PULL_CHUNK);
+                if shares.len() < n * width {
+                    shares.resize(n * width, 0.0);
                 }
-                if degree == 0 {
-                    accumulate(ws, u, p);
-                    continue;
-                }
-                if laziness > 0.0 {
-                    accumulate(ws, u, p * laziness);
-                }
-                let share = p * move_fraction / weighted_degree;
-                match row_weights {
-                    None => {
-                        for &v in neighbors {
-                            accumulate(ws, v, share);
-                        }
-                    }
-                    Some(row_weights) => {
-                        for (&v, &w) in neighbors.iter().zip(row_weights) {
-                            accumulate(ws, v, share * w);
-                        }
+                for chunk in live.chunks_mut(PULL_CHUNK) {
+                    match chunk.len() {
+                        1 => pull::<1>(graph, laziness, chunk, shares, lane_bits),
+                        2 => pull::<2>(graph, laziness, chunk, shares, lane_bits),
+                        3 => pull::<3>(graph, laziness, chunk, shares, lane_bits),
+                        4 => pull::<4>(graph, laziness, chunk, shares, lane_bits),
+                        5 => pull::<5>(graph, laziness, chunk, shares, lane_bits),
+                        6 => pull::<6>(graph, laziness, chunk, shares, lane_bits),
+                        7 => pull::<7>(graph, laziness, chunk, shares, lane_bits),
+                        _ => pull::<PULL_CHUNK>(graph, laziness, chunk, shares, lane_bits),
                     }
                 }
             }
@@ -285,13 +378,213 @@ impl WalkEngine<'_> {
         for ws in live.iter_mut() {
             // Same epilogue as the solo step: restore the all-zero-outside-
             // support invariant, promote the accumulator, sort the support.
+            // The pull emits targets in ascending order, so it is sorted
+            // already.
             for i in 0..ws.support.len() {
                 let u = ws.support[i];
                 ws.current[u] = 0.0;
             }
             std::mem::swap(&mut ws.current, &mut ws.next);
             std::mem::swap(&mut ws.support, &mut ws.next_support);
-            ws.support.sort_unstable();
+            if direction == StepDirection::Push {
+                ws.support.sort_unstable();
+            }
+        }
+    }
+}
+
+/// The push step: scatter every live lane's mass from the union of the
+/// supports, in ascending vertex order.
+fn push(graph: &Graph, laziness: f64, live: &mut [&mut WalkWorkspace], union: &mut Vec<VertexId>) {
+    let move_fraction = 1.0 - laziness;
+    // The union of the active supports, ascending: every lane's own
+    // support is a subsequence, so per-lane contributor order matches the
+    // solo step exactly.
+    union.clear();
+    for ws in live.iter() {
+        union.extend_from_slice(&ws.support);
+    }
+    union.sort_unstable();
+    union.dedup();
+
+    for &u in union.iter() {
+        let degree = graph.degree(u);
+        let weighted_degree = graph.weighted_degree(u);
+        let neighbors = graph.neighbor_slice(u);
+        let row_weights = graph.weight_slice(u);
+        for ws in live.iter_mut() {
+            let p = ws.current[u];
+            if p == 0.0 {
+                // Outside this lane's support — or an underflowed support
+                // entry, which the solo step also skips.
+                continue;
+            }
+            if degree == 0 {
+                accumulate(ws, u, p);
+                continue;
+            }
+            if laziness > 0.0 {
+                accumulate(ws, u, p * laziness);
+            }
+            let share = p * move_fraction / weighted_degree;
+            match row_weights {
+                None => {
+                    for &v in neighbors {
+                        accumulate(ws, v, share);
+                    }
+                }
+                Some(row_weights) => {
+                    for (&v, &w) in neighbors.iter().zip(row_weights) {
+                        accumulate(ws, v, share * w);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The pull step for a chunk of `L ≤ 8` live lanes: publish each lane's
+/// outgoing shares into the lane-interleaved plane, then gather every
+/// vertex's incoming mass from its ascending CSR row.
+fn pull<const L: usize>(
+    graph: &Graph,
+    laziness: f64,
+    chunk: &mut [&mut WalkWorkspace],
+    shares: &mut [f64],
+    lane_bits: &mut [u8],
+) {
+    let n = graph.num_vertices();
+    let move_fraction = 1.0 - laziness;
+    let lanes: &mut [&mut WalkWorkspace; L] = chunk.try_into().expect("a chunk of L lanes");
+    let (shares, _) = shares[..n * L].as_chunks_mut::<L>();
+
+    // Prologue: the same share expression the push computes per source.
+    for (l, ws) in lanes.iter().enumerate() {
+        for &u in &ws.support {
+            let p = ws.current[u];
+            if p == 0.0 {
+                continue;
+            }
+            lane_bits[u] |= 1 << l;
+            if graph.degree(u) > 0 {
+                shares[u][l] = p * move_fraction / graph.weighted_degree(u);
+            }
+        }
+    }
+
+    {
+        // Per lane: the outgoing mass (read) and the step's outputs.
+        let mut lane_io = lanes.each_mut().map(|ws| {
+            let ws = &mut **ws;
+            (
+                &ws.current[..],
+                &mut ws.next[..],
+                &mut ws.mask,
+                &mut ws.next_support,
+            )
+        });
+        let shares = &*shares;
+        let lane_bits = &*lane_bits;
+        for v in 0..n {
+            let neighbors = graph.neighbor_slice(v);
+            let own = lane_bits[v];
+            let mut acc = [0.0f64; L];
+            let mut touched = 0u8;
+            if neighbors.is_empty() {
+                // Nowhere to go: the mass stays.
+                if own == 0 {
+                    continue;
+                }
+                touched = own;
+                for (sum, (current, ..)) in acc.iter_mut().zip(&lane_io) {
+                    *sum = current[v];
+                }
+            } else {
+                let weights = graph.weight_slice(v);
+                // The push adds the lazy self-term when it reaches source
+                // `v`, i.e. between `v`'s smaller and larger neighbours.
+                let split = if laziness > 0.0 {
+                    neighbors.partition_point(|&u| u < v)
+                } else {
+                    neighbors.len()
+                };
+                gather(
+                    &mut acc,
+                    &mut touched,
+                    neighbors,
+                    weights,
+                    shares,
+                    lane_bits,
+                    0..split,
+                );
+                if laziness > 0.0 && own != 0 {
+                    touched |= own;
+                    for (sum, (current, ..)) in acc.iter_mut().zip(&lane_io) {
+                        *sum += current[v] * laziness;
+                    }
+                }
+                let rest = split..neighbors.len();
+                gather(
+                    &mut acc,
+                    &mut touched,
+                    neighbors,
+                    weights,
+                    shares,
+                    lane_bits,
+                    rest,
+                );
+            }
+            while touched != 0 {
+                let l = touched.trailing_zeros() as usize;
+                touched &= touched - 1;
+                let (_, next, mask, next_support) = &mut lane_io[l];
+                next[v] = acc[l];
+                mask.insert(v);
+                next_support.push(v);
+            }
+        }
+    }
+
+    // Epilogue: return the share plane and the lane bits to all-zero.
+    for (l, ws) in lanes.iter().enumerate() {
+        for &u in &ws.support {
+            shares[u][l] = 0.0;
+            lane_bits[u] = 0;
+        }
+    }
+}
+
+/// Adds the shares of `neighbors[range]`, in row order, into the `L` lane
+/// accumulators (times the edge weight on weighted graphs) and ORs their
+/// lane bits into `touched`.
+#[inline(always)]
+fn gather<const L: usize>(
+    acc: &mut [f64; L],
+    touched: &mut u8,
+    neighbors: &[VertexId],
+    weights: Option<&[f64]>,
+    shares: &[[f64; L]],
+    lane_bits: &[u8],
+    range: std::ops::Range<usize>,
+) {
+    match weights {
+        None => {
+            for &u in &neighbors[range] {
+                let share = &shares[u];
+                for l in 0..L {
+                    acc[l] += share[l];
+                }
+                *touched |= lane_bits[u];
+            }
+        }
+        Some(weights) => {
+            for (&u, &w) in neighbors[range.clone()].iter().zip(&weights[range]) {
+                let share = &shares[u];
+                for l in 0..L {
+                    acc[l] += share[l] * w;
+                }
+                *touched |= lane_bits[u];
+            }
         }
     }
 }
@@ -419,24 +712,108 @@ mod tests {
         }
     }
 
+    /// Steps `seeds` through a batch and through solo workspaces side by
+    /// side, asserting every lane's distribution and support after each
+    /// step, and that each step takes `expected` direction.
+    fn assert_direction_matches_solo(
+        engine: &WalkEngine<'_>,
+        seeds: &[usize],
+        steps: usize,
+        expected: StepDirection,
+    ) {
+        let mut batch = WalkBatch::for_graph(engine.graph());
+        batch.load_point_masses(seeds).unwrap();
+        let mut solos: Vec<_> = seeds
+            .iter()
+            .map(|&s| {
+                let mut ws = engine.workspace();
+                ws.load_point_mass(s).unwrap();
+                ws
+            })
+            .collect();
+        for _ in 0..steps {
+            assert_eq!(engine.batch_direction(&batch), expected);
+            engine.step_batch(&mut batch);
+            for (lane, solo) in solos.iter_mut().enumerate() {
+                engine.step(solo);
+                assert_eq!(batch.lane(lane).as_slice(), solo.as_slice());
+                assert_eq!(batch.lane(lane).support(), solo.support());
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_frontiers_push() {
+        // Two walks at the ends of a long path: their supports stay a few
+        // vertices wide, far below a quarter of the graph volume.
+        let edges: Vec<_> = (0..199usize).map(|u| (u, u + 1)).collect();
+        let g = GraphBuilder::from_edges(200, edges).unwrap();
+        let engine = WalkEngine::lazy(&g, 0.25);
+        assert_direction_matches_solo(&engine, &[0, 199], 6, StepDirection::Push);
+    }
+
+    #[test]
+    fn dense_frontiers_pull_in_chunks_of_eight() {
+        // Eleven lanes on a ring of cliques: every step's summed support
+        // volume exceeds a quarter of the graph volume, and the lanes run
+        // through the pull as a chunk of 8 and a chunk of 3.
+        let (graph, _) = cdrw_gen::special::ring_of_cliques(3, 8).unwrap();
+        let engine = WalkEngine::new(&graph);
+        let seeds = [0usize, 1, 2, 5, 8, 9, 13, 16, 20, 23, 23];
+        assert_direction_matches_solo(&engine, &seeds, 6, StepDirection::Pull);
+    }
+
+    #[test]
+    fn lazy_pull_keeps_an_isolated_vertex_and_inserts_the_self_term_in_order() {
+        // Vertex 5 is isolated; vertex 2 sits mid-row of its neighbours, so
+        // its lazy self-term lands between smaller and larger sources.
+        let mut b = GraphBuilder::new(6);
+        for (u, v, w) in [
+            (0usize, 1usize, 0.5),
+            (0, 2, 3.0),
+            (1, 2, 2.0),
+            (2, 3, 1.5),
+            (2, 4, 0.75),
+            (3, 4, 4.0),
+        ] {
+            b.add_weighted_edge(u, v, w).unwrap();
+        }
+        let g = b.build();
+        let engine = WalkEngine::lazy(&g, 0.3);
+        assert_direction_matches_solo(&engine, &[5, 2, 0, 4], 8, StepDirection::Pull);
+    }
+
     proptest::proptest! {
-        /// On arbitrary graphs, lane counts, seeds, laziness values and
+        /// On arbitrary graphs (unweighted and weighted), lane counts
+        /// (beyond one pull chunk of 8), seeds, laziness values and
         /// mid-flight deactivation patterns, every batched lane's
         /// distribution and support are bit-identical to a solo walk of the
-        /// same length from the same seed.
+        /// same length from the same seed — whether each step picks its own
+        /// direction or is forced to push or to pull.
         #[test]
         fn step_batch_is_bit_identical_to_solo_steps(
-            edges in proptest::collection::vec((0usize..16, 0usize..16), 1..90),
-            seeds in proptest::collection::vec(0usize..16, 1..6),
+            edges in proptest::collection::vec((0usize..16, 0usize..16, 0.125f64..4.0), 1..90),
+            seeds in proptest::collection::vec(0usize..16, 1..20),
             laziness in 0.0f64..1.0,
             steps in 1usize..8,
             frozen_after in 0usize..8,
+            weighted in 0usize..2,
+            forced in 0usize..3,
         ) {
             use proptest::{prop_assert_eq, prop_assume};
 
-            let clean: Vec<_> = edges.into_iter().filter(|(u, v)| u != v).collect();
+            let clean: Vec<_> = edges.into_iter().filter(|(u, v, _)| u != v).collect();
             prop_assume!(!clean.is_empty());
-            let g = GraphBuilder::from_edges(16, clean).unwrap();
+            let g = if weighted == 1 {
+                let mut b = GraphBuilder::new(16);
+                for &(u, v, w) in &clean {
+                    b.add_weighted_edge(u, v, w).unwrap();
+                }
+                b.build()
+            } else {
+                GraphBuilder::from_edges(16, clean.iter().map(|&(u, v, _)| (u, v))).unwrap()
+            };
+            let direction = [None, Some(StepDirection::Push), Some(StepDirection::Pull)][forced];
             let engine = WalkEngine::lazy(&g, laziness);
             let mut batch = WalkBatch::for_graph(&g);
             batch.load_point_masses(&seeds).unwrap();
@@ -450,7 +827,10 @@ mod tests {
                 if batch.is_active(0) {
                     lane0_steps += 1;
                 }
-                engine.step_batch(&mut batch);
+                match direction {
+                    None => engine.step_batch(&mut batch),
+                    Some(direction) => engine.step_batch_in(&mut batch, direction),
+                }
             }
             for (lane, &seed) in seeds.iter().enumerate() {
                 let walked = if lane == 0 { lane0_steps } else { steps };

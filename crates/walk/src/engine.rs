@@ -76,6 +76,15 @@
 //! cleared exactly where the support list says they are set), so the
 //! epoch trick's asymptotics are preserved without storing epochs at all.
 //!
+//! A [`crate::WalkBatch`] adds two batch-wide pull planes on top of its
+//! lanes, allocated on the batch's first pull step (see the
+//! [`crate::batch`] module docs):
+//!
+//! | plane | per vertex | resident @ `n = 2²⁰`, 8 lanes |
+//! |---|---|---|
+//! | lane-interleaved share plane | 8 B per lane of the widest pull chunk (≤ 8) | 64 MiB |
+//! | lane bytes | 1 B | 1 MiB |
+//!
 //! One further (graph-side, not workspace-side) plane joined in PR 8: the
 //! optional edge-weight lane.
 //!

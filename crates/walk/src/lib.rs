@@ -35,7 +35,8 @@
 //!   community; `detect_parallel` keeps one per worker thread). Re-seeding
 //!   costs `O(|support|)`, not `O(n)`.
 //! * [`WalkBatch`] + [`WalkEngine::step_batch`] step K independent walks in
-//!   lockstep, reading each adjacency list once for all K lanes — the
+//!   lockstep, reading each adjacency list once for all K lanes (once per
+//!   8 lanes when a dense frontier is pulled instead of pushed) — the
 //!   ensemble's follow-up walks and the assembly's re-seed walks run
 //!   through it. Each lane is bit-identical to a solo walk (see the
 //!   [`batch`] module docs).
