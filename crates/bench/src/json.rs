@@ -61,12 +61,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the byte offset on malformed input or
-    /// trailing garbage.
+    /// Returns a message naming the byte offset on malformed input,
+    /// trailing garbage, or arrays and objects nested deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -173,10 +175,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The writer nests a
+/// handful of levels; the bound keeps the recursive descent off the end of
+/// the stack on hostile input.
+pub const MAX_DEPTH: usize = 128;
+
 /// Recursive-descent parser over the writer's output subset.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -218,8 +227,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }

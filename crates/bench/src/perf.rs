@@ -42,12 +42,11 @@ pub struct StepOverhead {
     pub n: usize,
     /// Support size of the measured walk state (steady-state spread).
     pub support: usize,
-    /// Best-of-samples time of one [`cdrw_walk::WalkEngine::step`], in
+    /// Time of one [`cdrw_walk::WalkEngine::step`] in the median pair, in
     /// nanoseconds.
     pub step_ns: f64,
-    /// Best-of-samples time of one
-    /// [`cdrw_walk::WalkEngine::step_uniform_reference`] (the preserved
-    /// pre-weight-lane kernel), in nanoseconds.
+    /// Time of one [`cdrw_walk::WalkEngine::step_uniform_reference`] (the
+    /// preserved pre-weight-lane kernel) in the median pair, in nanoseconds.
     pub reference_ns: f64,
 }
 
@@ -65,7 +64,8 @@ impl StepOverhead {
 /// Both workspaces are first spread to their steady-state support, where the
 /// two kernels do identical per-step work (they are bit-identical on
 /// unweighted graphs), so the ratio isolates the cost of the weight-lane
-/// dispatch.
+/// dispatch. The two kernels are timed in [`STEP_PAIRS`] interleaved pairs
+/// ([`median_pair`]), each sample the mean of [`STEPS_PER_SAMPLE`] steps.
 pub fn measure_step_overhead() -> StepOverhead {
     let r = 8usize;
     let block = 256usize;
@@ -96,14 +96,60 @@ pub fn measure_step_overhead() -> StepOverhead {
     );
     let support = current_ws.support_size();
 
-    let step_ns = best_of(|| engine.step(&mut current_ws), 10, 8);
-    let reference_ns = best_of(|| engine.step_uniform_reference(&mut reference_ws), 10, 8);
+    let mean_ns = |routine: &mut dyn FnMut()| {
+        let start = Instant::now();
+        for _ in 0..STEPS_PER_SAMPLE {
+            routine();
+        }
+        start.elapsed().as_nanos() as f64 / STEPS_PER_SAMPLE as f64
+    };
+    let (step_ns, reference_ns) = median_pair(
+        STEP_PAIRS,
+        &mut || mean_ns(&mut || engine.step(&mut current_ws)),
+        &mut || mean_ns(&mut || engine.step_uniform_reference(&mut reference_ws)),
+    );
     StepOverhead {
         n,
         support,
         step_ns,
         reference_ns,
     }
+}
+
+/// Interleaved pairs [`measure_step_overhead`] times. A step here takes
+/// ~0.2 ms and the ratio sits near 1.03; on a 2-core host with both cores
+/// also busy, twenty readings of 15 pairs of 10-step samples reached 2.9,
+/// twenty of 31 pairs of 20-step samples stayed within 1.00–1.103.
+pub const STEP_PAIRS: usize = 31;
+
+/// Steps timed back to back per sample of [`measure_step_overhead`].
+pub const STEPS_PER_SAMPLE: u32 = 20;
+
+/// Times `candidate` against `baseline` in `pairs` interleaved pairs, after
+/// one warm-up run of each, alternating which side runs first, and returns
+/// the `(candidate, baseline)` timings of the pair with the median ratio.
+/// Host drift moves both halves of a pair together, so the median ratio
+/// holds where best-of blocks raced each other for the cores.
+pub fn median_pair(
+    pairs: usize,
+    candidate: &mut dyn FnMut() -> f64,
+    baseline: &mut dyn FnMut() -> f64,
+) -> (f64, f64) {
+    baseline();
+    candidate();
+    let mut timed: Vec<(f64, f64)> = (0..pairs)
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let b = baseline();
+                (candidate(), b)
+            } else {
+                let c = candidate();
+                (c, baseline())
+            }
+        })
+        .collect();
+    timed.sort_by(|x, y| (x.0 / x.1).total_cmp(&(y.0 / y.1)));
+    timed[pairs / 2]
 }
 
 /// Times `routine` as best-of-`samples`, `iterations` runs per sample.

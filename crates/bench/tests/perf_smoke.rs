@@ -10,13 +10,13 @@
 //! replaced, the weight-lane dispatch must cost ≤ 1.1× on the
 //! unweighted step path against the preserved pre-weight-lane kernel, and
 //! the fault-free chaos wrapper must cost ≤ 1.1× of the bare sharded run
-//! (the zero plan short-circuits to the inner transport). The sweep and
-//! weight-lane measurements are best-of-samples; the batch-stepping and
+//! (the zero plan short-circuits to the inner transport). The sweep
+//! measurement is best-of-samples; the weight-lane, batch-stepping and
 //! chaos-wrapper bars, whose runs last micro- to milliseconds, gate the
-//! median ratio of warmed, interleaved pairs. Either way scheduler noise
-//! shifts the ratio, not the verdict.
+//! median ratio of warmed, interleaved pairs ([`perf::median_pair`]).
+//! Either way scheduler noise shifts the ratio, not the verdict.
 
-use cdrw_bench::perf;
+use cdrw_bench::perf::{self, median_pair};
 use cdrw_congest::CongestConfig;
 use cdrw_core::{Cdrw, CdrwConfig};
 use cdrw_gen::{generate_ppm, PpmParams};
@@ -53,8 +53,9 @@ fn unweighted_step_path_costs_at_most_1_1x_of_the_pre_weight_lane_kernel() {
     // The weight lane must cost nothing when absent: on an unweighted graph
     // the current kernel takes the weightless branch, whose instructions are
     // the pre-weight-lane kernel's plus one per-vertex dispatch on the absent
-    // weight slice. Both sides are bit-identical and measured best-of-samples
-    // at steady-state support on the same fig4a-sized instance.
+    // weight slice. Both sides are bit-identical and are timed at
+    // steady-state support on the same fig4a-sized instance, in interleaved
+    // pairs whose median ratio is gated.
     let measured = perf::measure_step_overhead();
     assert_eq!(measured.n, 2048, "quick-scale fig4a size");
     assert!(
@@ -64,9 +65,11 @@ fn unweighted_step_path_costs_at_most_1_1x_of_the_pre_weight_lane_kernel() {
     );
     assert!(
         measured.ratio() <= 1.1,
-        "unweighted step path at {:.3}x of the pre-weight-lane kernel, above \
-         the 1.1x acceptance bar (step {:.0} ns, reference {:.0} ns)",
+        "unweighted step path at a median {:.3}x of the pre-weight-lane kernel \
+         over {} interleaved pairs, above the 1.1x acceptance bar (median \
+         pair: step {:.0} ns, reference {:.0} ns)",
         measured.ratio(),
+        perf::STEP_PAIRS,
         measured.step_ns,
         measured.reference_ns
     );
@@ -263,33 +266,6 @@ fn bit_packed_batch_stepping_does_not_lose_to_the_stamped_layout() {
          {PAIRS} interleaved pairs, slower than the stamped reference layout \
          {stamped_ns:.0} ns"
     );
-}
-
-/// Times `candidate` against `baseline` in `pairs` interleaved pairs, after
-/// one warm-up run of each, alternating which side runs first, and returns
-/// the `(candidate, baseline)` timings of the pair with the median ratio.
-/// Host drift moves both halves of a pair together, so the median ratio
-/// holds where best-of blocks raced each other for the cores.
-fn median_pair(
-    pairs: usize,
-    candidate: &mut dyn FnMut() -> f64,
-    baseline: &mut dyn FnMut() -> f64,
-) -> (f64, f64) {
-    baseline();
-    candidate();
-    let mut timed: Vec<(f64, f64)> = (0..pairs)
-        .map(|pair| {
-            if pair % 2 == 0 {
-                let b = baseline();
-                (candidate(), b)
-            } else {
-                let c = candidate();
-                (c, baseline())
-            }
-        })
-        .collect();
-    timed.sort_by(|x, y| (x.0 / x.1).total_cmp(&(y.0 / y.1)));
-    timed[pairs / 2]
 }
 
 /// Mean wall time of four back-to-back runs of a microsecond-scale kernel

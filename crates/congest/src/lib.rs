@@ -18,11 +18,12 @@
 //!   BFS-tree construction, broadcast and convergecast over the tree — are
 //!   implemented as node programs and verified (rounds = tree depth,
 //!   messages = what the textbook analysis predicts).
-//! * the runner ([`CongestCdrw`]) — the distributed CDRW driver. It executes the same decision
-//!   logic as `cdrw-core` (so the detected communities are *identical* to the
-//!   sequential algorithm — an integration test asserts this) while charging
-//!   every operation the cost the CONGEST execution would incur, using the
-//!   cost model validated by the `network` layer:
+//! * the runner ([`CongestCdrw`]) — the distributed CDRW driver. It runs
+//!   `cdrw-core`'s one `Pipeline` (so its result is *identical* to the
+//!   sequential algorithm's, traces included — an integration test asserts
+//!   this) on an executor that charges every operation the cost the CONGEST
+//!   execution would incur, using the cost model validated by the `network`
+//!   layer:
 //!
 //!   | operation | rounds | messages |
 //!   |---|---|---|

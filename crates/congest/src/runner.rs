@@ -1,15 +1,13 @@
 //! The distributed CDRW runner: sequential decisions, CONGEST costs.
 
-use cdrw_core::assembly::AssemblyReport;
-use cdrw_core::DetectionResult;
+use cdrw_core::assembly::{AssemblyOutcome, AssemblyReport};
 use cdrw_core::{
-    assembly, shuffled_seed_pool, AssemblyPolicy, Cdrw, CdrwConfig, CdrwError, CommunityDetection,
-    GrowthTracker,
+    Cdrw, CdrwConfig, CdrwError, CommunityDetection, DetectionResult, LaneExecutor, LocalLanes,
+    Pipeline,
 };
 use cdrw_graph::traversal::BfsTree;
 use cdrw_graph::{Graph, VertexId};
-use cdrw_walk::evidence::{community_scale_vote, select_interior_seeds, WalkEvidence};
-use cdrw_walk::{WalkBatch, WalkEngine, WalkWorkspace};
+use cdrw_walk::{WalkEngine, WalkWorkspace};
 use serde::{Deserialize, Serialize};
 
 use crate::primitives::{
@@ -137,16 +135,198 @@ impl CongestReport {
     }
 }
 
-/// A charged walk's outcome: the detected members, the mixing margin of the
-/// returned set, and — when tracking was requested — the last
-/// community-scale mixing set the walk passed through.
-type ChargedWalkOutcome = (Vec<VertexId>, f64, Option<(Vec<VertexId>, f64)>);
+/// The CONGEST charging executor: steps the lanes locally and charges what
+/// the distributed execution would send, as the pipeline runs.
+///
+/// * Per live lane and step: one flooding round off the lane's pre-step
+///   support ([`sparse_walk_step_cost`]), charged to `cost` and `flood`.
+/// * Per candidate size a sweep checks: one binary-search aggregation
+///   through the BFS tree, plus a broadcast/convergecast pair for criteria
+///   calibrated against the retained mass `p(S)`.
+/// * At each detection's boundaries: its BFS tree, the membership and vote
+///   broadcasts and the ensemble's coordination waves; at the assembly's, the
+///   global tree, the claim convergecasts, the group and reconciliation
+///   waves, the re-seed votes and the absorption polls.
+struct Charging<'e, 'g> {
+    lanes: LocalLanes<'e, 'g>,
+    config: &'e CongestConfig,
+    /// The open detection's (or the assembly's) charges so far.
+    phase: Phase,
+    per_community: Vec<CommunityCost>,
+    assembly: Option<AssemblyCost>,
+}
+
+/// What one detection or the assembly has been charged.
+#[derive(Default)]
+struct Phase {
+    /// The tree the phase coordinates over (`None` for an isolated seed,
+    /// which communicates nothing).
+    tree: Option<BfsTree>,
+    /// What one candidate-size check costs on `tree`.
+    per_check: CostAccount,
+    cost: CostAccount,
+    flood: CostAccount,
+    walk_steps: usize,
+    size_checks: usize,
+}
+
+impl<'e, 'g> Charging<'e, 'g> {
+    fn new(config: &'e CongestConfig, engine: &'e WalkEngine<'g>) -> Self {
+        Charging {
+            lanes: LocalLanes::new(engine),
+            config,
+            phase: Phase::default(),
+            per_community: Vec::new(),
+            assembly: None,
+        }
+    }
+
+    fn graph(&self) -> &'g Graph {
+        self.lanes.engine().graph()
+    }
+
+    /// Opens a phase coordinated over the BFS tree from `root` (none when
+    /// `root` is `None`), charging the tree's construction.
+    fn open(&mut self, root: Option<VertexId>) -> Result<(), CdrwError> {
+        self.phase = Phase::default();
+        let Some(root) = root else {
+            return Ok(());
+        };
+        let graph = self.graph();
+        let n = graph.num_vertices();
+        let (tree, bfs_cost) = bfs_tree_cost(graph, root, self.config.bfs_depth(n))?;
+        let phase = &mut self.phase;
+        phase.cost.absorb(bfs_cost);
+        // The renormalised and adaptive criteria need an extra convergecast
+        // per size check (the retained mass p(S) the scores are calibrated
+        // with); strict and lazy need only the score aggregation itself.
+        phase.per_check = binary_search_cost(&tree, binary_search_iterations(n));
+        let criterion = self.config.algorithm.criterion;
+        for _ in 1..criterion.aggregations_per_size_check() {
+            phase.per_check.absorb(tree_wave_cost(&tree));
+            phase.per_check.absorb(tree_wave_cost(&tree));
+        }
+        phase.tree = Some(tree);
+        Ok(())
+    }
+
+    /// Charges `waves` tree waves and `broadcasts` membership broadcasts on
+    /// the open phase's tree.
+    fn charge_waves(&mut self, waves: usize, broadcasts: usize) {
+        let phase = &mut self.phase;
+        if let Some(tree) = &phase.tree {
+            for _ in 0..waves {
+                phase.cost.absorb(tree_wave_cost(tree));
+            }
+            for _ in 0..broadcasts {
+                phase.cost.absorb(membership_broadcast_cost(tree));
+            }
+        }
+    }
+}
+
+impl LaneExecutor for Charging<'_, '_> {
+    fn load_lanes(&mut self, seeds: &[VertexId]) -> Result<(), CdrwError> {
+        self.lanes.load_lanes(seeds)
+    }
+
+    fn step(&mut self, live: &[u32]) -> Result<(), CdrwError> {
+        // Lines 9–11: one round of probability flooding per live lane, its
+        // message count read straight off the lane's support.
+        for &lane in live {
+            let step_cost = sparse_walk_step_cost(self.graph(), self.lanes.lane(lane as usize));
+            self.phase.cost.absorb(step_cost);
+            self.phase.flood.absorb(step_cost);
+            self.phase.walk_steps += 1;
+        }
+        self.lanes.step(live)
+    }
+
+    fn lane(&mut self, i: usize) -> &mut WalkWorkspace {
+        self.lanes.lane(i)
+    }
+
+    fn swept(&mut self, _lane: usize, sizes_checked: usize) {
+        // Lines 12–17: each candidate size is one aggregation through the
+        // tree.
+        let phase = &mut self.phase;
+        phase.size_checks += sizes_checked;
+        for _ in 0..sizes_checked {
+            phase.cost.absorb(phase.per_check);
+        }
+    }
+
+    fn begin_detection(&mut self, seed: VertexId) -> Result<(), CdrwError> {
+        // Line 5: a BFS tree of depth O(log n) from the seed. A zero-degree
+        // seed is its own community and needs no communication at all.
+        let walks = self.graph().degree(seed) > 0;
+        self.open(walks.then_some(seed))
+    }
+
+    fn end_detection(&mut self, detection: &CommunityDetection) {
+        // Line 17: announce membership of the final community (for an
+        // ensemble, of the base walk's set — the first round of votes).
+        self.charge_waves(0, 1);
+        let walks = match &detection.trace.ensemble {
+            Some(ensemble) => {
+                // Selecting the follow-up seeds costs one affinity
+                // convergecast plus one broadcast of the picks; each
+                // follow-up announces its voted set, and the effective
+                // quorum is announced down the tree. Each vertex then
+                // decides membership from its local tally.
+                self.charge_waves(3, ensemble.walks.len() - 1);
+                ensemble.walks.len()
+            }
+            None => 1,
+        };
+        self.per_community.push(CommunityCost {
+            seed: detection.seed,
+            community_size: detection.members.len(),
+            walks,
+            walk_steps: self.phase.walk_steps,
+            size_checks: self.phase.size_checks,
+            cost: self.phase.cost,
+            flood: self.phase.flood,
+        });
+    }
+
+    fn begin_assembly(&mut self, detections: &[CommunityDetection]) -> Result<(), CdrwError> {
+        // All assembly coordination runs on one BFS tree rooted at the first
+        // detection's seed: one claim convergecast per detection, then the
+        // group broadcast.
+        self.open(Some(detections.first().map_or(0, |d| d.seed)))?;
+        self.charge_waves(detections.len() + 1, 0);
+        Ok(())
+    }
+
+    fn end_assembly(&mut self, outcome: &AssemblyOutcome) {
+        let report = &outcome.report;
+        // One vote broadcast per re-seed walk; three waves per re-seeded
+        // group (seed announce, quorum announce, refined membership); two
+        // for the reconciliation (margin announce, final assignment).
+        self.charge_waves(3 * report.reseeded_groups + 2, report.reseed_walks);
+        // Absorption: one round per wave, each unassigned vertex polls its
+        // neighbourhood.
+        for &volume in &outcome.absorption_volumes {
+            self.phase.cost.charge(1, volume);
+        }
+        self.assembly = Some(AssemblyCost {
+            report: report.clone(),
+            walk_steps: self.phase.walk_steps,
+            size_checks: self.phase.size_checks,
+            cost: self.phase.cost,
+            flood: self.phase.flood,
+        });
+    }
+}
 
 /// Distributed CDRW in the CONGEST model.
 ///
-/// Executes exactly the decision logic of [`cdrw_core::Cdrw`] (the detected
-/// communities are identical for the same configuration) and charges the
-/// CONGEST cost of every step using the primitives of [`crate::primitives`].
+/// Runs the one [`Pipeline`] of `cdrw_core` (so the detected communities,
+/// traces included, are identical to [`cdrw_core::Cdrw`]'s for the same
+/// configuration) on an executor that charges the CONGEST cost of every
+/// step, sweep and coordination wave using the primitives of
+/// [`crate::primitives`].
 #[derive(Debug, Clone)]
 pub struct CongestCdrw {
     config: CongestConfig,
@@ -174,316 +354,12 @@ impl CongestCdrw {
         graph: &Graph,
         seed: VertexId,
     ) -> Result<(CommunityDetection, CommunityCost), CdrwError> {
-        let algorithm = &self.config.algorithm;
-        algorithm.validate()?;
-        if graph.num_vertices() == 0 {
-            return Err(CdrwError::EmptyGraph);
-        }
-        if graph.num_edges() == 0 {
-            return Err(CdrwError::NoEdges);
-        }
+        let pipeline = Pipeline::new(&self.config.algorithm, graph)?;
         graph.check_vertex(seed)?;
-        let delta = algorithm.resolve_delta(graph)?;
-        let engine = WalkEngine::lazy(graph, algorithm.criterion.laziness());
-        let mut workspace = engine.workspace();
-        let mut batch = WalkBatch::for_graph(graph);
-        let mut evidence = WalkEvidence::for_graph_if(algorithm.ensemble.is_ensemble(), graph);
-        self.detect_with_delta(
-            &engine,
-            &mut workspace,
-            &mut batch,
-            &mut evidence,
-            seed,
-            delta,
-            false,
-        )
-    }
-
-    /// One walk of Algorithm 1's inner loop with CONGEST charging: flooding
-    /// rounds per step, one binary-search aggregation per size check (plus
-    /// the mass convergecast pair for calibrated criteria). The stopping
-    /// decisions run through the same [`GrowthTracker`] as the sequential
-    /// `Cdrw`, including the `stop_floor` the ensemble path raises for
-    /// follow-up walks and the `bounded_cap` tracking of the last
-    /// community-scale mixing set, so the detected sets stay identical.
-    #[allow(clippy::too_many_arguments)]
-    fn charged_walk(
-        &self,
-        engine: &WalkEngine<'_>,
-        workspace: &mut WalkWorkspace,
-        tree: &BfsTree,
-        seed: VertexId,
-        delta: f64,
-        stop_floor: usize,
-        bounded_cap: Option<usize>,
-        cost: &mut CostAccount,
-        flood: &mut CostAccount,
-        walk_steps: &mut usize,
-        size_checks: &mut usize,
-    ) -> Result<ChargedWalkOutcome, CdrwError> {
-        let algorithm = &self.config.algorithm;
-        let graph = engine.graph();
-        let n = graph.num_vertices();
-        let mixing_config = algorithm.local_mixing_config(n);
-        let max_length = algorithm.max_walk_length(n);
-        let bs_iterations = binary_search_iterations(n);
-        // The renormalised and adaptive criteria need an extra convergecast
-        // per size check (the retained mass p(S) the scores are calibrated
-        // with); strict and lazy need only the score aggregation itself.
-        let aggregations_per_check = algorithm.criterion.aggregations_per_size_check();
-
-        workspace.load_point_mass(seed)?;
-        let mut tracker = GrowthTracker::new(stop_floor, delta, bounded_cap);
-        for _ in 1..=max_length {
-            // Lines 9–11: one round of probability flooding. The message
-            // count reads the support straight off the workspace.
-            let step_cost = sparse_walk_step_cost(graph, workspace);
-            cost.absorb(step_cost);
-            flood.absorb(step_cost);
-            engine.step(workspace);
-            *walk_steps += 1;
-
-            // Lines 12–17: the candidate-size sweep. Each size requires one
-            // binary-search aggregation through the BFS tree; criteria that
-            // calibrate against the retained mass p(S) additionally need one
-            // broadcast (the candidate indicator) plus one convergecast (the
-            // mass sum) per check.
-            let outcome = engine.sweep(workspace, &mixing_config)?;
-            *size_checks += outcome.sizes_checked();
-            for _ in 0..outcome.sizes_checked() {
-                cost.absorb(binary_search_cost(tree, bs_iterations));
-                for _ in 1..aggregations_per_check {
-                    cost.absorb(tree_wave_cost(tree));
-                    cost.absorb(tree_wave_cost(tree));
-                }
-            }
-            if tracker.observe_outcome(graph, seed, outcome, mixing_config.threshold) {
-                break;
-            }
-        }
-        Ok(tracker.conclude(graph, seed))
-    }
-
-    /// The batched counterpart of [`CongestCdrw::charged_walk`]: one walk per
-    /// seed, stepped in lockstep through the [`WalkBatch`] so the CSR is
-    /// traversed once per step for all of them. Every charge a solo walk
-    /// would absorb is absorbed per lane — the per-step flooding cost reads
-    /// each lane's own support before the step, sweeps are charged per lane,
-    /// and a stopped lane charges nothing further — so the totals are
-    /// identical to walking the seeds one at a time (batching is a
-    /// physical-machine optimisation, not a message-complexity change).
-    #[allow(clippy::too_many_arguments)]
-    fn charged_walks_batched(
-        &self,
-        engine: &WalkEngine<'_>,
-        batch: &mut WalkBatch,
-        tree: &BfsTree,
-        seeds: &[VertexId],
-        delta: f64,
-        stop_floor: usize,
-        bounded_cap: usize,
-        cost: &mut CostAccount,
-        flood: &mut CostAccount,
-        walk_steps: &mut usize,
-        size_checks: &mut usize,
-    ) -> Result<Vec<ChargedWalkOutcome>, CdrwError> {
-        let algorithm = &self.config.algorithm;
-        let graph = engine.graph();
-        let n = graph.num_vertices();
-        let mixing_config = algorithm.local_mixing_config(n);
-        let max_length = algorithm.max_walk_length(n);
-        let bs_iterations = binary_search_iterations(n);
-        let aggregations_per_check = algorithm.criterion.aggregations_per_size_check();
-
-        batch.load_point_masses(seeds)?;
-        let mut trackers: Vec<GrowthTracker> = seeds
-            .iter()
-            .map(|_| GrowthTracker::new(stop_floor, delta, Some(bounded_cap)))
-            .collect();
-        for _ in 1..=max_length {
-            if batch.active_lanes() == 0 {
-                break;
-            }
-            // Each active lane's flooding round is charged off its own
-            // support, exactly as its solo walk would be.
-            for lane in 0..seeds.len() {
-                if batch.is_active(lane) {
-                    let step_cost = sparse_walk_step_cost(graph, batch.lane(lane));
-                    cost.absorb(step_cost);
-                    flood.absorb(step_cost);
-                    *walk_steps += 1;
-                }
-            }
-            engine.step_batch(batch);
-            for (lane, &walk_seed) in seeds.iter().enumerate() {
-                if !batch.is_active(lane) {
-                    continue;
-                }
-                let outcome = engine.sweep(batch.lane_mut(lane), &mixing_config)?;
-                *size_checks += outcome.sizes_checked();
-                for _ in 0..outcome.sizes_checked() {
-                    cost.absorb(binary_search_cost(tree, bs_iterations));
-                    for _ in 1..aggregations_per_check {
-                        cost.absorb(tree_wave_cost(tree));
-                        cost.absorb(tree_wave_cost(tree));
-                    }
-                }
-                if trackers[lane].observe_outcome(
-                    graph,
-                    walk_seed,
-                    outcome,
-                    mixing_config.threshold,
-                ) {
-                    batch.set_active(lane, false);
-                }
-            }
-        }
-        Ok(trackers
-            .into_iter()
-            .zip(seeds)
-            .map(|(tracker, &walk_seed)| tracker.conclude(graph, walk_seed))
-            .collect())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn detect_with_delta(
-        &self,
-        engine: &WalkEngine<'_>,
-        workspace: &mut WalkWorkspace,
-        batch: &mut WalkBatch,
-        evidence: &mut WalkEvidence,
-        seed: VertexId,
-        delta: f64,
-        record_claims: bool,
-    ) -> Result<(CommunityDetection, CommunityCost), CdrwError> {
-        let algorithm = &self.config.algorithm;
-        let graph = engine.graph();
-        let n = graph.num_vertices();
-        let mut cost = CostAccount::new();
-        let mut flood = CostAccount::new();
-        let mut walk_steps = 0usize;
-        let mut size_checks = 0usize;
-
-        // A zero-degree seed is its own community and needs no communication
-        // at all — mirrors `cdrw_core::Cdrw`'s short-circuit exactly.
-        if graph.degree(seed) == 0 {
-            let detection = CommunityDetection {
-                seed,
-                members: vec![seed],
-                trace: Default::default(),
-            };
-            if record_claims {
-                evidence.begin();
-                evidence.record_walk(&detection.members, 0.0)?;
-            }
-            let community_cost = CommunityCost {
-                seed,
-                community_size: 1,
-                walks: 1,
-                walk_steps: 0,
-                size_checks: 0,
-                cost,
-                flood,
-            };
-            return Ok((detection, community_cost));
-        }
-
-        // Algorithm 1, line 5: BFS tree of depth O(log n) from the seed.
-        let (tree, bfs_cost) = bfs_tree_cost(graph, seed, self.config.bfs_depth(n))?;
-        cost.absorb(bfs_cost);
-
-        let base_floor = algorithm.min_stop_size(n);
-        let (mut members, base_margin, _) = self.charged_walk(
-            engine,
-            workspace,
-            &tree,
-            seed,
-            delta,
-            base_floor,
-            None,
-            &mut cost,
-            &mut flood,
-            &mut walk_steps,
-            &mut size_checks,
-        )?;
-        // Line 17: announce membership of the final community (for an
-        // ensemble, of the base walk's set — the first round of votes).
-        cost.absorb(membership_broadcast_cost(&tree));
-        let mut walks = 1usize;
-
-        if record_claims || algorithm.ensemble.is_ensemble() {
-            // The base walk's claim opens the accumulator epoch — for the
-            // ensemble's vote tally, for the pooled assembly's claims, or
-            // both. No extra communication: the membership broadcast above
-            // already carried the set.
-            evidence.begin();
-            evidence.record_walk(&members, base_margin)?;
-        }
-        if algorithm.ensemble.is_ensemble() {
-            // Section V's parallel extension, turned inward: the follow-up
-            // walks are extra CDRW walks on the same BFS tree, run in
-            // lockstep through the walk batch (identical decisions and
-            // charges to walking them one at a time). Selecting their seeds
-            // costs one affinity convergecast up the tree plus one broadcast
-            // announcing the picks.
-            cost.absorb(tree_wave_cost(&tree));
-            cost.absorb(tree_wave_cost(&tree));
-            let followups = select_interior_seeds(
-                graph,
-                workspace,
-                &members,
-                seed,
-                algorithm.ensemble.walks() - 1,
-            );
-            let escalated_floor = base_floor.max(members.len() + 1);
-            let answers = self.charged_walks_batched(
-                engine,
-                batch,
-                &tree,
-                &followups,
-                delta,
-                escalated_floor,
-                n / 2,
-                &mut cost,
-                &mut flood,
-                &mut walk_steps,
-                &mut size_checks,
-            )?;
-            for (set, margin, bounded) in answers {
-                // Each follow-up walk announces its voted set over the tree —
-                // the vote round that lets every vertex tally its own count
-                // locally.
-                cost.absorb(membership_broadcast_cost(&tree));
-                // The voting rule is shared with the sequential ensemble
-                // (`community_scale_vote`), so the two drivers cannot drift.
-                if let Some((set, margin)) = community_scale_vote(set, margin, bounded, n / 2) {
-                    evidence.record_walk(&set, margin)?;
-                }
-                walks += 1;
-            }
-            // The effective quorum is announced down the tree; each vertex
-            // then decides membership from its local tally, so the consensus
-            // itself costs no further communication.
-            cost.absorb(tree_wave_cost(&tree));
-            let quorum = algorithm.ensemble.quorum().min(evidence.walks_recorded());
-            members = evidence.consensus_with(quorum as u32, &members);
-        }
-
-        let detection = CommunityDetection {
-            seed,
-            members,
-            trace: Default::default(),
-        };
-        let community_cost = CommunityCost {
-            seed,
-            community_size: detection.members.len(),
-            walks,
-            walk_steps,
-            size_checks,
-            cost,
-            flood,
-        };
-        Ok((detection, community_cost))
+        let mut charging = Charging::new(&self.config, pipeline.engine());
+        let detection = pipeline.detect_community(&mut charging, &mut pipeline.evidence(), seed)?;
+        let cost = charging.per_community.pop().expect("one detection charged");
+        Ok((detection, cost))
     }
 
     /// Detects all communities (the pool loop) and reports aggregate CONGEST
@@ -493,199 +369,25 @@ impl CongestCdrw {
     ///
     /// Same conditions as [`cdrw_core::Cdrw::detect_all`].
     pub fn detect_all(&self, graph: &Graph) -> Result<CongestReport, CdrwError> {
-        let algorithm = &self.config.algorithm;
-        algorithm.validate()?;
-        if graph.num_vertices() == 0 {
-            return Err(CdrwError::EmptyGraph);
+        let pipeline = Pipeline::new(&self.config.algorithm, graph)?;
+        let mut charging = Charging::new(&self.config, pipeline.engine());
+        let (result, _) = pipeline.detect_all(&mut charging)?;
+        let Charging {
+            per_community,
+            assembly,
+            ..
+        } = charging;
+        let mut total: CostAccount = per_community.iter().map(|c| c.cost).sum();
+        if let Some(assembly) = &assembly {
+            total.absorb(assembly.cost);
         }
-        if graph.num_edges() == 0 {
-            return Err(CdrwError::NoEdges);
-        }
-        let delta = algorithm.resolve_delta(graph)?;
-        let n = graph.num_vertices();
-        let pool = shuffled_seed_pool(n, algorithm.seed);
-        let mut in_pool = vec![true; n];
-
-        // Same reuse discipline as the sequential `Cdrw::detect_all`: one
-        // engine, one workspace, one walk batch and one evidence accumulator
-        // for every seed.
-        let pooling = algorithm.assembly.is_pooled();
-        let engine = WalkEngine::lazy(graph, algorithm.criterion.laziness());
-        let mut workspace = engine.workspace();
-        let mut batch = WalkBatch::for_graph(graph);
-        let mut evidence =
-            WalkEvidence::for_graph_if(algorithm.ensemble.is_ensemble() || pooling, graph);
-
-        let mut detections: Vec<CommunityDetection> = Vec::new();
-        let mut per_community = Vec::new();
-        let mut total = CostAccount::new();
-        for &seed in &pool {
-            if !in_pool[seed] {
-                continue;
-            }
-            let (detection, community_cost) = self.detect_with_delta(
-                &engine,
-                &mut workspace,
-                &mut batch,
-                &mut evidence,
-                seed,
-                delta,
-                pooling,
-            )?;
-            if pooling {
-                evidence.pool_epoch(detections.len() as u32);
-            }
-            for &v in &detection.members {
-                in_pool[v] = false;
-            }
-            in_pool[seed] = false;
-            total.absorb(community_cost.cost);
-            per_community.push(community_cost);
-            detections.push(detection);
-        }
-
-        let (result, assembly_cost) =
-            if let AssemblyPolicy::Pooled { reseed, quorum } = algorithm.assembly {
-                let (result, assembly_cost) = self.assemble_with_costs(
-                    &engine,
-                    &mut batch,
-                    &mut evidence,
-                    detections,
-                    delta,
-                    reseed,
-                    quorum,
-                )?;
-                total.absorb(assembly_cost.cost);
-                (result, Some(assembly_cost))
-            } else {
-                (DetectionResult::new(n, detections, delta), None)
-            };
-        let total_bits = total.messages * u64::from(self.config.bandwidth_bits);
         Ok(CongestReport {
             per_community,
-            assembly: assembly_cost,
+            assembly,
             total,
-            total_bits,
+            total_bits: total.messages * u64::from(self.config.bandwidth_bits),
             result,
         })
-    }
-
-    /// The global assembly phase with CONGEST charging. All coordination is
-    /// charged on one BFS tree rooted at the first detection's seed:
-    ///
-    /// * one convergecast per detection (its pooled claims travel to the
-    ///   root, which computes the evidence groups locally),
-    /// * one broadcast announcing the groups,
-    /// * per re-seed walk: the walk itself (flooding steps plus sweep
-    ///   aggregations, exactly like a base walk; each group's walks run in
-    ///   lockstep through the walk batch, charged per lane) and one vote
-    ///   broadcast,
-    /// * three waves per re-seeded group (seed announce, quorum announce,
-    ///   refined-membership broadcast),
-    /// * two waves for the reconciliation (margin announce, final
-    ///   assignment broadcast),
-    /// * one round per absorption wave, with one message per edge incident
-    ///   to a still-unassigned vertex (each polls its neighbourhood).
-    ///
-    /// The decisions are shared with the sequential driver through
-    /// [`cdrw_core::assembly::assemble_run`], so the assembled result is
-    /// identical bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_with_costs(
-        &self,
-        engine: &WalkEngine<'_>,
-        batch: &mut WalkBatch,
-        evidence: &mut WalkEvidence,
-        mut detections: Vec<CommunityDetection>,
-        delta: f64,
-        reseed: usize,
-        quorum: usize,
-    ) -> Result<(DetectionResult, AssemblyCost), CdrwError> {
-        let graph = engine.graph();
-        let n = graph.num_vertices();
-        let cap = n / 2;
-        let mut cost = CostAccount::new();
-        let mut flood = CostAccount::new();
-        let mut walk_steps = 0usize;
-        let mut size_checks = 0usize;
-
-        let root = detections.first().map(|d| d.seed).unwrap_or(0);
-        let (tree, bfs_cost) = bfs_tree_cost(graph, root, self.config.bfs_depth(n))?;
-        cost.absorb(bfs_cost);
-        // Claim convergecasts (one per detection) plus the group broadcast.
-        for _ in 0..detections.len() {
-            cost.absorb(tree_wave_cost(&tree));
-        }
-        cost.absorb(tree_wave_cost(&tree));
-
-        let member_sets: Vec<Vec<VertexId>> =
-            detections.iter().map(|d| d.members.clone()).collect();
-        let seeds: Vec<VertexId> = detections.iter().map(|d| d.seed).collect();
-        let outcome = assembly::assemble_run(
-            graph,
-            reseed,
-            quorum,
-            &member_sets,
-            &seeds,
-            evidence,
-            |walk_seeds, floor| {
-                let answers = self.charged_walks_batched(
-                    engine,
-                    batch,
-                    &tree,
-                    walk_seeds,
-                    delta,
-                    floor,
-                    cap,
-                    &mut cost,
-                    &mut flood,
-                    &mut walk_steps,
-                    &mut size_checks,
-                )?;
-                Ok(answers
-                    .into_iter()
-                    .map(|(set, margin, bounded)| {
-                        cost.absorb(membership_broadcast_cost(&tree));
-                        community_scale_vote(set, margin, bounded, cap)
-                    })
-                    .collect())
-            },
-        )?;
-        for _ in 0..outcome.report.reseeded_groups {
-            cost.absorb(tree_wave_cost(&tree));
-            cost.absorb(tree_wave_cost(&tree));
-            cost.absorb(tree_wave_cost(&tree));
-        }
-        // Reconciliation: margin announce + final assignment broadcast.
-        cost.absorb(tree_wave_cost(&tree));
-        cost.absorb(tree_wave_cost(&tree));
-        // Absorption: one round per wave, each unassigned vertex polls its
-        // neighbourhood.
-        for &volume in &outcome.absorption_volumes {
-            cost.absorb(CostAccount {
-                rounds: 1,
-                messages: volume,
-            });
-        }
-
-        for (detection, refined) in detections.iter_mut().zip(outcome.refined) {
-            detection.members = refined;
-        }
-        let result = DetectionResult::assembled(
-            n,
-            detections,
-            outcome.partition,
-            outcome.report.clone(),
-            delta,
-        );
-        let assembly_cost = AssemblyCost {
-            report: outcome.report,
-            walk_steps,
-            size_checks,
-            cost,
-            flood,
-        };
-        Ok((result, assembly_cost))
     }
 
     /// Convenience: runs the purely sequential algorithm with the same

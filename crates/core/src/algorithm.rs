@@ -1,18 +1,11 @@
-//! The CDRW algorithm (Algorithm 1 of the paper), sequential implementation.
+//! The CDRW detector: the sequential entry points of Algorithm 1 (the
+//! pipeline itself lives in [`crate::pipeline`]).
 
 use cdrw_graph::{Graph, VertexId};
-use cdrw_walk::evidence::{community_scale_vote, select_interior_seeds, PooledClaim, WalkEvidence};
-use cdrw_walk::{WalkBatch, WalkEngine, WalkWorkspace};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
-use crate::growth::{GrowthTracker, WalkAnswer};
-use crate::result::{
-    CommunityDetection, DetectionResult, DetectionTrace, EnsembleTrace, EnsembleWalkTrace,
-    StepTrace,
-};
-use crate::{assembly, AssemblyPolicy, CdrwConfig, CdrwError};
+use crate::pipeline::Pipeline;
+use crate::result::{CommunityDetection, DetectionResult};
+use crate::{CdrwConfig, CdrwError};
 
 /// The CDRW community detector.
 ///
@@ -57,27 +50,6 @@ pub struct Cdrw {
     config: CdrwConfig,
 }
 
-/// The shuffled seed pool of Algorithm 1's outer loop: all `n` vertices in
-/// the order induced by the configuration seed ("pick a random node from
-/// pool"). Every driver — the sequential [`Cdrw`], the CONGEST runner, the
-/// k-machine execution engine — draws its pool from here, so the detection
-/// order can never drift between them.
-pub fn shuffled_seed_pool(n: usize, seed: u64) -> Vec<VertexId> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut pool: Vec<VertexId> = (0..n).collect();
-    pool.shuffle(&mut rng);
-    pool
-}
-
-/// One base walk's result inside [`Cdrw`]: the detection and its mixing
-/// margin. Follow-up and re-seed walks — the ones that need the bounded
-/// community-scale fallback — run through [`Cdrw::run_walks_batched`] and
-/// return a [`WalkAnswer`] instead.
-struct SingleWalkOutcome {
-    detection: CommunityDetection,
-    margin: f64,
-}
-
 impl Cdrw {
     /// Creates a detector with the given configuration.
     pub fn new(config: CdrwConfig) -> Self {
@@ -95,7 +67,9 @@ impl Cdrw {
     }
 
     /// Detects the community containing `seed` (the inner loop of
-    /// Algorithm 1: walk, local-mixing sweep, growth-rule stop).
+    /// Algorithm 1: walk, local-mixing sweep, growth-rule stop — plus the
+    /// evidence-aggregation ensemble when [`CdrwConfig::ensemble`] asks for
+    /// it). A zero-degree seed is its own singleton community.
     ///
     /// # Errors
     ///
@@ -108,478 +82,26 @@ impl Cdrw {
         graph: &Graph,
         seed: VertexId,
     ) -> Result<CommunityDetection, CdrwError> {
-        self.check_graph(graph)?;
-        self.config.validate()?;
+        let pipeline = Pipeline::new(&self.config, graph)?;
         graph.check_vertex(seed)?;
-        let delta = self.config.resolve_delta(graph)?;
-        self.detect_community_with_delta(graph, seed, delta)
-    }
-
-    /// Same as [`Cdrw::detect_community`] but with the growth threshold `δ`
-    /// already resolved (used by [`Cdrw::detect_all`] to avoid re-estimating
-    /// the conductance once per seed).
-    pub(crate) fn detect_community_with_delta(
-        &self,
-        graph: &Graph,
-        seed: VertexId,
-        delta: f64,
-    ) -> Result<CommunityDetection, CdrwError> {
-        let engine = self.engine(graph);
-        let mut workspace = engine.workspace();
-        let mut batch = WalkBatch::for_graph(graph);
-        let mut evidence = WalkEvidence::for_graph_if(self.config.ensemble.is_ensemble(), graph);
-        self.detect_community_in(
-            &engine,
-            &mut workspace,
-            &mut batch,
-            &mut evidence,
-            seed,
-            delta,
-            false,
-        )
-    }
-
-    /// The walk engine this configuration requires: lazy iff the criterion
-    /// asks for a lazy walk (`laziness == 0` reproduces the simple walk
-    /// exactly).
-    pub(crate) fn engine<'g>(&self, graph: &'g Graph) -> WalkEngine<'g> {
-        WalkEngine::lazy(graph, self.config.criterion.laziness())
-    }
-
-    /// The per-seed detection on a caller-provided engine, workspace, walk
-    /// batch and evidence accumulator. [`Cdrw::detect_all`] reuses one of
-    /// each across every seed and [`Cdrw::detect_parallel`] keeps one of each
-    /// per worker thread, so the per-seed cost is the walk(s) themselves — no
-    /// allocations proportional to `n`. Dispatches to the single-walk path
-    /// (Algorithm 1 verbatim; the batch stays untouched) or the
-    /// evidence-aggregation ensemble according to [`CdrwConfig::ensemble`],
-    /// whose follow-up walks run in lockstep through the batch.
-    ///
-    /// With `record_claims`, the detection's votes and margins are left in
-    /// the accumulator's current epoch so the driver can pool them for the
-    /// global assembly ([`AssemblyPolicy::Pooled`]); the ensemble path
-    /// records its walks anyway, and the single-walk path then records its
-    /// one detection. Recording never influences any walk decision.
-    ///
-    /// A zero-degree seed short-circuits to a singleton detection: the walk
-    /// cannot leave the vertex, and an isolated vertex is its own community.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn detect_community_in(
-        &self,
-        engine: &WalkEngine<'_>,
-        workspace: &mut WalkWorkspace,
-        batch: &mut WalkBatch,
-        evidence: &mut WalkEvidence,
-        seed: VertexId,
-        delta: f64,
-        record_claims: bool,
-    ) -> Result<CommunityDetection, CdrwError> {
-        if engine.graph().degree(seed) == 0 {
-            let detection = CommunityDetection {
-                seed,
-                members: vec![seed],
-                trace: DetectionTrace {
-                    steps: Vec::new(),
-                    stopped_by_growth_rule: false,
-                    delta,
-                    ensemble: None,
-                },
-            };
-            if record_claims {
-                evidence.begin();
-                evidence.record_walk(&detection.members, 0.0)?;
-            }
-            return Ok(detection);
-        }
-        if !self.config.ensemble.is_ensemble() {
-            let floor = self.config.min_stop_size(engine.graph().num_vertices());
-            let outcome = self.detect_single_in(engine, workspace, seed, delta, floor)?;
-            if record_claims {
-                evidence.begin();
-                evidence.record_walk(&outcome.detection.members, outcome.margin)?;
-            }
-            return Ok(outcome.detection);
-        }
-        self.detect_ensemble_in(engine, workspace, batch, evidence, seed, delta)
-    }
-
-    /// The inner loop of Algorithm 1: walk, local-mixing sweep, growth-rule
-    /// stop. `stop_floor` is the smallest previous-set size at which the
-    /// growth rule applies (the configured [`CdrwConfig::min_stop_size`] for
-    /// a base walk; ensemble follow-up walks raise it past the base
-    /// detection's size so they cannot stop at the same transient plateau).
-    ///
-    /// Returns the detection together with its mixing margin — the threshold
-    /// minus the winning sweep check's score for the returned set (0.0 when
-    /// the walk never found a mixing set) — which the ensemble layer records
-    /// as evidence.
-    ///
-    /// The stopping decisions live in [`GrowthTracker`], which the batched
-    /// multi-walk runner ([`Cdrw::run_walks_batched`]) and the CONGEST driver
-    /// share, so a walk's member set is independent of the driver.
-    fn detect_single_in(
-        &self,
-        engine: &WalkEngine<'_>,
-        workspace: &mut WalkWorkspace,
-        seed: VertexId,
-        delta: f64,
-        stop_floor: usize,
-    ) -> Result<SingleWalkOutcome, CdrwError> {
-        let graph = engine.graph();
-        let n = graph.num_vertices();
-        let mixing_config = self.config.local_mixing_config(n);
-        let max_length = self.config.max_walk_length(n);
-
-        workspace.load_point_mass(seed)?;
-        let mut trace = DetectionTrace {
-            steps: Vec::with_capacity(max_length),
-            stopped_by_growth_rule: false,
-            delta,
-            ensemble: None,
-        };
-        let mut tracker = GrowthTracker::new(stop_floor, delta, None);
-        for walk_length in 1..=max_length {
-            engine.step(workspace);
-            let outcome = engine.sweep(workspace, &mixing_config)?;
-            trace.steps.push(StepTrace {
-                walk_length,
-                mixing_set_size: outcome.size(),
-                sizes_checked: outcome.sizes_checked(),
-            });
-            if tracker.observe_outcome(graph, seed, outcome, mixing_config.threshold) {
-                break;
-            }
-        }
-
-        let fired = tracker.fired();
-        trace.stopped_by_growth_rule = fired;
-        let (members, margin, _) = tracker.conclude(graph, seed);
-        let mut detection = self.finish(seed, members, trace);
-        if fired {
-            // The firing step found a *larger* set that the stop rule
-            // discards; record the returned community's size so the trace
-            // agrees with the detection (see `StepTrace::mixing_set_size`).
-            if let Some(last) = detection.trace.steps.last_mut() {
-                last.mixing_set_size = detection.members.len();
-            }
-        }
-        Ok(SingleWalkOutcome { detection, margin })
-    }
-
-    /// Runs one walk per seed in lockstep through the batch — the physical
-    /// optimisation behind the ensemble's follow-up walks and the assembly's
-    /// cross-detection re-seed walks. All walks share one
-    /// [`WalkEngine::step_batch`] CSR traversal per step; each lane sweeps
-    /// its own distribution and stops independently via its [`GrowthTracker`]
-    /// (a stopped lane is deactivated and pays for no further steps).
-    ///
-    /// Returns one [`WalkAnswer`] per seed, in seed order, each bit-identical
-    /// to what a solo [`Cdrw::detect_single_in`] walk with the same floor and
-    /// cap would return (batching never changes a decision — pinned by the
-    /// `batched_ensemble_matches_the_sequential_reference` property test).
-    fn run_walks_batched(
-        &self,
-        engine: &WalkEngine<'_>,
-        batch: &mut WalkBatch,
-        seeds: &[VertexId],
-        delta: f64,
-        stop_floor: usize,
-        bounded_cap: usize,
-    ) -> Result<Vec<WalkAnswer>, CdrwError> {
-        let graph = engine.graph();
-        let n = graph.num_vertices();
-        let mixing_config = self.config.local_mixing_config(n);
-        let max_length = self.config.max_walk_length(n);
-
-        batch.load_point_masses(seeds)?;
-        let mut trackers: Vec<GrowthTracker> = seeds
-            .iter()
-            .map(|_| GrowthTracker::new(stop_floor, delta, Some(bounded_cap)))
-            .collect();
-        for _ in 1..=max_length {
-            if batch.active_lanes() == 0 {
-                break;
-            }
-            engine.step_batch(batch);
-            for (lane, &walk_seed) in seeds.iter().enumerate() {
-                if !batch.is_active(lane) {
-                    continue;
-                }
-                let outcome = engine.sweep(batch.lane_mut(lane), &mixing_config)?;
-                if trackers[lane].observe_outcome(
-                    graph,
-                    walk_seed,
-                    outcome,
-                    mixing_config.threshold,
-                ) {
-                    batch.set_active(lane, false);
-                }
-            }
-        }
-        Ok(trackers
-            .into_iter()
-            .zip(seeds)
-            .map(|(tracker, &walk_seed)| tracker.conclude(graph, walk_seed))
-            .collect())
-    }
-
-    /// The evidence-aggregation ensemble: run the base detection, re-seed
-    /// `walks − 1` follow-up walks from high-affinity members of its
-    /// interior, and emit the quorum-filtered consensus joined with the base
-    /// detection (so the ensemble only ever *adds* corroborated vertices to
-    /// Algorithm 1's own answer). Follow-up walks run with the growth-rule
-    /// floor raised past the base detection's size: near the connectivity
-    /// threshold the base walk tends to stop on a small transient plateau,
-    /// and a follow-up that cannot stop there either finds the community's
-    /// own (larger) plateau or walks on until it mixes globally — in which
-    /// case it votes with the last community-scale (at most `n/2` vertices)
-    /// mixing set it passed through, or abstains if it never saw one.
-    ///
-    /// The follow-up walks run in lockstep through the caller's
-    /// [`WalkBatch`] — one CSR traversal per step for all of them — which
-    /// changes no decision (see [`Cdrw::run_walks_batched`]).
-    fn detect_ensemble_in(
-        &self,
-        engine: &WalkEngine<'_>,
-        workspace: &mut WalkWorkspace,
-        batch: &mut WalkBatch,
-        evidence: &mut WalkEvidence,
-        seed: VertexId,
-        delta: f64,
-    ) -> Result<CommunityDetection, CdrwError> {
-        let graph = engine.graph();
-        let n = graph.num_vertices();
-        let walks = self.config.ensemble.walks();
-        let base_floor = self.config.min_stop_size(n);
-        let base_outcome = self.detect_single_in(engine, workspace, seed, delta, base_floor)?;
-        let base = base_outcome.detection;
-        let base_margin = base_outcome.margin;
-
-        evidence.begin();
-        evidence.record_walk(&base.members, base_margin)?;
-        // The workspace still holds the base walk's final distribution — the
-        // affinity signal the interior seeds are ranked by.
-        let followups = select_interior_seeds(graph, workspace, &base.members, seed, walks - 1);
-        let escalated_floor = base_floor.max(base.members.len() + 1);
-
-        let mut walk_traces = vec![EnsembleWalkTrace {
-            seed,
-            set_size: base.members.len(),
-            margin: base_margin,
-            contributed: 0,
-        }];
-        let CommunityDetection {
-            members: base_members,
-            trace: mut base_trace,
-            ..
-        } = base;
-        let mut sets: Vec<Vec<VertexId>> = vec![base_members];
-        let answers =
-            self.run_walks_batched(engine, batch, &followups, delta, escalated_floor, n / 2)?;
-        for (&followup_seed, (members, walk_margin, bounded)) in followups.iter().zip(answers) {
-            // A walk that mixed over more than half the graph before finding
-            // a plateau votes with the last community-scale set it passed
-            // through, or abstains (`community_scale_vote` documents why).
-            let (voted, margin) = community_scale_vote(members, walk_margin, bounded, n / 2)
-                .unwrap_or((Vec::new(), 0.0));
-            if !voted.is_empty() {
-                evidence.record_walk(&voted, margin)?;
-            }
-            walk_traces.push(EnsembleWalkTrace {
-                seed: followup_seed,
-                set_size: voted.len(),
-                margin,
-                contributed: 0,
-            });
-            sets.push(voted);
-        }
-
-        // Small detections can yield fewer distinct follow-up seeds than the
-        // policy asks for; cap the quorum at the evidence actually gathered
-        // so the consensus never empties out by construction.
-        let quorum = self.config.ensemble.quorum().min(evidence.walks_recorded());
-        let members = evidence.consensus_with(quorum as u32, &sets[0]);
-        for (walk, set) in walk_traces.iter_mut().zip(&sets) {
-            walk.contributed = set
-                .iter()
-                .filter(|v| members.binary_search(v).is_ok())
-                .count();
-        }
-        base_trace.ensemble = Some(EnsembleTrace {
-            quorum,
-            walks: walk_traces,
-            consensus_size: members.len(),
-        });
-        Ok(self.finish(seed, members, base_trace))
+        pipeline.detect_community(&mut pipeline.local_lanes(), &mut pipeline.evidence(), seed)
     }
 
     /// Detects all communities by repeatedly seeding from the pool of
     /// unassigned vertices (the outer loop of Algorithm 1), then assembles
     /// the detections into the final partition according to
     /// [`CdrwConfig::assembly`]: first claim wins under
-    /// [`AssemblyPolicy::Raw`] (bit-identical to the pre-assembly
-    /// behaviour), cross-detection evidence pooling and reconciliation under
-    /// [`AssemblyPolicy::Pooled`] (see [`crate::assembly`]).
+    /// [`crate::AssemblyPolicy::Raw`], cross-detection evidence pooling and
+    /// reconciliation under [`crate::AssemblyPolicy::Pooled`] (see
+    /// [`crate::assembly`]).
     ///
     /// # Errors
     ///
     /// Same conditions as [`Cdrw::detect_community`].
     pub fn detect_all(&self, graph: &Graph) -> Result<DetectionResult, CdrwError> {
-        self.run_detect_all(graph).map(|(result, _)| result)
-    }
-
-    /// [`Cdrw::detect_all`] that also hands back the drained evidence pool
-    /// (empty under [`AssemblyPolicy::Raw`]). The incremental service caches
-    /// the claims so surviving groups can be re-pooled on the next refresh
-    /// without re-walking; `detect_all` itself discards them.
-    pub(crate) fn run_detect_all(
-        &self,
-        graph: &Graph,
-    ) -> Result<(DetectionResult, Vec<PooledClaim>), CdrwError> {
-        self.check_graph(graph)?;
-        self.config.validate()?;
-        let delta = self.config.resolve_delta(graph)?;
-        let n = graph.num_vertices();
-
-        let mut in_pool = vec![true; n];
-        let pool = shuffled_seed_pool(n, self.config.seed);
-
-        // One engine, one workspace, one walk batch and one evidence
-        // accumulator serve every seed: re-seeding the workspace costs
-        // O(support of the previous walk), not O(n), batch lanes are grown
-        // once and reused, and the accumulator resets by epoch stamping.
-        let pooling = self.config.assembly.is_pooled();
-        let engine = self.engine(graph);
-        let mut workspace = engine.workspace();
-        let mut batch = WalkBatch::for_graph(graph);
-        let mut evidence =
-            WalkEvidence::for_graph_if(self.config.ensemble.is_ensemble() || pooling, graph);
-
-        let mut detections: Vec<CommunityDetection> = Vec::new();
-        // Iterate the shuffled vertex order; skip vertices that have already
-        // been claimed. This is exactly "pick a random node from pool".
-        for &seed in &pool {
-            if !in_pool[seed] {
-                continue;
-            }
-            let detection = self.detect_community_in(
-                &engine,
-                &mut workspace,
-                &mut batch,
-                &mut evidence,
-                seed,
-                delta,
-                pooling,
-            )?;
-            if pooling {
-                evidence.pool_epoch(detections.len() as u32);
-            }
-            for &v in &detection.members {
-                in_pool[v] = false;
-            }
-            in_pool[seed] = false;
-            detections.push(detection);
-        }
-        if let AssemblyPolicy::Pooled { reseed, quorum } = self.config.assembly {
-            return self.assemble_detections(
-                &engine,
-                &mut batch,
-                &mut evidence,
-                detections,
-                &[],
-                0.0,
-                delta,
-                reseed,
-                quorum,
-            );
-        }
-        Ok((DetectionResult::new(n, detections, delta), Vec::new()))
-    }
-
-    /// The global assembly phase shared by [`Cdrw::detect_all`] and
-    /// [`Cdrw::detect_parallel`]: hand the pooled claims to
-    /// [`assembly::assemble_run`], executing each group's cross-detection
-    /// re-seed walks in lockstep through the walk batch (identical decision
-    /// logic to the per-seed walks — see [`Cdrw::run_walks_batched`]), and
-    /// emit the assembled result with every detection refined to its
-    /// evidence group's consensus.
-    ///
-    /// `frozen` flags detections whose cached refined sets and claims the
-    /// incremental service carried over from a previous refresh (see
-    /// [`assembly::assemble_run_incremental`]); the one-shot drivers pass
-    /// `&[]`. Returns the result together with the drained claim pool.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble_detections(
-        &self,
-        engine: &WalkEngine<'_>,
-        batch: &mut WalkBatch,
-        evidence: &mut WalkEvidence,
-        mut detections: Vec<CommunityDetection>,
-        frozen: &[bool],
-        freeze_tolerance: f64,
-        delta: f64,
-        reseed: usize,
-        quorum: usize,
-    ) -> Result<(DetectionResult, Vec<PooledClaim>), CdrwError> {
-        let graph = engine.graph();
-        let n = graph.num_vertices();
-        let cap = n / 2;
-        let member_sets: Vec<Vec<VertexId>> =
-            detections.iter().map(|d| d.members.clone()).collect();
-        let seeds: Vec<VertexId> = detections.iter().map(|d| d.seed).collect();
-        let outcome = assembly::assemble_run_incremental(
-            graph,
-            reseed,
-            quorum,
-            &member_sets,
-            &seeds,
-            frozen,
-            freeze_tolerance,
-            evidence,
-            |walk_seeds, floor| {
-                let answers =
-                    self.run_walks_batched(engine, batch, walk_seeds, delta, floor, cap)?;
-                Ok(answers
-                    .into_iter()
-                    .map(|(members, margin, bounded)| {
-                        community_scale_vote(members, margin, bounded, cap)
-                    })
-                    .collect())
-            },
-        )?;
-        for (detection, refined) in detections.iter_mut().zip(outcome.refined) {
-            detection.members = refined;
-        }
-        let result =
-            DetectionResult::assembled(n, detections, outcome.partition, outcome.report, delta);
-        Ok((result, outcome.claims))
-    }
-
-    fn finish(
-        &self,
-        seed: VertexId,
-        mut members: Vec<VertexId>,
-        trace: DetectionTrace,
-    ) -> CommunityDetection {
-        if members.binary_search(&seed).is_err() {
-            members.push(seed);
-            members.sort_unstable();
-        }
-        CommunityDetection {
-            seed,
-            members,
-            trace,
-        }
-    }
-
-    pub(crate) fn check_graph(&self, graph: &Graph) -> Result<(), CdrwError> {
-        if graph.num_vertices() == 0 {
-            return Err(CdrwError::EmptyGraph);
-        }
-        if graph.num_edges() == 0 {
-            return Err(CdrwError::NoEdges);
-        }
-        Ok(())
+        let pipeline = Pipeline::new(&self.config, graph)?;
+        let (result, _) = pipeline.detect_all(&mut pipeline.local_lanes())?;
+        Ok(result)
     }
 }
 
@@ -592,10 +114,12 @@ impl Default for Cdrw {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeltaPolicy;
+    use crate::growth::{GrowthTracker, WalkAnswer};
+    use crate::{AssemblyPolicy, DeltaPolicy};
     use cdrw_gen::{generate_gnp, generate_ppm, special, GnpParams, PpmParams};
     use cdrw_graph::Graph;
     use cdrw_metrics::{f_score, f_score_for_detections};
+    use cdrw_walk::WalkEngine;
 
     fn paper_delta(params: &PpmParams) -> f64 {
         params.expected_block_conductance().clamp(0.01, 1.0)
@@ -755,9 +279,7 @@ mod tests {
         let result = cdrw.detect_all(&graph).unwrap();
         assert!(result.num_communities() >= 2);
         for detection in result.detections() {
-            let fresh = cdrw
-                .detect_community_with_delta(&graph, detection.seed, result.delta())
-                .unwrap();
+            let fresh = cdrw.detect_community(&graph, detection.seed).unwrap();
             assert_eq!(&fresh, detection, "seed {} diverged", detection.seed);
         }
     }
@@ -1225,14 +747,14 @@ mod tests {
                     .criterion(criterion)
                     .build(),
             );
-            let engine = cdrw.engine(&graph);
+            let pipeline = Pipeline::with_delta(cdrw.config(), &graph, 0.2).unwrap();
+            let engine = pipeline.engine();
             let cap = graph.num_vertices() / 2;
-            let mut batch = cdrw_walk::WalkBatch::for_graph(&graph);
-            let batched = cdrw
-                .run_walks_batched(&engine, &mut batch, &seeds, 0.2, floor, cap)
+            let batched = pipeline
+                .followup_walks(&mut pipeline.local_lanes(), &seeds, floor)
                 .unwrap();
             for (lane, &walk_seed) in seeds.iter().enumerate() {
-                let solo = solo_reference_walk(&cdrw, &engine, walk_seed, 0.2, floor, cap);
+                let solo = solo_reference_walk(&cdrw, engine, walk_seed, 0.2, floor, cap);
                 prop_assert_eq!(
                     &batched[lane],
                     &solo,

@@ -41,9 +41,9 @@
 //!    round can absorb — isolated vertices in particular — become singleton
 //!    communities, keeping the partition total.
 //!
-//! The walks of stage 2 are executed by the *driver* through a callback, so
-//! the sequential [`crate::Cdrw`] and the CONGEST runner share every decision
-//! bit for bit while the latter charges its own communication costs.
+//! The walks of stage 2 are executed through a callback by
+//! [`crate::Pipeline::assemble`], on whichever executor runs the pipeline, so
+//! every driver shares every decision bit for bit.
 
 use cdrw_graph::{Graph, Partition, VertexId};
 use cdrw_walk::evidence::{PooledClaim, WalkEvidence};
@@ -243,48 +243,20 @@ fn fold_weights_into(
 /// `members` are the phase-1 member sets in run order, `evidence` holds the
 /// pooled claims of every detection (and receives the re-seed walks' claims),
 /// and `reseed_walks(seeds, stop_floor)` executes one merged group's
-/// cross-detection follow-up walks — all of them at once, so the driver can
-/// batch them through one `cdrw_walk::WalkBatch` CSR traversal — returning,
-/// per seed in order, the community-scale set the walk votes with (or `None`
-/// to abstain). The driver supplies the callback so sequential and CONGEST
-/// executions share every decision while charging their own costs.
+/// cross-detection follow-up walks — all of them at once, so the executor can
+/// step them in lockstep — returning, per seed in order, the community-scale
+/// set the walk votes with (or `None` to abstain). The pipeline
+/// ([`crate::Pipeline::assemble`]) supplies the callback, so every executor
+/// shares every decision.
 ///
 /// The configured `quorum` is clamped at runtime to the walks a group
 /// actually recorded (small seed pools and abstentions can leave fewer than
 /// `reseed`), mirroring [`crate::EnsemblePolicy`]'s discipline; with no
 /// recorded walks the group's consensus is simply its member union.
 ///
-/// # Errors
+/// # Frozen detections
 ///
-/// Propagates failures of `reseed_walks` and of evidence recording.
-pub fn assemble_run<W>(
-    graph: &Graph,
-    reseed: usize,
-    quorum: usize,
-    members: &[Vec<VertexId>],
-    seeds: &[VertexId],
-    evidence: &mut WalkEvidence,
-    reseed_walks: W,
-) -> Result<AssemblyOutcome, CdrwError>
-where
-    W: FnMut(&[VertexId], usize) -> Result<Vec<GroupVote>, CdrwError>,
-{
-    assemble_run_incremental(
-        graph,
-        reseed,
-        quorum,
-        members,
-        seeds,
-        &[],
-        0.0,
-        evidence,
-        reseed_walks,
-    )
-}
-
-/// [`assemble_run`] with per-detection *frozen* flags — the incremental
-/// service's entry point.
-///
+/// `frozen` flags the incremental service's carried-over detections.
 /// A frozen detection is a cached survivor of a previous assembly: its
 /// member set is already its group's consensus and its pooled claims were
 /// re-injected into `evidence` by the caller. A group whose detections are
@@ -309,14 +281,13 @@ where
 /// contest resolution and absorption like any other unclaimed vertex.
 ///
 /// `frozen` is indexed like `members`; an empty slice (or missing tail)
-/// means nothing is frozen, which makes this function identical to
-/// [`assemble_run`] bit for bit regardless of `freeze_tolerance`.
+/// means nothing is frozen, and then `freeze_tolerance` has no effect.
 ///
 /// # Errors
 ///
 /// Propagates failures of `reseed_walks` and of evidence recording.
 #[allow(clippy::too_many_arguments)]
-pub fn assemble_run_incremental<W>(
+pub fn assemble_run<W>(
     graph: &Graph,
     reseed: usize,
     quorum: usize,
@@ -734,6 +705,8 @@ mod tests {
             0,
             &members,
             &seeds_of(&members),
+            &[],
+            0.0,
             &mut evidence,
             no_walks,
         )
@@ -783,6 +756,8 @@ mod tests {
             0,
             &members,
             &seeds_of(&members),
+            &[],
+            0.0,
             &mut evidence,
             no_walks,
         )
@@ -822,6 +797,8 @@ mod tests {
             0,
             &members,
             &seeds_of(&members),
+            &[],
+            0.0,
             &mut evidence,
             no_walks,
         )
@@ -863,6 +840,8 @@ mod tests {
             2,
             &members,
             &seeds_of(&members),
+            &[],
+            0.0,
             &mut evidence,
             |seeds, floor| {
                 assert!(seeds.iter().all(|&seed| seed < 10));
@@ -891,7 +870,7 @@ mod tests {
     fn no_detections_means_all_singletons() {
         let g = GraphBuilder::from_edges(3, [(0, 1)]).unwrap();
         let mut evidence = WalkEvidence::with_len(3);
-        let outcome = assemble_run(&g, 2, 1, &[], &[], &mut evidence, no_walks).unwrap();
+        let outcome = assemble_run(&g, 2, 1, &[], &[], &[], 0.0, &mut evidence, no_walks).unwrap();
         assert_eq!(outcome.report.groups, 0);
         assert_eq!(outcome.report.singletons, 3);
         assert_eq!(outcome.partition.num_communities(), 3);
@@ -910,6 +889,8 @@ mod tests {
             0,
             &members,
             &seeds_of(&members),
+            &[],
+            0.0,
             &mut evidence,
             no_walks,
         )

@@ -2,12 +2,12 @@
 //!
 //! Algorithm 1 stops a walk when the mixing set found at the current step is
 //! less than `(1 + δ)` times the previous step's set (and the previous set
-//! has reached the stop floor). The sequential [`crate::Cdrw`], the batched
-//! multi-walk runner and the CONGEST runner all feed their per-step sweep
-//! outcomes through one [`GrowthTracker`], so a walk's detected member set is
-//! the same bit for bit no matter which driver executed it — the drivers
-//! differ only in how steps are scheduled (solo, lockstep-batched) and what
-//! costs they charge.
+//! has reached the stop floor). [`crate::Pipeline`] feeds every walk's
+//! per-step sweep outcomes through one [`GrowthTracker`] per lane — base
+//! walks, ensemble follow-ups and assembly re-seeds alike — and every driver
+//! (sequential, parallel, the incremental service, CONGEST, k-machine) runs
+//! that pipeline, so a walk's detected member set is the same bit for bit
+//! whichever [`crate::LaneExecutor`] stepped it.
 
 use cdrw_graph::{Graph, VertexId};
 use cdrw_walk::evidence::retain_reachable;

@@ -12,9 +12,10 @@
 //! communities repeats this from fresh seeds drawn from the pool of vertices
 //! not yet assigned to any community.
 //!
-//! This crate contains the algorithm itself; the distributed round/message
-//! accounting lives in `cdrw-congest` (CONGEST model) and `cdrw-kmachine`
-//! (k-machine model), both of which re-use the building blocks exposed here.
+//! This crate contains the algorithm itself, written once as the
+//! [`Pipeline`] over a [`LaneExecutor`]. The distributed drivers in
+//! `cdrw-congest` (CONGEST cost accounting) and `cdrw-kmachine` (sharded
+//! execution) run the same pipeline on their own executors.
 //!
 //! # Quickstart
 //!
@@ -45,14 +46,16 @@ mod config;
 mod error;
 pub mod growth;
 mod parallel;
+pub mod pipeline;
 mod result;
 pub mod service;
 
-pub use algorithm::{shuffled_seed_pool, Cdrw};
+pub use algorithm::Cdrw;
 pub use assembly::AssemblyReport;
 pub use config::{AssemblyPolicy, CdrwConfig, CdrwConfigBuilder, DeltaPolicy, EnsemblePolicy};
 pub use error::CdrwError;
 pub use growth::GrowthTracker;
+pub use pipeline::{shuffled_seed_pool, LaneExecutor, LocalLanes, Pipeline};
 pub use result::{
     CommunityDetection, DetectionResult, DetectionTrace, EnsembleTrace, EnsembleWalkTrace,
     StepTrace,

@@ -8,9 +8,10 @@
 //! graph is shared read-only). Concurrency is capped at
 //! [`std::thread::available_parallelism`] — workers claim seeds from a
 //! shared atomic-cursor queue rather than spawning one thread per seed — and
-//! every worker owns a single reusable [`cdrw_walk::WalkWorkspace`] for all
-//! the seeds it processes. Overlaps are resolved exactly like the sequential
-//! pool loop (first claim wins, in seed order).
+//! every worker runs the shared [`crate::Pipeline`]'s per-seed detection on
+//! one reusable [`crate::LocalLanes`] bank for all the seeds it processes.
+//! Overlaps are resolved exactly like the sequential pool loop (first claim
+//! wins, in seed order).
 //!
 //! # Scheduling: work stealing over static stripes
 //!
@@ -31,9 +32,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cdrw_graph::{Graph, VertexId};
+use cdrw_walk::evidence::{PooledClaim, WalkEvidence};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::pipeline::Pipeline;
 use crate::result::{CommunityDetection, DetectionResult};
 use crate::{Cdrw, CdrwError};
 
@@ -47,8 +50,8 @@ impl Cdrw {
     /// singleton community), so the resulting partition is always total.
     ///
     /// At most `min(available_parallelism, num_seeds)` worker threads run at
-    /// any time, regardless of `num_seeds`; each worker reuses one walk
-    /// workspace for all the seeds assigned to it.
+    /// any time, regardless of `num_seeds`; each worker reuses one lane bank
+    /// for all the seeds assigned to it.
     ///
     /// Under [`crate::AssemblyPolicy::Pooled`], each worker pools its
     /// detections' evidence locally; the claims are merged in seed order and
@@ -90,14 +93,7 @@ impl Cdrw {
                 reason: "parallel detection needs at least one seed".to_string(),
             });
         }
-        if graph.num_vertices() == 0 {
-            return Err(CdrwError::EmptyGraph);
-        }
-        if graph.num_edges() == 0 {
-            return Err(CdrwError::NoEdges);
-        }
-        self.config().validate()?;
-        let delta = self.config().resolve_delta(graph)?;
+        let pipeline = Pipeline::new(self.config(), graph)?;
 
         // Draw distinct seeds uniformly at random, like the pool loop does.
         let mut rng = SmallRng::seed_from_u64(self.config().seed);
@@ -110,13 +106,7 @@ impl Cdrw {
         let workers = workers.min(seeds.len()).max(1);
         let pooling = self.config().assembly.is_pooled();
 
-        // The engine is shared (it holds only the graph borrow and the
-        // degree-sorted order); each worker owns its workspace.
-        let engine = self.engine(graph);
-        type Slot = (
-            Result<CommunityDetection, CdrwError>,
-            Vec<cdrw_walk::evidence::PooledClaim>,
-        );
+        type Slot = (Result<CommunityDetection, CdrwError>, Vec<PooledClaim>);
         let mut slots: Vec<Option<Slot>> = (0..seeds.len()).map(|_| None).collect();
         // The shared work-stealing queue: workers claim contiguous index
         // chunks with one `fetch_add` per claim. Chunks of ≈ seeds/(8·w)
@@ -125,25 +115,20 @@ impl Cdrw {
         // remainder behind a single worker.
         let cursor = AtomicUsize::new(0);
         let chunk = (seeds.len() / (workers * 8)).clamp(1, 32);
-        // One worker batch survives the scope so the pooled assembly below
-        // can reuse its lanes instead of allocating a third full-size bank.
-        let mut recycled_batch: Option<cdrw_walk::WalkBatch> = None;
+        // One worker's lanes survive the scope so the pooled assembly below
+        // can reuse them instead of allocating a third full-size bank.
+        let mut recycled_lanes = None;
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
-                let engine = &engine;
+                let pipeline = &pipeline;
                 let seeds = &seeds;
                 let cursor = &cursor;
                 handles.push(scope.spawn(move || {
-                    let mut workspace = engine.workspace();
-                    // Each worker owns one walk batch: the ensemble
-                    // follow-ups of all the seeds it claims run through the
-                    // same reusable lanes.
-                    let mut batch = cdrw_walk::WalkBatch::for_graph(engine.graph());
-                    let mut evidence = cdrw_walk::WalkEvidence::for_graph_if(
-                        self.config().ensemble.is_ensemble() || pooling,
-                        engine.graph(),
-                    );
+                    // Each worker owns one lane bank and one evidence
+                    // accumulator, reused for every seed it claims.
+                    let mut lanes = pipeline.local_lanes();
+                    let mut evidence = pipeline.evidence();
                     let mut produced = Vec::new();
                     loop {
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
@@ -152,15 +137,7 @@ impl Cdrw {
                         }
                         let end = (start + chunk).min(seeds.len());
                         for (index, &seed) in seeds.iter().enumerate().take(end).skip(start) {
-                            let result = self.detect_community_in(
-                                engine,
-                                &mut workspace,
-                                &mut batch,
-                                &mut evidence,
-                                seed,
-                                delta,
-                                pooling,
-                            );
+                            let result = pipeline.detect_community(&mut lanes, &mut evidence, seed);
                             // Drain the worker-local pool per detection so
                             // the claims can be merged in seed order on the
                             // main thread, independent of the scheduling.
@@ -173,50 +150,28 @@ impl Cdrw {
                             produced.push((index, (result, claims)));
                         }
                     }
-                    (produced, batch)
+                    (produced, lanes)
                 }));
             }
             for handle in handles {
-                let (produced, batch) = handle.join().expect("detection threads do not panic");
+                let (produced, lanes) = handle.join().expect("detection threads do not panic");
                 for (index, slot) in produced {
                     slots[index] = Some(slot);
                 }
-                recycled_batch.get_or_insert(batch);
+                recycled_lanes.get_or_insert(lanes);
             }
         });
 
         let mut detections = Vec::with_capacity(slots.len());
-        let mut evidence = cdrw_walk::WalkEvidence::for_graph_if(pooling, graph);
+        let mut evidence = WalkEvidence::for_graph_if(pooling, graph);
         for slot in slots {
             let (result, claims) = slot.expect("every slot is filled");
             detections.push(result?);
             evidence.extend_pool(&claims);
         }
-        if let crate::AssemblyPolicy::Pooled { reseed, quorum } = self.config().assembly {
-            // Reuse a worker's batch for the assembly's re-seed walks: its
-            // lanes are re-seeded per merged group anyway, and recycling
-            // saves a third full-size lane bank at million-vertex scale.
-            let mut batch =
-                recycled_batch.unwrap_or_else(|| cdrw_walk::WalkBatch::for_graph(graph));
-            return self
-                .assemble_detections(
-                    &engine,
-                    &mut batch,
-                    &mut evidence,
-                    detections,
-                    &[],
-                    0.0,
-                    delta,
-                    reseed,
-                    quorum,
-                )
-                .map(|(result, _)| result);
-        }
-        Ok(DetectionResult::new(
-            graph.num_vertices(),
-            detections,
-            delta,
-        ))
+        let mut lanes = recycled_lanes.unwrap_or_else(|| pipeline.local_lanes());
+        let (result, _) = pipeline.assemble(&mut lanes, &mut evidence, detections, &[], 0.0)?;
+        Ok(result)
     }
 }
 
@@ -403,9 +358,7 @@ mod tests {
         );
         let parallel = cdrw.detect_parallel(&graph, 6).unwrap();
         for detection in parallel.detections() {
-            let sequential = cdrw
-                .detect_community_with_delta(&graph, detection.seed, delta)
-                .unwrap();
+            let sequential = cdrw.detect_community(&graph, detection.seed).unwrap();
             assert_eq!(&sequential, detection, "seed {} diverged", detection.seed);
             assert!(detection.trace.ensemble.is_some());
         }
@@ -530,9 +483,7 @@ mod tests {
         let cdrw = Cdrw::new(CdrwConfig::builder().seed(7).delta(delta).build());
         let parallel = cdrw.detect_parallel(&graph, 6).unwrap();
         for detection in parallel.detections() {
-            let sequential = cdrw
-                .detect_community_with_delta(&graph, detection.seed, delta)
-                .unwrap();
+            let sequential = cdrw.detect_community(&graph, detection.seed).unwrap();
             assert_eq!(&sequential, detection);
         }
     }

@@ -20,18 +20,18 @@
 //!    tolerance those strays make *every* detection stale under localized
 //!    churn.
 //! 2. Stale detections are retired together with their pooled claims
-//!    ([`WalkEvidence::retire_groups`]); surviving detections keep their
-//!    refined member sets and their claims are re-pooled under their new
-//!    indices — no walk is re-run for them.
+//!    ([`cdrw_walk::WalkEvidence::retire_groups`]); surviving detections
+//!    keep their refined member sets and their claims are re-pooled under
+//!    their new indices — no walk is re-run for them.
 //! 3. The uncovered region (vertices of no surviving detection) is re-seeded
-//!    through the same shuffled seed pool as the one-shot driver, and the
-//!    global assembly runs with the survivors *frozen*
-//!    ([`crate::assembly::assemble_run_incremental`]): frozen groups skip
-//!    re-seed walks and pruning, fresh detections are reconciled against
-//!    them, and the result is a new total partition. The staleness
-//!    tolerance `ε` doubles as the assembly's freeze tolerance: a settled
-//!    group approached by an ε-negligible fresh fragment keeps its cached
-//!    consensus instead of re-running its (expensive) re-seed walks.
+//!    by the one-shot driver's own pool loop ([`crate::Pipeline::seed_pool`],
+//!    started from the survivors' coverage), and the global assembly runs
+//!    with the survivors *frozen* ([`crate::assembly::assemble_run`]):
+//!    frozen groups skip re-seed walks and pruning, fresh detections are
+//!    reconciled against them, and the result is a new total partition. The
+//!    staleness tolerance `ε` doubles as the assembly's freeze tolerance: a
+//!    settled group approached by an ε-negligible fresh fragment keeps its
+//!    cached consensus instead of re-running its (expensive) re-seed walks.
 //!
 //! [`CdrwService::refresh_full`] is the reference path: it re-runs the
 //! complete one-shot pipeline ([`Cdrw::detect_all`] internally) on the
@@ -65,12 +65,11 @@
 //! attempt can succeed.
 
 use cdrw_graph::{CommitReport, DeltaGraph, Graph, GraphError, Partition, VertexId};
-use cdrw_walk::evidence::{PooledClaim, WalkEvidence};
-use cdrw_walk::WalkBatch;
+use cdrw_walk::evidence::PooledClaim;
 
-use crate::algorithm::shuffled_seed_pool;
+use crate::pipeline::Pipeline;
 use crate::result::{CommunityDetection, DetectionResult};
-use crate::{AssemblyPolicy, Cdrw, CdrwError};
+use crate::{Cdrw, CdrwError};
 
 /// How a [`CdrwService::refresh`] satisfied its contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,7 +256,7 @@ impl CdrwService {
     /// its freeze tolerance: an evidence group whose fresh fragments stay
     /// under an `ε`-fraction of its volume keeps its settled consensus and
     /// skips its re-seed walks (see
-    /// [`crate::assembly::assemble_run_incremental`]). Negative values are
+    /// [`crate::assembly::assemble_run`]). Negative values are
     /// clamped to 0.
     pub fn set_staleness_tolerance(&mut self, epsilon: f64) {
         self.staleness_tolerance = epsilon.max(0.0);
@@ -453,9 +452,9 @@ impl CdrwService {
     }
 
     fn run_full(&mut self) -> Result<RefreshReport, CdrwError> {
-        let graph = self.graph.graph();
-        let delta = self.cdrw.config().resolve_delta(graph)?;
-        let (result, claims) = self.cdrw.run_detect_all(graph)?;
+        let pipeline = Pipeline::new(self.cdrw.config(), self.graph.graph())?;
+        let (result, claims) = pipeline.detect_all(&mut pipeline.local_lanes())?;
+        let delta = pipeline.delta();
         let report = RefreshReport {
             kind: RefreshKind::Full,
             dirty_vertices: self.dirty_count,
@@ -477,12 +476,9 @@ impl CdrwService {
             .as_ref()
             .expect("incremental refresh requires a cached result");
         let graph = self.graph.graph();
-        self.cdrw.check_graph(graph)?;
-        self.cdrw.config().validate()?;
+        let pipeline = Pipeline::with_delta(self.cdrw.config(), graph, cached.delta)?;
         let n = graph.num_vertices();
-        let delta = cached.delta;
-        let config = self.cdrw.config();
-        let pooling = config.assembly.is_pooled();
+        let pooling = self.cdrw.config().assembly.is_pooled();
 
         // 1. Split the cached detections on the dirty set. With a zero
         // tolerance a detection is stale iff it contains an endpoint of a
@@ -526,8 +522,7 @@ impl CdrwService {
 
         // 2. Re-pool the survivors' claims under their new indices; the
         // retired groups' claims die with them. No walk has run yet.
-        let mut evidence =
-            WalkEvidence::for_graph_if(config.ensemble.is_ensemble() || pooling, graph);
+        let mut evidence = pipeline.evidence();
         if pooling {
             evidence.extend_pool(&cached.claims);
             evidence.retire_groups(&stale);
@@ -573,53 +568,18 @@ impl CdrwService {
                 }
             }
         }
-        let engine = self.cdrw.engine(graph);
-        let mut workspace = engine.workspace();
-        let mut batch = WalkBatch::for_graph(graph);
-        for &seed in &shuffled_seed_pool(n, config.seed) {
-            if covered[seed] {
-                continue;
-            }
-            let detection = self.cdrw.detect_community_in(
-                &engine,
-                &mut workspace,
-                &mut batch,
-                &mut evidence,
-                seed,
-                delta,
-                pooling,
-            )?;
-            if pooling {
-                evidence.pool_epoch(detections.len() as u32);
-            }
-            for &v in &detection.members {
-                covered[v] = true;
-            }
-            covered[seed] = true;
-            detections.push(detection);
-        }
+        let mut lanes = pipeline.local_lanes();
+        pipeline.seed_pool(&mut lanes, &mut evidence, &mut covered, &mut detections)?;
         let fresh = detections.len() - surviving;
 
         // 4. Reconcile: survivors enter the assembly frozen — their refined
         // sets and claims stand, no re-seed walks, no pruning — while fresh
         // detections are assembled exactly as in the full run.
-        let (result, claims) = if let AssemblyPolicy::Pooled { reseed, quorum } = config.assembly {
-            let mut frozen = vec![true; surviving];
-            frozen.resize(detections.len(), false);
-            self.cdrw.assemble_detections(
-                &engine,
-                &mut batch,
-                &mut evidence,
-                detections,
-                &frozen,
-                epsilon,
-                delta,
-                reseed,
-                quorum,
-            )?
-        } else {
-            (DetectionResult::new(n, detections, delta), Vec::new())
-        };
+        let mut frozen = vec![true; surviving];
+        frozen.resize(detections.len(), false);
+        let (result, claims) =
+            pipeline.assemble(&mut lanes, &mut evidence, detections, &frozen, epsilon)?;
+        let delta = pipeline.delta();
         let report = RefreshReport {
             kind: RefreshKind::Incremental,
             dirty_vertices: self.dirty_count,
@@ -648,7 +608,7 @@ impl CdrwService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CdrwConfig;
+    use crate::{AssemblyPolicy, CdrwConfig};
     use cdrw_gen::{generate_ppm, PpmParams};
 
     fn ppm(n: usize, blocks: usize, seed: u64) -> Graph {

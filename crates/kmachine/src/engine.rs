@@ -5,21 +5,19 @@
 //! `k` worker shards by the [`crate::RandomVertexPartition`] (each holding a
 //! [`cdrw_graph::SubCsr`] of its owned rows), every walk step is an explicit
 //! message round of probability-mass deltas between the shards
-//! ([`cdrw_walk::shard`]), and the full detect/ensemble/assembly pipeline of
-//! [`cdrw_core::Cdrw::detect_all`] is driven to completion against the
-//! sharded state.
+//! ([`cdrw_walk::shard`]), and the one detect/ensemble/assembly
+//! [`Pipeline`] of `cdrw_core` runs to completion against the sharded state.
 //!
 //! ## Conformance contract
 //!
 //! * **Decisions are bit-identical to the sequential driver.** The
-//!   coordinator gathers each stepped lane's support from the shards
-//!   (bit-identical to the sequential workspace — see the `cdrw_walk::shard`
-//!   module docs for the accumulation-order argument) and runs the *same*
-//!   public decision code as `Cdrw`: [`WalkEngine::sweep`],
-//!   [`GrowthTracker`], `select_interior_seeds`/`community_scale_vote`/
-//!   consensus, and [`cdrw_core::assembly::assemble_run`], over the pool
-//!   order of [`cdrw_core::shuffled_seed_pool`]. The whole
-//!   [`DetectionResult`] — members, traces, partition, assembly report —
+//!   coordinator is a [`LaneExecutor`]: it loads and steps lanes on the
+//!   shards and gathers each stepped lane's support back (bit-identical to
+//!   the sequential workspace — see the `cdrw_walk::shard` module docs for
+//!   the accumulation-order argument). Every decision — sweep, growth rule,
+//!   ensemble, assembly, pool order — is the pipeline's, the same code
+//!   `cdrw_core::Cdrw::detect_all` runs on local lanes, so the whole
+//!   [`DetectionResult`] (members, traces, partition, assembly report)
 //!   compares equal to `Cdrw::detect_all`'s.
 //! * **Measured messages equal the modelled flood.** Every emitted edge
 //!   delta is one counted message; per lane-round the count is exactly
@@ -57,15 +55,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cdrw_congest::primitives::sparse_walk_step_cost;
-use cdrw_core::growth::WalkAnswer;
-use cdrw_core::{
-    assembly, shuffled_seed_pool, AssemblyPolicy, CdrwConfig, CdrwError, CommunityDetection,
-    DetectionResult, DetectionTrace, EnsembleTrace, EnsembleWalkTrace, GrowthTracker, StepTrace,
-};
+use cdrw_core::assembly::AssemblyOutcome;
+use cdrw_core::{CdrwError, CommunityDetection, DetectionResult, LaneExecutor, Pipeline};
 use cdrw_graph::{Graph, SubCsr, VertexId};
-use cdrw_walk::evidence::{community_scale_vote, select_interior_seeds, WalkEvidence};
 use cdrw_walk::shard::merge_runs;
-use cdrw_walk::{WalkEngine, WalkWorkspace};
+use cdrw_walk::WalkWorkspace;
 
 use crate::chaos::{ChaosHarness, FaultPlan};
 use crate::partition::{PartitionStats, RandomVertexPartition};
@@ -364,17 +358,9 @@ impl KMachineEngine {
         graph: &Graph,
         partition: &RandomVertexPartition,
     ) -> Result<KMachineRunReport, CdrwError> {
-        let algorithm = &self.config.congest.algorithm;
-        algorithm.validate()?;
-        if graph.num_vertices() == 0 {
-            return Err(CdrwError::EmptyGraph);
-        }
-        if graph.num_edges() == 0 {
-            return Err(CdrwError::NoEdges);
-        }
-        let delta = algorithm.resolve_delta(graph)?;
+        let pipeline = Pipeline::new(&self.config.congest.algorithm, graph)?;
         let k = partition.num_machines();
-        let laziness = algorithm.criterion.laziness();
+        let laziness = pipeline.engine().laziness();
         let options = self.resilience.shard_options();
 
         let chaos = match &self.fault_plan {
@@ -432,11 +418,10 @@ impl KMachineEngine {
             let respawn = |m: usize, seq: u64, checkpoint: Vec<LaneState>| {
                 spawn(m, reconnector.reconnect(m), seq, checkpoint);
             };
-            let mut coordinator =
-                Coordinator::new(algorithm, graph, &links, self.resilience, &respawn);
-            let result = coordinator.detect_all(delta);
+            let mut coordinator = Coordinator::new(graph, &links, self.resilience, &respawn);
+            let result = pipeline.detect_all(&mut coordinator);
             links.broadcast(&Message::Halt);
-            result.map(|r| (r, coordinator.conformance, coordinator.fault_log))
+            result.map(|(r, _)| (r, coordinator.conformance, coordinator.fault_log))
         });
         let (result, conformance, fault_log) = outcome?;
         Ok(KMachineRunReport {
@@ -449,13 +434,10 @@ impl KMachineEngine {
     }
 }
 
-/// The coordinator: owns the gathered per-lane global view, drives the shard
-/// protocol, and replicates [`cdrw_core::Cdrw::detect_all`]'s control flow
-/// over it using only the shared public decision components.
+/// The coordinator: owns the gathered per-lane global view and drives the
+/// shard protocol — the [`LaneExecutor`] the shared [`Pipeline`] runs on.
 struct Coordinator<'g, 'l> {
-    config: &'l CdrwConfig,
     graph: &'g Graph,
-    engine: WalkEngine<'g>,
     links: &'l CoordinatorLinks,
     resilience: ResiliencePolicy,
     /// Re-materialises shard `m` from `(seq, checkpoint)` on a fresh
@@ -465,6 +447,8 @@ struct Coordinator<'g, 'l> {
     /// sequential workspaces (the shards' owned slices concatenate to them).
     lanes: Vec<WalkWorkspace>,
     conformance: WalkConformance,
+    /// Running totals when the open detection (or the assembly) began.
+    mark: (u64, u64, u64, u64),
     /// Last issued command sequence number.
     seq: u64,
     /// Issued commands, ascending by seq, kept for `Nack`-triggered re-sends
@@ -479,7 +463,6 @@ struct Coordinator<'g, 'l> {
 
 impl<'g, 'l> Coordinator<'g, 'l> {
     fn new(
-        config: &'l CdrwConfig,
         graph: &'g Graph,
         links: &'l CoordinatorLinks,
         resilience: ResiliencePolicy,
@@ -487,14 +470,13 @@ impl<'g, 'l> Coordinator<'g, 'l> {
     ) -> Self {
         let k = links.num_shards();
         Coordinator {
-            config,
             graph,
-            engine: WalkEngine::lazy(graph, config.criterion.laziness()),
             links,
             resilience,
             respawn,
             lanes: Vec::new(),
             conformance: WalkConformance::default(),
+            mark: (0, 0, 0, 0),
             seq: 0,
             command_log: Vec::new(),
             checkpoints: vec![(0, Vec::new()); k],
@@ -629,6 +611,32 @@ impl<'g, 'l> Coordinator<'g, 'l> {
         }
     }
 
+    /// Snapshot of the running totals, for per-detection attribution.
+    fn totals(&self) -> (u64, u64, u64, u64) {
+        let c = &self.conformance;
+        (
+            c.lane_rounds,
+            c.physical_rounds,
+            c.measured_messages,
+            c.modelled_messages,
+        )
+    }
+
+    /// The flood since the last [`Coordinator::totals`] mark, attributed to
+    /// `seed` (`usize::MAX` for the assembly phase).
+    fn flood_since_mark(&self, seed: VertexId) -> DetectionFlood {
+        let (c, mark) = (&self.conformance, self.mark);
+        DetectionFlood {
+            seed,
+            lane_rounds: c.lane_rounds - mark.0,
+            physical_rounds: c.physical_rounds - mark.1,
+            measured_messages: c.measured_messages - mark.2,
+            modelled_messages: c.modelled_messages - mark.3,
+        }
+    }
+}
+
+impl LaneExecutor for Coordinator<'_, '_> {
     /// Loads `seeds[i]` as a fresh point-mass walk into lane `i`, on the
     /// shards and in the gathered view.
     fn load_lanes(&mut self, seeds: &[VertexId]) -> Result<(), CdrwError> {
@@ -816,324 +824,26 @@ impl<'g, 'l> Coordinator<'g, 'l> {
         Ok(())
     }
 
-    /// Snapshot of the running totals, for per-detection attribution.
-    fn checkpoint(&self) -> (u64, u64, u64, u64) {
-        let c = &self.conformance;
-        (
-            c.lane_rounds,
-            c.physical_rounds,
-            c.measured_messages,
-            c.modelled_messages,
-        )
+    fn lane(&mut self, i: usize) -> &mut WalkWorkspace {
+        &mut self.lanes[i]
     }
 
-    fn flood_since(&self, seed: VertexId, mark: (u64, u64, u64, u64)) -> DetectionFlood {
-        let c = &self.conformance;
-        DetectionFlood {
-            seed,
-            lane_rounds: c.lane_rounds - mark.0,
-            physical_rounds: c.physical_rounds - mark.1,
-            measured_messages: c.measured_messages - mark.2,
-            modelled_messages: c.modelled_messages - mark.3,
-        }
+    fn begin_detection(&mut self, _seed: VertexId) -> Result<(), CdrwError> {
+        self.mark = self.totals();
+        Ok(())
     }
 
-    /// Mirror of `Cdrw::detect_all`: the pool loop, then the configured
-    /// assembly.
-    fn detect_all(&mut self, delta: f64) -> Result<DetectionResult, CdrwError> {
-        let n = self.graph.num_vertices();
-        let mut in_pool = vec![true; n];
-        let pool = shuffled_seed_pool(n, self.config.seed);
-
-        let pooling = self.config.assembly.is_pooled();
-        let mut evidence =
-            WalkEvidence::for_graph_if(self.config.ensemble.is_ensemble() || pooling, self.graph);
-
-        let mut detections: Vec<CommunityDetection> = Vec::new();
-        for &seed in &pool {
-            if !in_pool[seed] {
-                continue;
-            }
-            let mark = self.checkpoint();
-            let detection = self.detect_community(&mut evidence, seed, delta, pooling)?;
-            self.conformance
-                .per_detection
-                .push(self.flood_since(seed, mark));
-            if pooling {
-                evidence.pool_epoch(detections.len() as u32);
-            }
-            for &v in &detection.members {
-                in_pool[v] = false;
-            }
-            in_pool[seed] = false;
-            detections.push(detection);
-        }
-        if let AssemblyPolicy::Pooled { reseed, quorum } = self.config.assembly {
-            let mark = self.checkpoint();
-            let result =
-                self.assemble_detections(&mut evidence, detections, delta, reseed, quorum)?;
-            self.conformance.assembly = Some(self.flood_since(usize::MAX, mark));
-            return Ok(result);
-        }
-        Ok(DetectionResult::new(n, detections, delta))
+    fn end_detection(&mut self, detection: &CommunityDetection) {
+        let flood = self.flood_since_mark(detection.seed);
+        self.conformance.per_detection.push(flood);
     }
 
-    /// Mirror of `Cdrw::detect_community_in`.
-    fn detect_community(
-        &mut self,
-        evidence: &mut WalkEvidence,
-        seed: VertexId,
-        delta: f64,
-        record_claims: bool,
-    ) -> Result<CommunityDetection, CdrwError> {
-        if self.graph.degree(seed) == 0 {
-            let detection = CommunityDetection {
-                seed,
-                members: vec![seed],
-                trace: DetectionTrace {
-                    steps: Vec::new(),
-                    stopped_by_growth_rule: false,
-                    delta,
-                    ensemble: None,
-                },
-            };
-            if record_claims {
-                evidence.begin();
-                evidence.record_walk(&detection.members, 0.0)?;
-            }
-            return Ok(detection);
-        }
-        if !self.config.ensemble.is_ensemble() {
-            let floor = self.config.min_stop_size(self.graph.num_vertices());
-            let (detection, margin) = self.detect_single(seed, delta, floor)?;
-            if record_claims {
-                evidence.begin();
-                evidence.record_walk(&detection.members, margin)?;
-            }
-            return Ok(detection);
-        }
-        self.detect_ensemble(evidence, seed, delta)
+    fn begin_assembly(&mut self, _detections: &[CommunityDetection]) -> Result<(), CdrwError> {
+        self.mark = self.totals();
+        Ok(())
     }
 
-    /// Mirror of `Cdrw::detect_single_in`, stepping lane 0 on the shards.
-    fn detect_single(
-        &mut self,
-        seed: VertexId,
-        delta: f64,
-        stop_floor: usize,
-    ) -> Result<(CommunityDetection, f64), CdrwError> {
-        let n = self.graph.num_vertices();
-        let mixing_config = self.config.local_mixing_config(n);
-        let max_length = self.config.max_walk_length(n);
-
-        self.load_lanes(&[seed])?;
-        let mut trace = DetectionTrace {
-            steps: Vec::with_capacity(max_length),
-            stopped_by_growth_rule: false,
-            delta,
-            ensemble: None,
-        };
-        let mut tracker = GrowthTracker::new(stop_floor, delta, None);
-        for walk_length in 1..=max_length {
-            self.step(&[0])?;
-            let outcome = self.engine.sweep(&mut self.lanes[0], &mixing_config)?;
-            trace.steps.push(StepTrace {
-                walk_length,
-                mixing_set_size: outcome.size(),
-                sizes_checked: outcome.sizes_checked(),
-            });
-            if tracker.observe_outcome(self.graph, seed, outcome, mixing_config.threshold) {
-                break;
-            }
-        }
-
-        let fired = tracker.fired();
-        trace.stopped_by_growth_rule = fired;
-        let (members, margin, _) = tracker.conclude(self.graph, seed);
-        let mut detection = finish(seed, members, trace);
-        if fired {
-            if let Some(last) = detection.trace.steps.last_mut() {
-                last.mixing_set_size = detection.members.len();
-            }
-        }
-        Ok((detection, margin))
-    }
-
-    /// Mirror of `Cdrw::run_walks_batched`: one walk per seed, all active
-    /// lanes stepped in one physical round per iteration (the batching
-    /// deviation — decisions are unchanged because each lane's sharded step
-    /// is bit-identical to its solo step).
-    fn run_walks_batched(
-        &mut self,
-        seeds: &[VertexId],
-        delta: f64,
-        stop_floor: usize,
-        bounded_cap: usize,
-    ) -> Result<Vec<WalkAnswer>, CdrwError> {
-        let n = self.graph.num_vertices();
-        let mixing_config = self.config.local_mixing_config(n);
-        let max_length = self.config.max_walk_length(n);
-
-        self.load_lanes(seeds)?;
-        let mut trackers: Vec<GrowthTracker> = seeds
-            .iter()
-            .map(|_| GrowthTracker::new(stop_floor, delta, Some(bounded_cap)))
-            .collect();
-        let mut active = vec![true; seeds.len()];
-        for _ in 1..=max_length {
-            let stepping: Vec<u32> = active
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a)
-                .map(|(lane, _)| lane as u32)
-                .collect();
-            if stepping.is_empty() {
-                break;
-            }
-            self.step(&stepping)?;
-            for (lane, &walk_seed) in seeds.iter().enumerate() {
-                if !active[lane] {
-                    continue;
-                }
-                let outcome = self.engine.sweep(&mut self.lanes[lane], &mixing_config)?;
-                if trackers[lane].observe_outcome(
-                    self.graph,
-                    walk_seed,
-                    outcome,
-                    mixing_config.threshold,
-                ) {
-                    active[lane] = false;
-                }
-            }
-        }
-        Ok(trackers
-            .into_iter()
-            .zip(seeds)
-            .map(|(tracker, &walk_seed)| tracker.conclude(self.graph, walk_seed))
-            .collect())
-    }
-
-    /// Mirror of `Cdrw::detect_ensemble_in`.
-    fn detect_ensemble(
-        &mut self,
-        evidence: &mut WalkEvidence,
-        seed: VertexId,
-        delta: f64,
-    ) -> Result<CommunityDetection, CdrwError> {
-        let n = self.graph.num_vertices();
-        let walks = self.config.ensemble.walks();
-        let base_floor = self.config.min_stop_size(n);
-        let (base, base_margin) = self.detect_single(seed, delta, base_floor)?;
-
-        evidence.begin();
-        evidence.record_walk(&base.members, base_margin)?;
-        // Lane 0 still holds the base walk's final gathered distribution —
-        // the same affinity signal the sequential driver ranks interior
-        // seeds by.
-        let followups =
-            select_interior_seeds(self.graph, &self.lanes[0], &base.members, seed, walks - 1);
-        let escalated_floor = base_floor.max(base.members.len() + 1);
-
-        let mut walk_traces = vec![EnsembleWalkTrace {
-            seed,
-            set_size: base.members.len(),
-            margin: base_margin,
-            contributed: 0,
-        }];
-        let CommunityDetection {
-            members: base_members,
-            trace: mut base_trace,
-            ..
-        } = base;
-        let mut sets: Vec<Vec<VertexId>> = vec![base_members];
-        let answers = self.run_walks_batched(&followups, delta, escalated_floor, n / 2)?;
-        for (&followup_seed, (members, walk_margin, bounded)) in followups.iter().zip(answers) {
-            let (voted, margin) = community_scale_vote(members, walk_margin, bounded, n / 2)
-                .unwrap_or((Vec::new(), 0.0));
-            if !voted.is_empty() {
-                evidence.record_walk(&voted, margin)?;
-            }
-            walk_traces.push(EnsembleWalkTrace {
-                seed: followup_seed,
-                set_size: voted.len(),
-                margin,
-                contributed: 0,
-            });
-            sets.push(voted);
-        }
-
-        let quorum = self.config.ensemble.quorum().min(evidence.walks_recorded());
-        let members = evidence.consensus_with(quorum as u32, &sets[0]);
-        for (walk, set) in walk_traces.iter_mut().zip(&sets) {
-            walk.contributed = set
-                .iter()
-                .filter(|v| members.binary_search(v).is_ok())
-                .count();
-        }
-        base_trace.ensemble = Some(EnsembleTrace {
-            quorum,
-            walks: walk_traces,
-            consensus_size: members.len(),
-        });
-        Ok(finish(seed, members, base_trace))
-    }
-
-    /// Mirror of `Cdrw::assemble_detections`: the shared
-    /// [`assembly::assemble_run`] drives the decisions; the re-seed walks run
-    /// sharded through [`Coordinator::run_walks_batched`].
-    fn assemble_detections(
-        &mut self,
-        evidence: &mut WalkEvidence,
-        mut detections: Vec<CommunityDetection>,
-        delta: f64,
-        reseed: usize,
-        quorum: usize,
-    ) -> Result<DetectionResult, CdrwError> {
-        let n = self.graph.num_vertices();
-        let cap = n / 2;
-        let member_sets: Vec<Vec<VertexId>> =
-            detections.iter().map(|d| d.members.clone()).collect();
-        let seeds: Vec<VertexId> = detections.iter().map(|d| d.seed).collect();
-        let graph = self.graph;
-        let outcome = assembly::assemble_run(
-            graph,
-            reseed,
-            quorum,
-            &member_sets,
-            &seeds,
-            evidence,
-            |walk_seeds, floor| {
-                let answers = self.run_walks_batched(walk_seeds, delta, floor, cap)?;
-                Ok(answers
-                    .into_iter()
-                    .map(|(members, margin, bounded)| {
-                        community_scale_vote(members, margin, bounded, cap)
-                    })
-                    .collect())
-            },
-        )?;
-        for (detection, refined) in detections.iter_mut().zip(outcome.refined) {
-            detection.members = refined;
-        }
-        Ok(DetectionResult::assembled(
-            n,
-            detections,
-            outcome.partition,
-            outcome.report,
-            delta,
-        ))
-    }
-}
-
-/// Mirror of `Cdrw::finish`: a detection always contains its seed.
-fn finish(seed: VertexId, mut members: Vec<VertexId>, trace: DetectionTrace) -> CommunityDetection {
-    if members.binary_search(&seed).is_err() {
-        members.push(seed);
-        members.sort_unstable();
-    }
-    CommunityDetection {
-        seed,
-        members,
-        trace,
+    fn end_assembly(&mut self, _outcome: &AssemblyOutcome) {
+        self.conformance.assembly = Some(self.flood_since_mark(usize::MAX));
     }
 }
