@@ -20,9 +20,10 @@ pub struct SweepSpeedup {
     pub n: usize,
     /// Support size of the measured walk state.
     pub support: usize,
-    /// Best-of-samples time of one per-size reference sweep, in nanoseconds.
+    /// Time of one per-size reference sweep in the median pair, in
+    /// nanoseconds.
     pub per_size_ns: f64,
-    /// Best-of-samples time of one prefix-scan sweep, in nanoseconds.
+    /// Time of one prefix-scan sweep in the median pair, in nanoseconds.
     pub prefix_ns: f64,
 }
 
@@ -96,17 +97,14 @@ pub fn measure_step_overhead() -> StepOverhead {
     );
     let support = current_ws.support_size();
 
-    let mean_ns = |routine: &mut dyn FnMut()| {
-        let start = Instant::now();
-        for _ in 0..STEPS_PER_SAMPLE {
-            routine();
-        }
-        start.elapsed().as_nanos() as f64 / STEPS_PER_SAMPLE as f64
-    };
     let (step_ns, reference_ns) = median_pair(
         STEP_PAIRS,
-        &mut || mean_ns(&mut || engine.step(&mut current_ws)),
-        &mut || mean_ns(&mut || engine.step_uniform_reference(&mut reference_ws)),
+        &mut || mean_ns(STEPS_PER_SAMPLE, &mut || engine.step(&mut current_ws)),
+        &mut || {
+            mean_ns(STEPS_PER_SAMPLE, &mut || {
+                engine.step_uniform_reference(&mut reference_ws)
+            })
+        },
     );
     StepOverhead {
         n,
@@ -152,24 +150,30 @@ pub fn median_pair(
     timed[pairs / 2]
 }
 
-/// Times `routine` as best-of-`samples`, `iterations` runs per sample.
-fn best_of<F: FnMut()>(mut routine: F, iterations: u32, samples: u32) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iterations {
-            routine();
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / f64::from(iterations));
+/// The mean time of `iterations` back-to-back runs of `routine`, in
+/// nanoseconds: one sample of a [`median_pair`].
+fn mean_ns(iterations: u32, routine: &mut dyn FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iterations {
+        routine();
     }
-    best
+    start.elapsed().as_nanos() as f64 / f64::from(iterations)
 }
+
+/// Interleaved pairs [`measure_sweep_speedup`] times, each sample the mean
+/// of [`SWEEPS_PER_SAMPLE`] sweeps.
+pub const SWEEP_PAIRS: usize = 15;
+
+/// Sweeps timed back to back per sample of [`measure_sweep_speedup`].
+pub const SWEEPS_PER_SAMPLE: u32 = 10;
 
 /// Measures the renormalised sweep both ways — prefix scan
 /// ([`WalkEngine::sweep`]) against the per-size reference
 /// ([`WalkEngine::sweep_per_size`]) — on a quick-scale Figure 4a instance
 /// (8 blocks of 256, `p = 2·(ln n)²/n`, `p/q = 2^0.6·ln n`), on a walk state
-/// spread far enough that candidate prefixes are long.
+/// spread far enough that candidate prefixes are long. The two paths are
+/// timed in [`SWEEP_PAIRS`] interleaved pairs ([`median_pair`]) on copies of
+/// the same walk state.
 pub fn measure_sweep_speedup() -> SweepSpeedup {
     let r = 8usize;
     let block = 256usize;
@@ -199,19 +203,19 @@ pub fn measure_sweep_speedup() -> SweepSpeedup {
         .expect("reference sweep runs");
     assert_eq!(fast.set, reference.set, "sweep paths diverged");
 
-    let per_size_ns = best_of(
-        || {
-            let _ = engine.sweep_per_size(&mut workspace, &config).unwrap();
+    let mut reference_ws = workspace.clone();
+    let (prefix_ns, per_size_ns) = median_pair(
+        SWEEP_PAIRS,
+        &mut || {
+            mean_ns(SWEEPS_PER_SAMPLE, &mut || {
+                engine.sweep(&mut workspace, &config).unwrap();
+            })
         },
-        10,
-        8,
-    );
-    let prefix_ns = best_of(
-        || {
-            let _ = engine.sweep(&mut workspace, &config).unwrap();
+        &mut || {
+            mean_ns(SWEEPS_PER_SAMPLE, &mut || {
+                engine.sweep_per_size(&mut reference_ws, &config).unwrap();
+            })
         },
-        10,
-        8,
     );
     SweepSpeedup {
         n,

@@ -17,31 +17,46 @@
 //!   identical to the dense operator, so the resulting probabilities are
 //!   bit-for-bit equal to [`crate::WalkOperator::step`].
 //! * [`WalkEngine::sweep`] evaluates each candidate size `|S|` of the local
-//!   mixing sweep against a degree-sorted order of the non-support vertices
-//!   (the *tail*, filtered once per sweep from an order computed once per
-//!   engine): outside the support the score `x_u = |0 − d(u)/µ′(S)|` is
-//!   monotone in the degree, so the `|S|` best non-support candidates are
+//!   mixing sweep against the engine's degree-sorted vertex order (computed
+//!   once per engine): outside the support the score `x_u = |0 − d(u)/µ′(S)|`
+//!   is monotone in the degree, so the `|S|` best non-support candidates are
 //!   simply the lowest-degree vertices not in the support. For the strict,
-//!   lazy and adaptive criteria a `select_nth_unstable` over the small merged
-//!   candidate set replaces the dense implementation's selection over all `n`
-//!   vertices, costing `O(|support| + |S|)` per size. For the renormalised
-//!   criterion the candidate sets of *all* sizes are prefixes of one fixed
-//!   merged order, so the whole sweep is a single incremental prefix scan —
-//!   see the complexity table below.
+//!   lazy and adaptive criteria a `select_nth_unstable` over the support plus
+//!   a prefix of the degree-sorted non-support vertices (the *tail*, filtered
+//!   once per sweep) replaces the dense implementation's selection over all
+//!   `n` vertices, costing `O(|support| + |S|)` per size. For the
+//!   renormalised criterion the candidate sets of *all* sizes are prefixes
+//!   of one fixed merged order, so the whole sweep is a single incremental
+//!   prefix scan — see the complexity table below.
 //!
 //! # Per-step sweep cost (renormalised criterion)
 //!
 //! The candidate sizes grow geometrically (`R, (1+1/8e)R, …, n`), so their
-//! sum is `Θ(n)` with a large constant (≈ 24n). Before this revision every
-//! size re-merged and re-scored its candidate prefix from scratch; now the
-//! merged order, its running mass and its running volume are built once and
-//! every size is answered from prefix sums plus one binary search:
+//! sum is `Θ(n)` with a large constant (≈ 24n). The per-size path re-merges
+//! and re-scores each candidate prefix from scratch; the prefix scan answers
+//! every size from running mass and volume sums plus one binary search:
 //!
 //! | path | cost per sweep |
 //! |---|---|
 //! | dense reference ([`crate::largest_mixing_set`]) | `O(n log n)` **per size** — `Θ(n² )`-ish overall |
 //! | per-size sparse sweep ([`WalkEngine::sweep_per_size`]) | `O(\|support\| log \|support\| + Σ\|S\|) ≈ O(24·n)` |
-//! | prefix scan ([`WalkEngine::sweep`]) | `O(\|support\| log \|support\| + n + sizes·log n)` |
+//! | prefix scan ([`WalkEngine::sweep`]) | `O(P log P + sizes·log P)` plus a read-only walk of the degree order up to the largest size |
+//!
+//! `P` is the number of support entries with positive affinity `p(u)/d(u)`.
+//! The merged order is those entries sorted by descending affinity, then
+//! every other vertex in `(weighted degree, id)` order: the zero-mass
+//! vertices and the zero-affinity support entries all tie at affinity `0`.
+//! So the prefix scan sorts only the `P` positive entries, each as one
+//! packed `u64` key (the affinity's bits over the vertex's degree rank, with
+//! the rare runs that tie on the truncated bits re-sorted by the
+//! comparator), and keeps running sums over those `P` only. Sizes past `P`
+//! read the degree order lazily, skipping the positive entries, and stop at
+//! the largest size the sweep asks for. The terms are added in the same order
+//! as a full merge would add them, so the sums are bit-identical to it on
+//! weighted graphs too. No n-length candidate order, affinity array or
+//! prefix-sum array is built: the sweep scratch holds `P`-length buffers and
+//! one bit per vertex, and the winning set is read out of that bit mask in
+//! id order.
 //!
 //! The candidate *order* — and therefore every candidate prefix — is
 //! identical across all three paths by construction (same keys, same
@@ -53,7 +68,9 @@
 //! coincidence has been observed — the property tests pin sets and
 //! decisions exactly across randomized graphs and all four criteria, and
 //! the committed `ci/baselines/` experiment tables regenerated bit-identical
-//! when the prefix scan replaced the per-size path.
+//! when the prefix scan replaced the per-size path, and again when the
+//! packed-key sort and the lazy degree-order walk replaced its n-length
+//! merge.
 //!
 //! # Per-vertex memory (bookkeeping state)
 //!
@@ -75,6 +92,14 @@
 //! stamps did not fit in L3. Clearing stays `O(|support|)` (bits are
 //! cleared exactly where the support list says they are set), so the
 //! epoch trick's asymptotics are preserved without storing epochs at all.
+//!
+//! The renormalised sweep's scratch adds one more bit per vertex (the
+//! `chosen` mask, another 128 KiB @ 2²⁰) and otherwise only buffers of the
+//! support's length. Its merged candidate order and prefix sums used to be
+//! four n-length vectors per workspace (32 B/vertex, 32 MiB @ 2²⁰ once a
+//! sweep had reached size `n`); the engine instead keeps its degree order
+//! with each vertex's rank and degree (20 B/vertex, shared by every
+//! workspace).
 //!
 //! A [`crate::WalkBatch`] adds two batch-wide pull planes on top of its
 //! lanes, allocated on the batch's first pull step (see the
@@ -151,9 +176,22 @@ pub struct WalkEngine<'g> {
     graph: &'g Graph,
     /// Laziness parameter `α`; same semantics as [`crate::WalkOperator`].
     laziness: f64,
-    /// Vertices sorted by `(degree, id)`; ascending score order for vertices
-    /// outside the support. Computed on first sweep.
-    degree_order: OnceLock<Vec<VertexId>>,
+    /// The `(weighted degree, id)` vertex order. Computed on first sweep.
+    degree_order: OnceLock<DegreeOrder>,
+}
+
+/// The vertices sorted by `(weighted degree, id)` — ascending score order for
+/// vertices outside the support — with each one's position and degree.
+#[derive(Debug)]
+struct DegreeOrder {
+    /// The vertices in order.
+    vertices: Vec<VertexId>,
+    /// `degrees[i]` is the weighted degree of `vertices[i]`, so a walk of the
+    /// order reads its degrees sequentially.
+    degrees: Vec<f64>,
+    /// `rank[v]` is the position of `v` in `vertices`: the low bits of the
+    /// renormalised sweep's packed sort keys.
+    rank: Vec<u32>,
 }
 
 impl<'g> WalkEngine<'g> {
@@ -191,16 +229,25 @@ impl<'g> WalkEngine<'g> {
         WalkWorkspace::for_graph(self.graph)
     }
 
-    fn degree_order(&self) -> &[VertexId] {
+    fn degree_order(&self) -> &DegreeOrder {
         self.degree_order.get_or_init(|| {
             let graph = self.graph;
-            let mut order: Vec<VertexId> = graph.vertices().collect();
+            let mut vertices: Vec<VertexId> = graph.vertices().collect();
             // Sorted by (weighted degree, id): the sweep's candidate score
             // outside the support is monotone in the *weighted* degree. On
             // an unweighted graph this is the (degree, id) order exactly
             // (integer-valued f64 keys compare like the integers).
-            order.sort_unstable_by(|&a, &b| degree_key_cmp(graph, a, b));
-            order
+            vertices.sort_unstable_by(|&a, &b| degree_key_cmp(graph, a, b));
+            let degrees = vertices.iter().map(|&v| graph.weighted_degree(v)).collect();
+            let mut rank = vec![0u32; vertices.len()];
+            for (position, &v) in vertices.iter().enumerate() {
+                rank[v] = u32::try_from(position).expect("degree ranks fit in 32 bits");
+            }
+            DegreeOrder {
+                vertices,
+                degrees,
+                rank,
+            }
         })
     }
 
@@ -354,12 +401,13 @@ impl<'g> WalkEngine<'g> {
         workspace: &mut WalkWorkspace,
         config: &LocalMixingConfig,
     ) -> Result<LocalMixingOutcome, WalkError> {
-        self.prepare_sweep(workspace, config)?;
+        self.validate_sweep(workspace, config)?;
         if config.criterion == MixingCriterion::Renormalized {
             // The candidate set of every size is a prefix of one fixed merged
             // order, so the whole sweep is a single incremental pass.
             return Ok(self.sweep_renormalized(workspace, config));
         }
+        self.fill_tail(workspace);
         // Same override as the dense sweep: a possibly-disconnected
         // pass-region forbids the early exit.
         let stop_early = config.stop_at_first_failure && config.criterion.stops_at_first_failure();
@@ -382,10 +430,11 @@ impl<'g> WalkEngine<'g> {
     /// The pre-prefix-scan sweep: identical decision logic to
     /// [`WalkEngine::sweep`], but the renormalised criterion re-merges and
     /// re-scores its candidate prefix from scratch for every candidate size
-    /// (`O(Σ|S|)` per sweep instead of one incremental pass). Kept as the
-    /// reference implementation the prefix scan is property-test-pinned
-    /// against and micro-benchmarked against (`substrate_micro`); hot paths
-    /// should always call [`WalkEngine::sweep`].
+    /// (`O(Σ|S|)` per sweep instead of one incremental pass), over a
+    /// comparator sort of the whole support. Kept as the reference
+    /// implementation the prefix scan is property-test-pinned against and
+    /// micro-benchmarked against (`substrate_micro`); hot paths should always
+    /// call [`WalkEngine::sweep`].
     ///
     /// # Errors
     ///
@@ -395,7 +444,11 @@ impl<'g> WalkEngine<'g> {
         workspace: &mut WalkWorkspace,
         config: &LocalMixingConfig,
     ) -> Result<LocalMixingOutcome, WalkError> {
-        self.prepare_sweep(workspace, config)?;
+        self.validate_sweep(workspace, config)?;
+        self.fill_tail(workspace);
+        if config.criterion == MixingCriterion::Renormalized {
+            self.sort_support_by_affinity(workspace);
+        }
         let stop_early = config.stop_at_first_failure && config.criterion.stops_at_first_failure();
         let mut best: Option<Vec<VertexId>> = None;
         let mut checks = Vec::new();
@@ -422,13 +475,10 @@ impl<'g> WalkEngine<'g> {
         Ok(LocalMixingOutcome { set: best, checks })
     }
 
-    /// Shared sweep prologue: validation, the per-sweep tail (degree-sorted
-    /// non-support vertices, so per-size candidate assembly never re-skips
-    /// support entries), and — for the renormalised criterion — the affinity
-    /// sort of the support.
-    fn prepare_sweep(
+    /// Shared sweep prologue: configuration, graph and workspace checks.
+    fn validate_sweep(
         &self,
-        workspace: &mut WalkWorkspace,
+        workspace: &WalkWorkspace,
         config: &LocalMixingConfig,
     ) -> Result<(), WalkError> {
         config.validate()?;
@@ -442,37 +492,29 @@ impl<'g> WalkEngine<'g> {
             workspace.len(),
             self.graph.num_vertices()
         );
-        let degree_order = self.degree_order();
-        let ws = workspace;
+        Ok(())
+    }
+
+    /// Builds the per-sweep tail of the per-size checks: the degree-sorted
+    /// non-support vertices, so candidate assembly never re-skips support
+    /// entries.
+    fn fill_tail(&self, ws: &mut WalkWorkspace) {
         ws.tail.clear();
         // Support membership is a single bit read per vertex here (the mask
         // invariant: bit set ⟺ vertex in `support`), so this n-length filter
         // streams 1 bit of bookkeeping per vertex instead of 8 bytes.
-        for &v in degree_order {
+        for &v in &self.degree_order().vertices {
             if !ws.mask.contains(v) {
                 ws.tail.push(v);
             }
         }
-        if config.criterion == MixingCriterion::Renormalized {
-            // The affinity order of the support is shared by every candidate
-            // size of this sweep; sorting it once keeps the whole sweep at
-            // O(|support| log |support|) on top of the linear scan.
-            self.sort_support_by_affinity(ws);
-        }
-        Ok(())
     }
 
-    /// Sorts the support into `workspace.affinity` by descending walk
+    /// Sorts the whole support into `workspace.affinity` by descending walk
     /// affinity `p(u)/d(u)`, ties by `(degree, id)` — the prefix order the
-    /// renormalised criterion selects candidates in.
-    ///
-    /// The comparator uses `total_cmp`: affinity ratios are never NaN by
-    /// construction ([`affinity_ratio`] maps zero mass to `0`, mass on an
-    /// isolated vertex to `+∞`, and everything else to a finite positive
-    /// quotient), so the IEEE total order agrees with the partial order on
-    /// every value that can occur, and a NaN produced by a future bug would
-    /// sort deterministically instead of silently collapsing comparisons to
-    /// `Equal`.
+    /// renormalised criterion selects candidates in. The comparator sort of
+    /// the [`WalkEngine::sweep_per_size`] reference path; the hot sweep sorts
+    /// packed keys instead (`build_positive_prefix`).
     fn sort_support_by_affinity(&self, ws: &mut WalkWorkspace) {
         let graph = self.graph;
         ws.affinity.clear();
@@ -480,33 +522,149 @@ impl<'g> WalkEngine<'g> {
             ws.affinity
                 .push((affinity_ratio(ws.current[u], graph.weighted_degree(u)), u));
         }
-        ws.affinity.sort_unstable_by(|&(ra, a), &(rb, b)| {
-            rb.total_cmp(&ra).then_with(|| degree_key_cmp(graph, a, b))
-        });
+        ws.affinity
+            .sort_unstable_by(|a, b| affinity_order_cmp(graph, a, b));
+    }
+
+    /// Builds the positive prefix of the renormalised sweep: the support's
+    /// positive-affinity vertices in the order of [`affinity_order_cmp`]
+    /// into `workspace.ordered`, their running mass and weighted volume into
+    /// `cum_mass`/`cum_degree`, and their membership into `chosen`. The
+    /// zero-affinity entries are left out; the sweep takes them in degree
+    /// order instead.
+    ///
+    /// Each entry is sorted as one `u64`: the affinity's bits, inverted so
+    /// that larger affinities sort first and shifted past the sign bit
+    /// (affinities are `≥ 0`, so it carries no order), with the lowest
+    /// `⌈log₂ n⌉` bits replaced by the vertex's rank in the degree order.
+    /// Equal affinities therefore sort exactly by `(weighted degree, id)`.
+    /// Affinities that differ only in the replaced bits tie on the truncated
+    /// part and are put right by re-sorting each such run with the
+    /// comparator, so the result is exactly the comparator's order.
+    fn build_positive_prefix(&self, ws: &mut WalkWorkspace) {
+        let graph = self.graph;
+        let order = self.degree_order();
+        let rank_bits = usize::BITS - graph.num_vertices().saturating_sub(1).leading_zeros();
+        let rank_mask = (1u64 << rank_bits) - 1;
+        ws.keys.clear();
+        for &u in &ws.support {
+            let ratio = affinity_ratio(ws.current[u], graph.weighted_degree(u));
+            debug_assert!(ratio >= 0.0, "affinities are non-negative and never NaN");
+            if ratio > 0.0 {
+                ws.keys
+                    .push(((!ratio.to_bits()) << 1) & !rank_mask | u64::from(order.rank[u]));
+            }
+        }
+        ws.keys.sort_unstable();
+
+        // One pass in key order: each vertex, its membership, the running
+        // mass and weighted volume (exact integers below 2^53 on an
+        // unweighted graph), and the first pair of keys that tie on the
+        // truncated bits. Exact capacities: doubling would give a full
+        // support's `n + 1` sums room for `2n`.
+        let positive = ws.keys.len();
+        ws.ordered.clear();
+        ws.cum_mass.clear();
+        ws.cum_degree.clear();
+        ws.ordered.reserve_exact(positive);
+        ws.cum_mass.reserve_exact(positive + 1);
+        ws.cum_degree.reserve_exact(positive + 1);
+        ws.cum_mass.push(0.0);
+        ws.cum_degree.push(0.0);
+        let (mut mass, mut volume) = (0.0f64, 0.0f64);
+        let mut first_tie = None;
+        let mut previous = None;
+        for (i, &key) in ws.keys.iter().enumerate() {
+            let rank = (key & rank_mask) as usize;
+            let u = order.vertices[rank];
+            mass += ws.current[u];
+            volume += order.degrees[rank];
+            ws.ordered.push(u);
+            ws.cum_mass.push(mass);
+            ws.cum_degree.push(volume);
+            ws.chosen.insert(u);
+            let truncated = key >> rank_bits;
+            if first_tie.is_none() && previous == Some(truncated) {
+                first_tie = Some(i - 1);
+            }
+            previous = Some(truncated);
+        }
+        if let Some(from) = first_tie {
+            self.resort_tied_runs(ws, from, rank_bits);
+        }
+    }
+
+    /// Re-sorts, from position `from` on, each run of `workspace.ordered`
+    /// whose keys tie on their truncated affinity bits, with the comparator,
+    /// and redoes the running sums from the first run that moved. A run of
+    /// one affinity is already in rank order.
+    fn resort_tied_runs(&self, ws: &mut WalkWorkspace, from: usize, rank_bits: u32) {
+        let graph = self.graph;
+        let mut moved_from = None;
+        let mut start = from;
+        for end in from + 1..=ws.keys.len() {
+            if end < ws.keys.len() && ws.keys[end] >> rank_bits == ws.keys[start] >> rank_bits {
+                continue;
+            }
+            let run = start..end;
+            start = end;
+            if run.len() < 2 {
+                continue;
+            }
+            ws.affinity.clear();
+            ws.affinity.extend(
+                ws.ordered[run.clone()]
+                    .iter()
+                    .map(|&u| (affinity_ratio(ws.current[u], graph.weighted_degree(u)), u)),
+            );
+            if ws.affinity.windows(2).all(|pair| pair[0].0 == pair[1].0) {
+                continue;
+            }
+            ws.affinity
+                .sort_unstable_by(|a, b| affinity_order_cmp(graph, a, b));
+            for (slot, &(_, u)) in ws.ordered[run.clone()].iter_mut().zip(&ws.affinity) {
+                *slot = u;
+            }
+            moved_from.get_or_insert(run.start);
+        }
+        if let Some(moved) = moved_from {
+            let (mut mass, mut volume) = (ws.cum_mass[moved], ws.cum_degree[moved]);
+            for (i, &u) in ws.ordered.iter().enumerate().skip(moved) {
+                mass += ws.current[u];
+                volume += graph.weighted_degree(u);
+                ws.cum_mass[i + 1] = mass;
+                ws.cum_degree[i + 1] = volume;
+            }
+        }
     }
 
     /// The renormalised sweep as a single incremental prefix scan.
     ///
-    /// Every candidate set is a prefix of the same merged order (the
-    /// affinity-sorted support followed by — interleaved at zero affinity —
-    /// the degree-sorted tail), so the merge is performed once and each
-    /// candidate size is answered from running prefix sums. Writing the
-    /// per-size score `Σ_{u∈S} |p(u)/p(S) − d(u)/µ′(S)|` as a sum of its
-    /// positive and negative terms splits it at the single index where the
-    /// affinity `p(u)/d(u)` crosses `p(S)/µ′(S)` (the prefix is sorted by
-    /// exactly that key), which one binary search per size locates:
+    /// Every candidate set is a prefix of the same merged order: the
+    /// positive-affinity support in affinity order, then the rest of the
+    /// graph — the zero-mass vertices and the support entries whose affinity
+    /// is `0` — in `(weighted degree, id)` order, since they all tie at
+    /// affinity `0`. Past the positive prefix that order is the engine's
+    /// degree order with the positive-affinity vertices skipped, so it is
+    /// read lazily off that order, never materialised. Writing the per-size
+    /// score `Σ_{u∈S} |p(u)/p(S) − d(u)/µ′(S)|` as a sum of its positive and
+    /// negative terms splits it at the single index where the affinity
+    /// `p(u)/d(u)` crosses `p(S)/µ′(S)` (the prefix is sorted by exactly
+    /// that key), which one binary search per size locates:
     ///
     /// ```text
     /// score(S) = (mass_high − mass_low)/p(S) + (vol_low − vol_high)/µ′(S)
     /// ```
     ///
-    /// with `mass_*`/`vol_*` read off prefix sums of the walk mass and the
-    /// degrees on either side of the crossing. The candidate prefixes are
-    /// identical to the per-size path by construction; the regrouped `score`
-    /// may differ from the per-term sum in the last bits, which matters for
-    /// a `holds` decision only in the (never observed, property-pinned
-    /// absent) case of a score landing within that rounding band of the
-    /// threshold — see the module docs.
+    /// with `mass_*`/`vol_*` read off running sums of the walk mass and the
+    /// degrees on either side of the crossing. The running sums add the same
+    /// terms in the same order as a full merge would, so they are
+    /// bit-identical to it on weighted graphs too. The candidate prefixes
+    /// are identical to the per-size path by construction; the regrouped
+    /// `score` may differ from the per-term sum in the last bits, which
+    /// matters for a `holds` decision only in the (never observed,
+    /// property-pinned absent) case of a score landing within that rounding
+    /// band of the threshold — see the module docs.
     fn sweep_renormalized(
         &self,
         ws: &mut WalkWorkspace,
@@ -514,77 +672,59 @@ impl<'g> WalkEngine<'g> {
     ) -> LocalMixingOutcome {
         let graph = self.graph;
         let n = graph.num_vertices();
-        let sizes = config.candidate_sizes(n);
-        let max_size = sizes.last().copied().unwrap_or(0);
+        let order = self.degree_order();
+        self.build_positive_prefix(ws);
+        let positive = ws.ordered.len();
+        let mut mass = ws.cum_mass[positive];
+        let mut volume = ws.cum_degree[positive];
 
-        // One merge for all sizes: the same order `check_size_renormalized`
-        // rebuilds per size. Tail entries carry exactly zero mass, so the
-        // running mass only advances on support entries — skipping the
-        // `+ 0.0` keeps the prefix mass bit-identical to the per-size sum.
-        ws.merged.clear();
-        ws.merged_affinity.clear();
-        ws.cum_mass.clear();
-        ws.cum_degree.clear();
-        ws.cum_mass.push(0.0);
-        ws.cum_degree.push(0.0);
-        let mut mass = 0.0f64;
-        // Running *weighted* volume: f64 prefix sums of the weighted
-        // degrees. On an unweighted graph every partial sum is an exact
-        // integer below 2^53, bit-identical to the previous u64 running sum.
-        let mut volume = 0.0f64;
-        let mut ai = 0usize;
-        let mut di = 0usize;
-        while ws.merged.len() < max_size {
-            let take_support = if ai < ws.affinity.len() {
-                if di >= ws.tail.len() {
-                    true
-                } else {
-                    let (ratio, u) = ws.affinity[ai];
-                    // The tail's affinity is exactly 0, so any positive
-                    // support affinity wins; a support vertex whose mass
-                    // underflowed to 0 ties and falls back to (weighted
-                    // degree, id).
-                    ratio > 0.0 || degree_key_cmp(graph, u, ws.tail[di]).is_lt()
-                }
-            } else {
-                false
-            };
-            if take_support {
-                let (ratio, u) = ws.affinity[ai];
-                ai += 1;
-                mass += ws.current[u];
-                volume += graph.weighted_degree(u);
-                ws.merged.push(u);
-                ws.merged_affinity.push(ratio);
-            } else if di < ws.tail.len() {
-                let v = ws.tail[di];
-                di += 1;
-                volume += graph.weighted_degree(v);
-                ws.merged.push(v);
-                ws.merged_affinity.push(0.0);
-            } else {
-                break;
-            }
-            ws.cum_mass.push(mass);
-            ws.cum_degree.push(volume);
-        }
-
+        // Past the positive prefix: `taken` candidates so far, `reached`
+        // entries of the degree order read. Zero-mass vertices add no `+ 0.0`
+        // to the running mass; zero-affinity support entries add their mass.
+        let mut taken = positive;
+        let mut reached = 0usize;
         let mut best_size = 0usize;
+        let mut best_reached = 0usize;
+        let sizes = config.candidate_sizes(n);
         let mut checks = Vec::with_capacity(sizes.len());
         for size in sizes {
-            let size = size.min(ws.merged.len());
+            let size = size.min(n);
+            while taken < size {
+                let v = order.vertices[reached];
+                let degree = order.degrees[reached];
+                reached += 1;
+                if ws.chosen.contains(v) {
+                    continue;
+                }
+                volume += degree;
+                if ws.mask.contains(v) {
+                    mass += ws.current[v];
+                }
+                taken += 1;
+            }
+            let (retained, size_volume) = if size <= positive {
+                (ws.cum_mass[size], ws.cum_degree[size])
+            } else {
+                (mass, volume)
+            };
             let average_volume = graph.weighted_volume() / n as f64 * size as f64;
-            let retained = ws.cum_mass[size];
             let score_sum = if retained > 0.0 {
                 // Terms are positive while p(u)/w(u) ≥ p(S)/µ′(S); the prefix
                 // is sorted descending by that affinity, so the crossing is a
-                // partition point of the (never-NaN) affinity array.
+                // partition point of the (never-NaN) affinities. Entries past
+                // the positive prefix have affinity exactly 0 and lie on the
+                // high side only when the crossing underflows to 0 too.
                 let crossing_affinity = retained / average_volume;
-                let k = ws.merged_affinity[..size].partition_point(|&a| a >= crossing_affinity);
-                let mass_high = ws.cum_mass[k];
+                let (mass_high, vol_high) = if crossing_affinity > 0.0 {
+                    let k = ws.ordered[..size.min(positive)].partition_point(|&u| {
+                        affinity_ratio(ws.current[u], graph.weighted_degree(u)) >= crossing_affinity
+                    });
+                    (ws.cum_mass[k], ws.cum_degree[k])
+                } else {
+                    (retained, size_volume)
+                };
                 let mass_low = retained - mass_high;
-                let vol_high = ws.cum_degree[k];
-                let vol_low = ws.cum_degree[size] - ws.cum_degree[k];
+                let vol_low = size_volume - vol_high;
                 (mass_high - mass_low) / retained + (vol_low - vol_high) / average_volume
             } else {
                 f64::INFINITY
@@ -597,15 +737,27 @@ impl<'g> WalkEngine<'g> {
             });
             if holds {
                 best_size = size;
+                best_reached = reached;
             }
         }
-        let set = if best_size > 0 {
-            let mut members = ws.merged[..best_size].to_vec();
-            members.sort_unstable();
-            Some(members)
+
+        // Members in id order, read off `chosen`: the positive prefix up to
+        // the best size, or all of it plus the degree-order entries the walk
+        // had taken by then.
+        if best_size <= positive {
+            for &u in &ws.ordered[best_size..] {
+                ws.chosen.remove(u);
+            }
         } else {
-            None
-        };
+            for &v in &order.vertices[..best_reached] {
+                ws.chosen.insert(v);
+            }
+        }
+        let set = (best_size > 0).then(|| {
+            let mut members = Vec::with_capacity(best_size);
+            ws.chosen.drain_into(&mut members);
+            members
+        });
         LocalMixingOutcome { set, checks }
     }
 
@@ -758,6 +910,23 @@ impl<'g> WalkEngine<'g> {
     }
 }
 
+/// The renormalised sweep's candidate order on `(affinity, vertex)` pairs:
+/// descending affinity, ties by [`degree_key_cmp`].
+///
+/// Uses `total_cmp`: affinity ratios are never NaN by construction
+/// ([`affinity_ratio`] maps zero mass to `0`, mass on an isolated vertex to
+/// `+∞`, and everything else to a finite positive quotient), so the IEEE
+/// total order agrees with the partial order on every value that can occur,
+/// and a NaN produced by a future bug would sort deterministically instead of
+/// silently collapsing comparisons to `Equal`.
+fn affinity_order_cmp(
+    graph: &Graph,
+    &(ra, a): &(f64, VertexId),
+    &(rb, b): &(f64, VertexId),
+) -> std::cmp::Ordering {
+    rb.total_cmp(&ra).then_with(|| degree_key_cmp(graph, a, b))
+}
+
 /// Total order on vertices by `(weighted degree, id)` — the candidate
 /// ordering key of the mixing sweep. Weighted degrees are finite by
 /// construction, so `total_cmp` agrees with the numeric order; on an
@@ -815,25 +984,31 @@ pub struct WalkWorkspace {
     /// for the incoming support by the end of the step.
     pub(crate) mask: BitMask,
     /// Sweep scratch: `(score, vertex)` candidate pairs (strict/adaptive
-    /// criteria) or `(probability, vertex)` merged prefixes (renormalised).
+    /// criteria) or `(probability, vertex)` merged prefixes (renormalised,
+    /// per-size reference path).
     candidates: Vec<(f64, VertexId)>,
     /// Renormalised-sweep scratch: the support sorted by walk affinity
-    /// `p(u)/d(u)` descending, as `(affinity, vertex)` pairs.
+    /// `p(u)/d(u)` descending, as `(affinity, vertex)` pairs (per-size
+    /// reference path), or one tied run being re-sorted (prefix scan).
     affinity: Vec<(f64, VertexId)>,
-    /// Per-sweep tail: the degree-sorted vertex order with the current
-    /// support filtered out, rebuilt once per sweep.
-    tail: Vec<VertexId>,
-    /// Prefix-scan scratch (renormalised sweep): the merged candidate order
-    /// shared by every candidate size of one sweep…
-    merged: Vec<VertexId>,
-    /// …its affinities (descending; exactly `0.0` on the zero-mass tail)…
-    merged_affinity: Vec<f64>,
-    /// …running walk mass over the merged prefix (index `i` holds the mass
-    /// of the first `i` candidates)…
+    /// Prefix-scan scratch: the packed `u64` sort keys of the
+    /// positive-affinity support entries…
+    keys: Vec<u64>,
+    /// …those entries' vertices in candidate order…
+    ordered: Vec<VertexId>,
+    /// …running walk mass over that positive prefix (index `i` holds the
+    /// mass of its first `i` entries)…
     cum_mass: Vec<f64>,
-    /// …and running weighted volume (sum of weighted degrees) over the
-    /// merged prefix — exact integer values on unweighted graphs.
+    /// …running weighted volume (sum of weighted degrees) over it — exact
+    /// integer values on unweighted graphs…
     cum_degree: Vec<f64>,
+    /// …and the vertices chosen so far: the positive prefix while the sweep
+    /// walks the degree order, then the winning set, read out in id order
+    /// and cleared before the sweep returns.
+    chosen: BitMask,
+    /// Per-sweep tail of the per-size checks: the degree-sorted vertex order
+    /// with the current support filtered out.
+    tail: Vec<VertexId>,
 }
 
 impl WalkWorkspace {
@@ -852,11 +1027,12 @@ impl WalkWorkspace {
             mask: BitMask::with_capacity(n),
             candidates: Vec::new(),
             affinity: Vec::new(),
-            tail: Vec::new(),
-            merged: Vec::new(),
-            merged_affinity: Vec::new(),
+            keys: Vec::new(),
+            ordered: Vec::new(),
             cum_mass: Vec::new(),
             cum_degree: Vec::new(),
+            chosen: BitMask::with_capacity(n),
+            tail: Vec::new(),
         }
     }
 
@@ -986,9 +1162,9 @@ impl WalkWorkspace {
 
     /// The bit-packed support membership mask (bit `v` set ⟺ `v` is in
     /// [`WalkWorkspace::support`]). Lets membership-heavy consumers — the
-    /// sweep's tail filter, `cdrw_congest`'s cost accounting — answer
-    /// "does the walk touch `v`?" from one bit instead of searching the
-    /// support list.
+    /// sweep's tail filter and degree-order walk, `cdrw_congest`'s cost
+    /// accounting — answer "does the walk touch `v`?" from one bit instead
+    /// of searching the support list.
     pub fn support_mask(&self) -> &BitMask {
         &self.mask
     }

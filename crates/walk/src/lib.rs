@@ -26,9 +26,9 @@
 //!   degree-sorted order precomputed once per engine. Under the
 //!   renormalised criterion the candidate sets of *all* sizes are prefixes
 //!   of one merged affinity order, so the entire sweep is a single
-//!   incremental prefix scan (`O(|support| log |support| + n)` total
-//!   instead of `O(Σ|S|) ≈ 24n`; the complexity table in the [`WalkEngine`]
-//!   module docs has the before/after). The dense sweep pays `O(n)` per
+//!   incremental prefix scan (a sort of the positive-affinity support plus
+//!   a read-only walk of the degree order, instead of `O(Σ|S|) ≈ 24n`; the
+//!   complexity table in the [`WalkEngine`] module docs has the details). The dense sweep pays `O(n)` per
 //!   size regardless of the support.
 //! * [`WalkWorkspace`] is allocated once and reused across steps *and seeds*
 //!   (`cdrw_core::Cdrw::detect_all` re-seeds one workspace for every

@@ -134,6 +134,18 @@ impl BitMask {
         })
     }
 
+    /// Appends the set vertices to `out` in ascending order and clears them
+    /// (`O(capacity/64 + set bits)`).
+    pub fn drain_into(&mut self, out: &mut Vec<VertexId>) {
+        for (i, word) in self.words.iter_mut().enumerate() {
+            let mut w = std::mem::take(word);
+            while w != 0 {
+                out.push(i * WORD_BITS + w.trailing_zeros() as usize);
+                w &= w - 1; // drop the lowest set bit
+            }
+        }
+    }
+
     /// The raw storage words (bit `v % 64` of word `v / 64` is vertex `v`).
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -219,6 +231,10 @@ mod tests {
             for (v, &set) in reference.iter().enumerate() {
                 prop_assert_eq!(mask.contains(v), set);
             }
+            let mut drained = vec![usize::MAX];
+            mask.drain_into(&mut drained);
+            prop_assert_eq!(&drained[1..], &model_set[..]);
+            prop_assert_eq!(mask.count_ones(), 0);
         }
     }
 }

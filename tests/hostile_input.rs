@@ -2,7 +2,7 @@
 //! errors, never as panics.
 
 use cdrw_bench::json::{Json, MAX_DEPTH};
-use cdrw_repro::graph::io::parse_edge_list;
+use cdrw_repro::graph::io::{parse_edge_list, parse_metis};
 use cdrw_repro::graph::GraphError;
 
 #[test]
@@ -24,6 +24,31 @@ fn edge_list_with_the_largest_vertex_id_is_a_parse_error() {
     // Ordinary ids still parse.
     let graph = parse_edge_list("0 1\n1 2").unwrap();
     assert_eq!(graph.num_vertices(), 3);
+}
+
+#[test]
+fn metis_header_with_four_billion_vertices_is_a_parse_error() {
+    // The header's `n` only sizes the row count the parser expects: the
+    // builder allocates nothing per vertex, and the rows are counted before
+    // `build()`. A per-vertex allocation here would ask for tens of GiB.
+    for (text, found) in [
+        ("4000000000 0\n", 0),
+        ("4000000000 1\n2\n1\n", 2),
+        ("% comment\n4000000000 1 1\n2 0.5\n1 0.5\n", 2),
+    ] {
+        match parse_metis(text) {
+            Err(GraphError::ParseError { reason, .. }) => assert!(
+                reason.contains(&format!(
+                    "expected 4000000000 adjacency lines, found {found}"
+                )),
+                "{text:?}: {reason}"
+            ),
+            other => panic!("{text:?} should be a parse error, got {other:?}"),
+        }
+    }
+    // The same rows under an honest header still parse.
+    let graph = parse_metis("2 1\n2\n1\n").unwrap();
+    assert_eq!((graph.num_vertices(), graph.num_edges()), (2, 1));
 }
 
 #[test]
