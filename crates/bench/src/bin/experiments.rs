@@ -37,8 +37,11 @@
 //! `max(1, ⌈reseed/2⌉)`). The `ablations` experiment always compares all
 //! criteria, ensemble policies and assembly policies head-to-head regardless
 //! of the flags. `kmachine-exec` runs the pipeline on the *real* sharded
-//! execution engine (worker threads exchanging probability-mass deltas) and
-//! records measured-vs-modelled message counts; `--kmachine K` pins its
+//! execution engine (worker threads exchanging one walk share per source and
+//! remote shard, each receiver expanding the shares over its own rows) and
+//! records measured-vs-modelled message counts — the messages counted at the
+//! receivers, one per edge contribution applied — next to the share entries
+//! that crossed between shards; `--kmachine K` pins its
 //! shard count to a single `K` instead of the default `{1, 2, 4, 8}` sweep.
 //! `dcsbm` (alias `--dcsbm`) scores CDRW with ensemble + assembly against
 //! all four baselines on degree-corrected SBM instances of growing

@@ -135,7 +135,10 @@ pub fn kmachine_scaling(scale: Scale, base_seed: u64, options: RunOptions) -> Fi
 /// pipeline distributed over `k` worker shards and reports the *measured*
 /// flood message counts next to the exact-delta model's prediction — the two
 /// must agree exactly (the engine's conformance contract), so this table
-/// doubles as a standing end-to-end check of the sharded execution.
+/// doubles as a standing end-to-end check of the sharded execution. Next to
+/// them it reports the share entries that crossed between shards: one per
+/// (source, remote shard homing a neighbour) per walk step, where the
+/// messages count one per edge.
 ///
 /// `k_override` (the CLI's `--kmachine K`) pins a single shard count;
 /// otherwise the table sweeps `k ∈ {1, 2, 4, 8}`.
@@ -190,6 +193,7 @@ pub fn kmachine_execution(
                 ledger.measured_messages as f64,
             )
             .with_extra("modelled messages", ledger.modelled_messages as f64)
+            .with_extra("wire entries", ledger.wire_entries as f64)
             .with_extra("physical rounds", ledger.physical_rounds as f64)
             .with_extra("lane rounds", ledger.lane_rounds as f64)
             .with_extra("communities", report.result.detections().len() as f64)
@@ -226,6 +230,12 @@ mod tests {
             let modelled = point.extras.iter().find(|(k, _)| k == "modelled messages");
             assert_eq!(point.value, modelled.unwrap().1, "{}", point.x_label);
             assert!(point.value > 0.0);
+            // One share entry per (source, remote shard): none on a single
+            // shard, never more than the edge messages it stands for.
+            let wire = point.extras.iter().find(|(k, _)| k == "wire entries");
+            let wire = wire.unwrap().1;
+            assert!(wire <= point.value, "{}", point.x_label);
+            assert_eq!(wire == 0.0, point.x_label == "k = 1", "{}", point.x_label);
         }
         // Every shard count runs the same walks, so the flood is identical.
         assert!(measured.windows(2).all(|w| w[0] == w[1]), "{measured:?}");

@@ -8,16 +8,18 @@
 //! parallel driver must scale on a multi-core runner, the bit-packed
 //! walk state must not lose to the epoch-stamped reference layout it
 //! replaced, the weight-lane dispatch must cost ≤ 1.1× on the
-//! unweighted step path against the preserved pre-weight-lane kernel, and
-//! the fault-free chaos wrapper must cost ≤ 1.1× of the bare sharded run
-//! (the zero plan short-circuits to the inner transport). Every bar gates
-//! the median ratio of warmed, interleaved pairs ([`perf::median_pair`]),
-//! so scheduler noise shifts the ratio, not the verdict.
+//! unweighted step path against the preserved pre-weight-lane kernel, the
+//! fault-free chaos wrapper must cost ≤ 1.1× of the bare sharded run (the
+//! zero plan short-circuits to the inner transport), and a two-shard run
+//! must cost ≤ 2.2× of the sequential run on a clear-cell PPM. Every bar
+//! gates the median ratio of warmed, interleaved pairs
+//! ([`perf::median_pair`]), so scheduler noise shifts the ratio, not the
+//! verdict.
 
 use cdrw_bench::perf::{self, median_pair};
 use cdrw_congest::CongestConfig;
 use cdrw_core::{Cdrw, CdrwConfig};
-use cdrw_gen::{generate_ppm, PpmParams};
+use cdrw_gen::{generate_ppm, params, PpmParams};
 use cdrw_kmachine::{FaultPlan, KMachineConfig, KMachineEngine};
 use cdrw_walk::{stamp_reference, WalkBatch, WalkEngine};
 use std::time::Instant;
@@ -114,6 +116,57 @@ fn fault_free_chaos_wrapper_costs_at_most_1_1x_of_the_bare_sharded_run() {
         "fault-free chaos wrapper at a median {ratio:.3}x of the bare sharded \
          run over {PAIRS} interleaved pairs, above the 1.1x acceptance bar \
          (median pair: wrapped {wrapped_ms:.1} ms, bare {bare_ms:.1} ms)"
+    );
+}
+
+#[test]
+#[ignore = "timing assertion — run by the CI perf-smoke job with -- --ignored"]
+fn sharded_run_costs_at_most_2_2x_of_the_sequential_run() {
+    // The shard-exchange bar: a two-shard run of the full pipeline against
+    // `Cdrw::detect_all` on the same clear-cell PPM (8 blocks, p = 2·ln²n/n,
+    // q = 0.1/n, single walks, raw assembly). Each round ships one share
+    // per (source, peer shard) and the receivers expand them over their
+    // own rows; shipping one delta per edge instead measured a median
+    // 2.9x here, and the share exchange 1.8x. The bar sits 30% above the
+    // latter. Both sides run in interleaved pairs, alternating which goes
+    // first, and the median per-pair ratio is gated.
+    let n = 8192usize;
+    let p = params::log_squared_n_over_n(n, 2.0);
+    let ppm = PpmParams::new(n, 8, p, 0.1 / n as f64).unwrap();
+    let (graph, _) = generate_ppm(&ppm, 20190416).unwrap();
+    let delta = ppm.expected_block_conductance().clamp(0.01, 1.0);
+    let algorithm = CdrwConfig::builder().seed(20190416).delta(delta).build();
+    let cdrw = Cdrw::new(algorithm);
+    let expected = cdrw.detect_all(&graph).unwrap();
+    let engine = KMachineEngine::new(
+        KMachineConfig::new(2)
+            .with_congest(CongestConfig::new(algorithm))
+            .with_partition_seed(20190416),
+    )
+    .unwrap();
+
+    let sharded_ms = || {
+        let start = Instant::now();
+        let report = engine.run(&graph).unwrap();
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(report.result, expected);
+        ms
+    };
+    let sequential_ms = || {
+        let start = Instant::now();
+        let result = cdrw.detect_all(&graph).unwrap();
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(result, expected);
+        ms
+    };
+    const PAIRS: usize = 15;
+    let (sharded, sequential) = median_pair(PAIRS, &mut { sharded_ms }, &mut { sequential_ms });
+    let ratio = sharded / sequential;
+    assert!(
+        ratio <= 2.2,
+        "two-shard run at a median {ratio:.2}x of the sequential run over \
+         {PAIRS} interleaved pairs, above the 2.2x acceptance bar (median \
+         pair: sharded {sharded:.1} ms, sequential {sequential:.1} ms)"
     );
 }
 

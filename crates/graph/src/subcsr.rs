@@ -10,16 +10,18 @@
 //! degrees followed by straight `extend_from_slice` row copies, the same
 //! counting-sort shape as [`crate::GraphBuilder`]'s CSR assembly.
 //!
-//! The extraction also records, per owned vertex, whether any neighbour is
-//! homed remotely (a *boundary* vertex, whose walk mass must travel over the
-//! network each step) — the boundary map drives the shard engine's
-//! message-exchange fast paths and its fault-shape tests.
+//! The extraction also records, per owned vertex, its *peers*: the remote
+//! shards homing at least one of its neighbours, ascending. A vertex with a
+//! peer is a *boundary* vertex, whose walk mass must travel over the network
+//! each step; the peer lists are the shard engine's routing table, one
+//! share per (source, peer) per walk step.
 
 use crate::csr::Graph;
 use crate::VertexId;
 
 /// A shard's slice of a [`Graph`]: the rows of its owned vertices, neighbour
-/// identifiers global, plus the owned→global map and the boundary map.
+/// identifiers global, plus the owned→global map and the per-vertex peer
+/// lists.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubCsr {
     /// Owned vertices in ascending global order.
@@ -34,8 +36,11 @@ pub struct SubCsr {
     /// Weighted degree per owned vertex, copied from the originating graph
     /// (bit-identical to its row-order sums); present iff `weights` is.
     weighted_degrees: Option<Vec<f64>>,
-    /// `boundary[i]` ⟺ owned vertex `i` has at least one remote neighbour.
-    boundary: Vec<bool>,
+    /// Offsets into `peers`; length `owned.len() + 1`.
+    peer_offsets: Vec<usize>,
+    /// Concatenated per-owned-vertex peer lists: the remote shards homing a
+    /// neighbour, ascending and duplicate-free.
+    peers: Vec<usize>,
     /// Number of stored edge endpoints whose far end is remote.
     remote_endpoints: usize,
     /// Vertex count of the originating graph (global id range).
@@ -44,16 +49,16 @@ pub struct SubCsr {
 
 impl SubCsr {
     /// Extracts the sub-CSR of `owned` (must be sorted ascending and
-    /// duplicate-free) from `graph`. `is_owned` tells whether a *global*
-    /// vertex is homed on this shard; it must agree with `owned`.
+    /// duplicate-free) from `graph`. `home` maps a *global* vertex to the
+    /// shard homing it; every owned vertex must map to this shard.
     ///
     /// # Panics
     ///
     /// Panics if `owned` is unsorted/duplicated or contains an out-of-range
     /// vertex.
-    pub fn extract<F>(graph: &Graph, owned: &[VertexId], is_owned: F) -> Self
+    pub fn extract<F>(graph: &Graph, owned: &[VertexId], home: F) -> Self
     where
-        F: Fn(VertexId) -> bool,
+        F: Fn(VertexId) -> usize,
     {
         assert!(
             owned.windows(2).all(|w| w[0] < w[1]),
@@ -76,7 +81,9 @@ impl SubCsr {
         }
         let mut neighbors = Vec::with_capacity(total);
         let mut weights = graph.is_weighted().then(|| Vec::with_capacity(total));
-        let mut boundary = Vec::with_capacity(owned.len());
+        let mut peer_offsets = Vec::with_capacity(owned.len() + 1);
+        peer_offsets.push(0usize);
+        let mut peers = Vec::new();
         let mut remote_endpoints = 0usize;
         for &v in owned {
             let row = graph.neighbor_slice(v);
@@ -84,9 +91,19 @@ impl SubCsr {
             if let Some(lane) = &mut weights {
                 lane.extend_from_slice(graph.weight_slice(v).expect("weighted graph has rows"));
             }
-            let remote = row.iter().filter(|&&u| !is_owned(u)).count();
-            remote_endpoints += remote;
-            boundary.push(remote > 0);
+            let here = home(v);
+            let first = peers.len();
+            for &u in row {
+                let m = home(u);
+                if m != here {
+                    remote_endpoints += 1;
+                    if !peers[first..].contains(&m) {
+                        peers.push(m);
+                    }
+                }
+            }
+            peers[first..].sort_unstable();
+            peer_offsets.push(peers.len());
         }
         let weighted_degrees = graph
             .is_weighted()
@@ -97,7 +114,8 @@ impl SubCsr {
             neighbors,
             weights,
             weighted_degrees,
-            boundary,
+            peer_offsets,
+            peers,
             remote_endpoints,
             num_global_vertices: graph.num_vertices(),
         }
@@ -168,14 +186,22 @@ impl SubCsr {
         }
     }
 
+    /// The remote shards homing at least one neighbour of the `i`-th owned
+    /// vertex, ascending and duplicate-free.
+    pub fn peers(&self, i: usize) -> &[usize] {
+        &self.peers[self.peer_offsets[i]..self.peer_offsets[i + 1]]
+    }
+
     /// Whether the `i`-th owned vertex has at least one remote neighbour.
     pub fn is_boundary(&self, i: usize) -> bool {
-        self.boundary[i]
+        self.peer_offsets[i + 1] > self.peer_offsets[i]
     }
 
     /// Number of owned boundary vertices.
     pub fn num_boundary(&self) -> usize {
-        self.boundary.iter().filter(|&&b| b).count()
+        (0..self.num_owned())
+            .filter(|&i| self.is_boundary(i))
+            .count()
     }
 
     /// Total stored edge endpoints (the sum of owned degrees — the shard's
@@ -203,7 +229,7 @@ mod tests {
     fn rows_match_the_global_graph() {
         let g = path(6);
         let owned = [1usize, 3, 4];
-        let sub = SubCsr::extract(&g, &owned, |v| owned.contains(&v));
+        let sub = SubCsr::extract(&g, &owned, |v| usize::from(!owned.contains(&v)));
         assert_eq!(sub.num_owned(), 3);
         assert_eq!(sub.num_global_vertices(), 6);
         for (i, &v) in owned.iter().enumerate() {
@@ -225,7 +251,7 @@ mod tests {
         // Own {3, 4}: vertex 3 borders remote vertex 2; vertex 4's only
         // neighbour (3) is local.
         let owned = [3usize, 4];
-        let sub = SubCsr::extract(&g, &owned, |v| owned.contains(&v));
+        let sub = SubCsr::extract(&g, &owned, |v| usize::from(!owned.contains(&v)));
         assert!(sub.is_boundary(0));
         assert!(!sub.is_boundary(1));
         assert_eq!(sub.num_boundary(), 1);
@@ -233,11 +259,25 @@ mod tests {
     }
 
     #[test]
+    fn peers_list_each_remote_home_once_ascending() {
+        // Vertex 2 of a 5-vertex star centred on it, leaves homed on shards
+        // 2, 1, 2 and 0: the centre (shard 0) has one peer per remote home.
+        let g = GraphBuilder::from_edges(5, (0..5).filter(|&v| v != 2).map(|v| (2, v))).unwrap();
+        let assignment = [2usize, 1, 0, 2, 0];
+        let sub = SubCsr::extract(&g, &[2, 4], |v| assignment[v]);
+        assert_eq!(sub.peers(0), &[1, 2]);
+        assert!(sub.is_boundary(0));
+        assert_eq!(sub.peers(1), &[] as &[usize]);
+        assert!(!sub.is_boundary(1));
+        assert_eq!(sub.remote_endpoints(), 3);
+    }
+
+    #[test]
     fn all_neighbours_remote_is_fully_boundary() {
         // A star with the centre owned alone: every stored endpoint is
         // remote.
         let g = GraphBuilder::from_edges(5, (1..5).map(|leaf| (0, leaf))).unwrap();
-        let sub = SubCsr::extract(&g, &[0], |v| v == 0);
+        let sub = SubCsr::extract(&g, &[0], |v| usize::from(v != 0));
         assert!(sub.is_boundary(0));
         assert_eq!(sub.remote_endpoints(), 4);
         assert_eq!(sub.stored_endpoints(), 4);
@@ -246,7 +286,7 @@ mod tests {
     #[test]
     fn empty_shard_is_well_formed() {
         let g = path(4);
-        let sub = SubCsr::extract(&g, &[], |_| false);
+        let sub = SubCsr::extract(&g, &[], |_| 1);
         assert!(sub.is_empty());
         assert_eq!(sub.num_owned(), 0);
         assert_eq!(sub.stored_endpoints(), 0);
@@ -260,7 +300,7 @@ mod tests {
         let total: usize = (0..3)
             .map(|m| {
                 let owned: Vec<VertexId> = (0..7).filter(|&v| assignment[v] == m).collect();
-                SubCsr::extract(&g, &owned, |v| assignment[v] == m).stored_endpoints()
+                SubCsr::extract(&g, &owned, |v| assignment[v]).stored_endpoints()
             })
             .sum();
         assert_eq!(total, g.total_volume());
@@ -274,7 +314,7 @@ mod tests {
         b.add_weighted_edge(2, 3, 4.0).unwrap();
         let g = b.build();
         let owned = [1usize, 3];
-        let sub = SubCsr::extract(&g, &owned, |v| owned.contains(&v));
+        let sub = SubCsr::extract(&g, &owned, |v| usize::from(!owned.contains(&v)));
         assert!(sub.is_weighted());
         assert_eq!(sub.weight_slice(0), Some(&[2.0, 3.0][..]));
         assert_eq!(sub.weight_slice(1), Some(&[4.0][..]));
@@ -285,7 +325,7 @@ mod tests {
             );
         }
         let unweighted = GraphBuilder::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        let plain = SubCsr::extract(&unweighted, &owned, |v| owned.contains(&v));
+        let plain = SubCsr::extract(&unweighted, &owned, |v| usize::from(!owned.contains(&v)));
         assert!(!plain.is_weighted());
         assert_eq!(plain.weight_slice(0), None);
         assert_eq!(plain.weighted_degree(0), 2.0);
@@ -295,6 +335,6 @@ mod tests {
     #[should_panic(expected = "sorted")]
     fn unsorted_owned_list_panics() {
         let g = path(4);
-        let _ = SubCsr::extract(&g, &[2, 1], |_| true);
+        let _ = SubCsr::extract(&g, &[2, 1], |_| 0);
     }
 }

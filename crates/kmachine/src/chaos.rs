@@ -249,7 +249,7 @@ fn identity(message: &Message, endpoint: Peer) -> Option<u64> {
     let (tag, a, b): (u64, u64, u64) = match message {
         Message::LoadLanes { seq, .. } => (1, *seq, 0),
         Message::Step { seq, .. } => (2, *seq, 0),
-        Message::Deltas { seq, from, .. } => (3, *seq, *from as u64),
+        Message::Shares { seq, from, .. } => (3, *seq, *from as u64),
         Message::StepDone { seq, shard, .. } => (4, *seq, *shard as u64),
         Message::Nack { shard, expected } => (5, *expected, *shard as u64),
         Message::Busy { seq, shard } => (8, *seq, *shard as u64),

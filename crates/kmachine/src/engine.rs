@@ -4,9 +4,12 @@
 //! [`KMachineEngine`] actually runs it distributed: the graph is split over
 //! `k` worker shards by the [`crate::RandomVertexPartition`] (each holding a
 //! [`cdrw_graph::SubCsr`] of its owned rows), every walk step is an explicit
-//! message round of probability-mass deltas between the shards
-//! ([`cdrw_walk::shard`]), and the one detect/ensemble/assembly
-//! [`Pipeline`] of `cdrw_core` runs to completion against the sharded state.
+//! message round between the shards ([`cdrw_walk::shard`]), and the one
+//! detect/ensemble/assembly [`Pipeline`] of `cdrw_core` runs to completion
+//! against the sharded state. In a round, every owned source with mass sends
+//! its one per-edge share `p(u)(1−α)/w(u)` once to each remote shard homing
+//! one of its neighbours, and each receiver expands the shares over its own
+//! rows.
 //!
 //! ## Conformance contract
 //!
@@ -19,13 +22,16 @@
 //!   `cdrw_core::Cdrw::detect_all` runs on local lanes, so the whole
 //!   [`DetectionResult`] (members, traces, partition, assembly report)
 //!   compares equal to `Cdrw::detect_all`'s.
-//! * **Measured messages equal the modelled flood.** Every emitted edge
-//!   delta is one counted message; per lane-round the count is exactly
-//!   `sparse_walk_step_cost` on the pre-step distribution, which is also
-//!   exactly the `flood` account the CONGEST runner charges per detection.
-//!   [`WalkConformance`] carries measured and modelled side by side, per
-//!   physical round and per detection, so the cost tests double as
-//!   conformance tests of the real execution.
+//! * **Measured messages equal the modelled flood.** Every edge
+//!   contribution a receiver applies is one counted CONGEST message —
+//!   counted where it lands, since one wire entry stands for all of a
+//!   source's edges into the receiving shard. Per lane-round the count is
+//!   exactly `sparse_walk_step_cost` on the pre-step distribution, which is
+//!   also exactly the `flood` account the CONGEST runner charges per
+//!   detection. [`WalkConformance`] carries measured and modelled side by
+//!   side, per physical round and per detection, so the cost tests double
+//!   as conformance tests of the real execution; next to them it records
+//!   the share entries that actually crossed between shards.
 //!
 //! Intentional deviations (asserted by the conformance suite, documented in
 //! `docs/PAPER_MAP.md`): sweep/coordination costs (BFS trees, binary-search
@@ -42,7 +48,7 @@
 //! (duplicates are absorbed by the shards — see [`crate::shard`]), and a
 //! shard that stays silent past the retry budget is declared dead and
 //! re-materialised from its last [`Message::Checkpoint`] plus a replay of
-//! the command log (peers re-send the replay window's delta buckets on
+//! the command log (peers re-send the replay window's share buckets on
 //! [`Message::Assist`]). Replayed and duplicate traffic is charged to a
 //! separate [`FaultLog`] — the conformance ledger counts only the first
 //! accepted reply per round, so measured-vs-modelled equality survives
@@ -76,10 +82,13 @@ pub struct RoundConformance {
     pub round: u64,
     /// Lanes stepped together in this physical round.
     pub lanes: u32,
-    /// Edge deltas the shards actually sent (summed over lanes).
+    /// Edge contributions the shards actually applied (summed over lanes).
     pub measured_messages: u64,
     /// `sparse_walk_step_cost` on each lane's pre-step distribution (summed).
     pub modelled_messages: u64,
+    /// Share entries that crossed between shards (summed over lanes; each
+    /// shard's own run excluded).
+    pub wire_entries: u64,
 }
 
 /// Flood conformance of one detection (or of the assembly phase): the
@@ -92,7 +101,7 @@ pub struct DetectionFlood {
     pub lane_rounds: u64,
     /// Physical rounds executed (≤ `lane_rounds`: batched lanes share one).
     pub physical_rounds: u64,
-    /// Edge deltas actually sent.
+    /// Edge contributions actually applied.
     pub measured_messages: u64,
     /// The congest model's expected flood messages.
     pub modelled_messages: u64,
@@ -105,10 +114,13 @@ pub struct WalkConformance {
     pub physical_rounds: u64,
     /// Per-lane walk rounds (what the congest model charges as flood rounds).
     pub lane_rounds: u64,
-    /// Total edge deltas sent by the shards.
+    /// Total edge contributions applied by the shards.
     pub measured_messages: u64,
     /// Total `sparse_walk_step_cost` messages over the same steps.
     pub modelled_messages: u64,
+    /// Total share entries that crossed between shards: one per (source,
+    /// remote shard homing a neighbour of it) per lane-round.
+    pub wire_entries: u64,
     /// Per-physical-round breakdown.
     pub per_round: Vec<RoundConformance>,
     /// Per-detection breakdown, in detection order.
@@ -145,7 +157,7 @@ pub struct FaultLog {
     /// Duplicate or replayed `StepDone` replies absorbed (not counted in the
     /// conformance ledger).
     pub duplicate_replies: u64,
-    /// Edge deltas carried by those duplicate/replayed replies — the
+    /// Edge contributions counted by those duplicate/replayed replies — the
     /// recovery overhead in model units.
     pub replayed_messages: u64,
     /// Shards that replied only after at least one retry of a round.
@@ -374,41 +386,29 @@ impl KMachineEngine {
             None => None,
         };
         let (links, transports, reconnector) = mpsc_mesh_recoverable(k);
-        let assignment = partition.assignment();
 
         let outcome = std::thread::scope(|scope| {
-            // Spawns one worker thread for shard `m`, extracting its SubCsr
-            // fresh (recovery cannot reuse the dead worker's, which lives on
-            // the wedged thread) and starting from the given checkpoint
+            // Spawns one worker thread for shard `m`. The thread extracts
+            // its SubCsr and builds its reverse index itself — fresh on a
+            // recovery, which cannot reuse the dead worker's (it lives on the
+            // wedged thread) — and starts from the given checkpoint
             // (`seq == 0` with an empty checkpoint is a cold start).
             let spawn =
                 |m: usize, transport: MpscTransport, seq: u64, checkpoint: Vec<LaneState>| {
-                    let sub = SubCsr::extract(graph, partition.vertices_of(m), |v| {
-                        partition.machine_of(v) == m
-                    });
-                    let worker = ShardWorker::from_checkpoint(
-                        m,
-                        k,
-                        sub,
-                        assignment,
-                        laziness,
-                        options,
-                        seq,
-                        &checkpoint,
-                    );
+                    let worker = move || {
+                        let sub = SubCsr::extract(graph, partition.vertices_of(m), |v| {
+                            partition.machine_of(v)
+                        });
+                        ShardWorker::from_checkpoint(m, k, sub, laziness, options, seq, &checkpoint)
+                    };
                     match &chaos {
                         Some(harness) => {
-                            let chaotic = harness.wrap(m, transport);
-                            scope.spawn(move || {
-                                let mut chaotic = chaotic;
-                                worker.run(&mut chaotic);
-                            });
+                            let mut chaotic = harness.wrap(m, transport);
+                            scope.spawn(move || worker().run(&mut chaotic));
                         }
                         None => {
-                            scope.spawn(move || {
-                                let mut transport = transport;
-                                worker.run(&mut transport);
-                            });
+                            let mut transport = transport;
+                            scope.spawn(move || worker().run(&mut transport));
                         }
                     }
                 };
@@ -532,7 +532,7 @@ impl<'g, 'l> Coordinator<'g, 'l> {
     }
 
     /// Re-materialises a silent shard from its last checkpoint: respawn a
-    /// worker, ask the peers to re-send the replay window's delta buckets,
+    /// worker, ask the peers to re-send the replay window's share buckets,
     /// and replay the command log to it.
     ///
     /// # Errors
@@ -684,14 +684,14 @@ impl LaneExecutor for Coordinator<'_, '_> {
         });
 
         let k = self.links.num_shards();
-        let mut measured = 0u64;
+        let (mut measured, mut wire) = (0u64, 0u64);
         // Each shard's accepted reply: its owned slice of every stepped
         // lane's support, read in place by the gather below.
         let mut replies: Vec<Arc<Vec<LaneState>>> = Vec::with_capacity(k);
         let mut done = vec![false; k];
         let mut late = vec![false; k];
         // Shards heard from (any message) since the current timeout streak
-        // began: a live shard blocked on a dead peer's deltas answers the
+        // began: a live shard blocked on a dead peer's shares answers the
         // retry re-broadcast with `Busy`, so only the truly silent are
         // re-materialised when the retry budget runs out.
         let mut heard = vec![false; k];
@@ -720,17 +720,16 @@ impl LaneExecutor for Coordinator<'_, '_> {
                         debug_assert_eq!(shard_lanes.len(), lanes.len());
                         for (slot, state) in shard_lanes.iter().enumerate() {
                             debug_assert_eq!(state.lane, lanes[slot]);
-                            measured += state.emitted_messages;
+                            measured += state.messages;
+                            wire += state.wire_entries;
                         }
                         replies.push(shard_lanes);
                     } else {
                         // A replay or a chaos duplicate: charged to the fault
                         // log, never to the conformance ledger.
                         self.fault_log.duplicate_replies += 1;
-                        self.fault_log.replayed_messages += shard_lanes
-                            .iter()
-                            .map(|state| state.emitted_messages)
-                            .sum::<u64>();
+                        self.fault_log.replayed_messages +=
+                            shard_lanes.iter().map(|state| state.messages).sum::<u64>();
                     }
                 }
                 Ok(other) => self.absorb_control(other, seq, &mut heard, &done),
@@ -774,14 +773,14 @@ impl LaneExecutor for Coordinator<'_, '_> {
                         // Re-broadcast the round: finished shards re-send
                         // their cached replies (the lost message might be
                         // theirs), stuck shards answer `Busy` and re-send
-                        // their in-flight delta buckets.
+                        // their in-flight share buckets.
                         self.links.broadcast(&Message::Step {
                             seq,
                             lanes: lanes.to_vec(),
                         });
                         // A recovered shard still missing may be wedged in
                         // its replay because the assist (or its re-sent
-                        // deltas) was lost: probe the peers again.
+                        // shares) was lost: probe the peers again.
                         for (shard, finished) in done.iter().enumerate() {
                             if !finished && self.recoveries_used[shard] > 0 {
                                 self.links.broadcast(&Message::Assist {
@@ -815,11 +814,13 @@ impl LaneExecutor for Coordinator<'_, '_> {
         ledger.lane_rounds += lanes.len() as u64;
         ledger.measured_messages += measured;
         ledger.modelled_messages += modelled;
+        ledger.wire_entries += wire;
         ledger.per_round.push(RoundConformance {
             round: ledger.physical_rounds,
             lanes: lanes.len() as u32,
             measured_messages: measured,
             modelled_messages: modelled,
+            wire_entries: wire,
         });
         Ok(())
     }

@@ -30,10 +30,16 @@
 //!   re-derives the paper's closed-form
 //!   `Õ((n²/k² + n/(kr))(p + q(r−1)))` prediction for comparison;
 //! * [`KMachineEngine`] — the *execution* engine: actually runs the pipeline
-//!   distributed over `k` worker shards exchanging probability-mass deltas in
-//!   explicit message rounds (see [`engine`] and [`transport`]), producing
-//!   decisions bit-identical to the sequential driver alongside a
-//!   measured-vs-modelled message-conformance ledger.
+//!   distributed over `k` worker shards in explicit message rounds (see
+//!   [`engine`] and [`transport`]), producing decisions bit-identical to the
+//!   sequential driver alongside a measured-vs-modelled message-conformance
+//!   ledger. Since `u` sends the same share along every edge, the home
+//!   machine of `u` ships it once to each remote machine homing a neighbour
+//!   of `u` — one share per (source, remote shard) crosses the wire, not
+//!   one message per edge — and the receiving machine applies it to each of
+//!   its vertices adjacent to `u`. The CONGEST messages of the simulation
+//!   are therefore counted at the receiver, one per edge contribution
+//!   applied, and equal the modelled count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

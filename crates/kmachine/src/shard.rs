@@ -1,8 +1,10 @@
 //! The shard worker: one machine of the k-machine execution.
 //!
-//! A [`ShardWorker`] owns a [`SubCsr`] slice of the graph and, per walk lane,
-//! a [`WalkWorkspace`] holding the restriction of that lane's distribution to
-//! the owned vertices. It runs a blocking message loop driven entirely by the
+//! A [`ShardWorker`] owns a [`SubCsr`] slice of the graph, the
+//! [`ShareReceiver`] (reverse index) built from it, and, per walk lane, a
+//! [`WalkWorkspace`] holding the restriction of that lane's distribution to
+//! the owned vertices. Both the slice and the index are built on the shard's
+//! own thread. It runs a blocking message loop driven entirely by the
 //! coordinator's commands (see [`crate::transport`] for the protocol); all
 //! *decisions* — sweeps, growth tracking, ensemble votes, assembly — live on
 //! the coordinator, which is the engine's documented deviation from the
@@ -16,17 +18,17 @@
 //!
 //! * `seq == last + 1` — execute it (the normal case).
 //! * `seq ≤ last` — a duplicate (a coordinator retry, or a chaos-delayed
-//!   copy): for a `Step`, re-send the cached outgoing delta buckets and the
+//!   copy): for a `Step`, re-send the cached outgoing share buckets and the
 //!   cached `StepDone` reply for that round; never re-execute. The cache
 //!   holds the very `Arc`s that were sent, so a re-send copies no payload,
-//!   and it holds no bucket for the shard itself — that one never touches
-//!   the wire and is dropped once absorbed. A duplicate
+//!   and it holds no run for the shard itself — that one never touches the
+//!   wire and is dropped once absorbed. A duplicate
 //!   `LoadLanes` is ignored outright — re-running it would reset live walk
 //!   state.
 //! * `seq > last + 1` — a gap: reply [`Message::Nack`] naming the first
 //!   missing sequence number so the coordinator re-sends its command log.
 //!
-//! Inter-shard `Deltas` are keyed by `(seq, from)`: buckets for a future
+//! Inter-shard `Shares` are keyed by `(seq, from)`: buckets for a future
 //! round are buffered, duplicates for an already-counted sender are
 //! discarded, and stale rounds are dropped. Every `checkpoint_interval`
 //! commands the worker ships a [`Message::Checkpoint`] snapshot of all lane
@@ -43,11 +45,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cdrw_graph::{SubCsr, VertexId};
-use cdrw_walk::shard::{absorb_step_deltas, emit_step_deltas, MassDelta};
+use cdrw_walk::shard::{emit_shares, Share, ShareReceiver};
 use cdrw_walk::WalkWorkspace;
 
 use crate::transport::{
-    DeltaBuckets, LaneDeltas, LaneState, Message, Peer, Transport, TransportError,
+    LaneShares, LaneState, Message, Peer, ShareBuckets, Transport, TransportError,
 };
 
 /// Fault-tolerance knobs of one worker.
@@ -96,49 +98,44 @@ struct RoundCache {
     seq: u64,
     /// The buckets sent to each peer, indexed by destination shard (`None`
     /// in the shard's own slot).
-    outgoing: Vec<Option<DeltaBuckets>>,
+    outgoing: Vec<Option<ShareBuckets>>,
     /// The `StepDone` lanes reply.
     reply: Arc<Vec<LaneState>>,
 }
 
 /// One worker shard of the execution engine.
 #[derive(Debug)]
-pub struct ShardWorker<'a> {
+pub struct ShardWorker {
     id: usize,
     k: usize,
     n: usize,
     sub: SubCsr,
-    /// Home machine of every global vertex (delta routing table).
-    machine_of: &'a [usize],
+    /// The reverse index of `sub`'s rows, which expands received shares.
+    receiver: ShareReceiver,
     laziness: f64,
     options: ShardOptions,
     /// Last executed command sequence number.
     seq: u64,
     /// Per-lane shard-local walk state; grown on demand by `LoadLanes`.
     lanes: Vec<WalkWorkspace>,
-    /// Per-destination delta buckets (`k` of them) the emission fills.
-    buckets: Vec<Vec<MassDelta>>,
+    /// Per-destination share buckets (`k` of them) the emission fills.
+    buckets: Vec<Vec<Share>>,
     /// Completed rounds, newest last, bounded by `options.cache_depth`.
     cache: VecDeque<RoundCache>,
 }
 
-impl<'a> ShardWorker<'a> {
-    /// Creates the worker for shard `id` of `k`, owning `sub`.
-    pub fn new(
-        id: usize,
-        k: usize,
-        sub: SubCsr,
-        machine_of: &'a [usize],
-        laziness: f64,
-        options: ShardOptions,
-    ) -> Self {
+impl ShardWorker {
+    /// Creates the worker for shard `id` of `k`, owning `sub`, and builds
+    /// its reverse index.
+    pub fn new(id: usize, k: usize, sub: SubCsr, laziness: f64, options: ShardOptions) -> Self {
         let n = sub.num_global_vertices();
+        let receiver = ShareReceiver::new(&sub);
         ShardWorker {
             id,
             k,
             n,
             sub,
-            machine_of,
+            receiver,
             laziness,
             options,
             seq: 0,
@@ -151,21 +148,19 @@ impl<'a> ShardWorker<'a> {
     /// Re-materialises a crashed shard from its last checkpoint: the worker
     /// starts with `seq` already executed and every checkpointed lane's
     /// support restored bit-exactly. The coordinator replays the command log
-    /// from `seq + 1` and peers re-send the matching delta rounds
+    /// from `seq + 1` and peers re-send the matching share rounds
     /// ([`Message::Assist`]), after which the replacement is
     /// indistinguishable from a worker that never died.
-    #[allow(clippy::too_many_arguments)] // mirrors `new` plus the restart state
     pub fn from_checkpoint(
         id: usize,
         k: usize,
         sub: SubCsr,
-        machine_of: &'a [usize],
         laziness: f64,
         options: ShardOptions,
         seq: u64,
         checkpoint: &[LaneState],
     ) -> Self {
-        let mut worker = ShardWorker::new(id, k, sub, machine_of, laziness, options);
+        let mut worker = ShardWorker::new(id, k, sub, laziness, options);
         worker.seq = seq;
         for lane in checkpoint {
             worker.ensure_lane(lane.lane);
@@ -179,10 +174,10 @@ impl<'a> ShardWorker<'a> {
     /// Runs the blocking message loop until [`Message::Halt`], a patience
     /// timeout, or transport disconnection.
     pub fn run<T: Transport>(mut self, transport: &mut T) {
-        // Delta buckets that raced ahead of this shard's own `Step` command
+        // Share buckets that raced ahead of this shard's own `Step` command
         // (a peer received its command first, or a recovery assist replayed
         // a future round), keyed by (seq, sender).
-        let mut early: BTreeMap<(u64, usize), DeltaBuckets> = BTreeMap::new();
+        let mut early: BTreeMap<(u64, usize), ShareBuckets> = BTreeMap::new();
         let mut last_heard = Instant::now();
         loop {
             let message = match transport.recv_deadline(self.options.patience) {
@@ -218,11 +213,11 @@ impl<'a> ShardWorker<'a> {
                         self.nack(transport);
                     } else {
                         // Coordinator retry of a round we completed: its
-                        // `StepDone` (or a peer's deltas) went missing.
+                        // `StepDone` (or a peer's shares) went missing.
                         self.resend_round(seq, transport, true);
                     }
                 }
-                Message::Deltas { seq, from, lanes } => {
+                Message::Shares { seq, from, lanes } => {
                     if seq > self.seq {
                         early.entry((seq, from)).or_insert(lanes);
                     }
@@ -259,14 +254,14 @@ impl<'a> ShardWorker<'a> {
     fn send_buckets<T: Transport>(
         &self,
         seq: u64,
-        outgoing: &[Option<DeltaBuckets>],
+        outgoing: &[Option<ShareBuckets>],
         transport: &mut T,
     ) {
         for (m, bucket) in outgoing.iter().enumerate() {
             if let Some(bucket) = bucket {
                 transport.send(
                     Peer::Shard(m),
-                    Message::Deltas {
+                    Message::Shares {
                         seq,
                         from: self.id,
                         lanes: Arc::clone(bucket),
@@ -276,7 +271,7 @@ impl<'a> ShardWorker<'a> {
         }
     }
 
-    /// Re-sends a completed round's cached artefacts: the outgoing delta
+    /// Re-sends a completed round's cached artefacts: the outgoing share
     /// buckets to every peer and (when `with_reply`) the `StepDone` to the
     /// coordinator. A round that has aged out of the cache is ignored — the
     /// coordinator only retries recent rounds.
@@ -310,7 +305,7 @@ impl<'a> ShardWorker<'a> {
             if let Some(bucket) = &entry.outgoing[shard] {
                 transport.send(
                     Peer::Shard(shard),
-                    Message::Deltas {
+                    Message::Shares {
                         seq: entry.seq,
                         from: self.id,
                         lanes: Arc::clone(bucket),
@@ -328,7 +323,8 @@ impl<'a> ShardWorker<'a> {
         let lanes = (0..self.lanes.len())
             .map(|lane| LaneState {
                 lane: lane as u32,
-                emitted_messages: 0,
+                messages: 0,
+                wire_entries: 0,
                 support: self.lanes[lane].snapshot_sparse(),
             })
             .collect();
@@ -352,7 +348,7 @@ impl<'a> ShardWorker<'a> {
         for &(lane, seed) in seeds {
             self.ensure_lane(lane);
             let ws = &mut self.lanes[lane as usize];
-            if self.machine_of[seed] == self.id {
+            if self.sub.local_of(seed).is_some() {
                 ws.load_point_mass(seed)
                     .expect("seed validated by the coordinator");
             } else {
@@ -369,47 +365,61 @@ impl<'a> ShardWorker<'a> {
         seq: u64,
         lanes: &[u32],
         transport: &mut T,
-        early: &mut BTreeMap<(u64, usize), DeltaBuckets>,
+        early: &mut BTreeMap<(u64, usize), ShareBuckets>,
     ) -> bool {
-        // Emit every lane's deltas straight into the bucket of the target's
-        // home shard. Bucketing keeps the emission order, so every bucket is
-        // ascending by source — the precondition of the absorb-side merge.
-        let mut outgoing: Vec<Vec<LaneDeltas>> = (0..self.k)
+        // Emit every lane's shares into the own run and the bucket of every
+        // peer homing a neighbour of the source. Emission runs in ascending
+        // source order, so every run is ascending by source — the
+        // precondition of the receivers' merge.
+        let mut outgoing: Vec<Vec<LaneShares>> = (0..self.k)
             .map(|_| Vec::with_capacity(lanes.len()))
             .collect();
         let mut reports: Vec<LaneState> = Vec::with_capacity(lanes.len());
+        // Per stepped lane, the own run: every share the emission produced,
+        // whatever its peers.
+        let mut own: Vec<Vec<Share>> = Vec::with_capacity(lanes.len());
         for &lane in lanes {
             self.ensure_lane(lane);
-            let (buckets, machine_of) = (&mut self.buckets, self.machine_of);
-            let messages =
-                emit_step_deltas(&self.sub, self.laziness, &self.lanes[lane as usize], |d| {
-                    buckets[machine_of[d.target]].push(d)
-                });
+            let mut run = Vec::new();
+            let buckets = &mut self.buckets;
+            let wire_entries = emit_shares(
+                &self.sub,
+                self.laziness,
+                &self.lanes[lane as usize],
+                |share, peers| {
+                    run.push(share);
+                    for &m in peers {
+                        buckets[m].push(share);
+                    }
+                },
+            );
+            own.push(run);
             for (m, bucket) in self.buckets.iter_mut().enumerate() {
-                outgoing[m].push(LaneDeltas {
+                outgoing[m].push(LaneShares {
                     lane,
-                    deltas: std::mem::take(bucket),
+                    shares: std::mem::take(bucket),
                 });
             }
             reports.push(LaneState {
                 lane,
-                emitted_messages: messages,
+                messages: 0,
+                wire_entries,
                 support: Vec::new(),
             });
         }
 
-        // Keep our own bucket off the wire; share every peer's bucket (sent
-        // always, even when empty — the barrier counts k − 1 senders) with
-        // the round cache, which serves duplicate-triggered re-sends and
-        // recovery assists from the same allocations.
-        let own = std::mem::take(&mut outgoing[self.id]);
-        let outgoing: Vec<Option<DeltaBuckets>> = outgoing
+        // Share every peer's bucket (sent always, even when empty — the
+        // barrier counts k − 1 senders) with the round cache, which serves
+        // duplicate-triggered re-sends and recovery assists from the same
+        // allocations. The own slot stays empty: the own run never touches
+        // the wire.
+        let outgoing: Vec<Option<ShareBuckets>> = outgoing
             .into_iter()
             .enumerate()
             .map(|(m, bucket)| (m != self.id).then(|| Arc::new(bucket)))
             .collect();
         self.send_buckets(seq, &outgoing, transport);
-        let mut incoming: Vec<DeltaBuckets> = Vec::with_capacity(self.k - 1);
+        let mut incoming: Vec<ShareBuckets> = Vec::with_capacity(self.k - 1);
         let mut have = vec![false; self.k];
         have[self.id] = true;
         for (from, seen) in have.iter_mut().enumerate() {
@@ -427,7 +437,7 @@ impl<'a> ShardWorker<'a> {
         let mut waited = Instant::now();
         while incoming.len() + 1 < self.k {
             match transport.recv_deadline(Duration::from_millis(20)) {
-                Ok(Message::Deltas {
+                Ok(Message::Shares {
                     seq: s,
                     from,
                     lanes,
@@ -489,21 +499,22 @@ impl<'a> ShardWorker<'a> {
             }
         }
 
-        // Absorb per lane: merge our own run and every peer's run of this
-        // lane, in arrival order, straight into the accumulation.
-        let mut runs: Vec<&[MassDelta]> = Vec::with_capacity(self.k);
-        for (slot, report) in reports.iter_mut().enumerate() {
+        // Absorb per lane: expand our own run and every peer's run of this
+        // lane, in arrival order, over the owned rows.
+        let mut remote: Vec<&[Share]> = Vec::with_capacity(self.k - 1);
+        for (report, own) in reports.iter_mut().zip(&own) {
             let lane = report.lane;
-            runs.clear();
-            runs.push(&own[slot].deltas);
-            runs.extend(
+            remote.clear();
+            remote.extend(
                 incoming
                     .iter()
-                    .filter_map(|sender| sender.iter().find(|ld| ld.lane == lane))
-                    .map(|ld| ld.deltas.as_slice()),
+                    .filter_map(|sender| sender.iter().find(|ls| ls.lane == lane))
+                    .map(|ls| ls.shares.as_slice()),
             );
             let ws = &mut self.lanes[lane as usize];
-            absorb_step_deltas(ws, &runs);
+            report.messages = self
+                .receiver
+                .absorb(&self.sub, self.laziness, ws, own, &remote);
             report.support = ws
                 .support()
                 .iter()

@@ -24,36 +24,39 @@
 //!   a lane's seed loads the point mass. No direct reply; a gap is caught by
 //!   the `Nack` rule when the next `Step` arrives.
 //! * [`Message::Step`] — one physical walk round for the listed lanes: every
-//!   shard emits its mass deltas ([`cdrw_walk::shard::emit_step_deltas`]),
-//!   sends each peer its bucket in one [`Message::Deltas`], merges the
-//!   `k − 1` buckets it receives (plus its own, which never touches the
-//!   wire) by source ([`cdrw_walk::shard::absorb_step_deltas`]), and replies
-//!   [`Message::StepDone`] with its owned slice of every stepped lane's
-//!   support.
+//!   shard computes one share per owned source with mass
+//!   ([`cdrw_walk::shard::emit_shares`]) and sends each peer, in one
+//!   [`Message::Shares`], the shares of the sources with a neighbour homed
+//!   there — one entry per (source, peer), never one per edge. It then
+//!   expands the `k − 1` buckets it receives, plus its own run (which never
+//!   touches the wire), over its own rows
+//!   ([`cdrw_walk::shard::ShareReceiver::absorb`]), counting the edge
+//!   contributions it applies, and replies [`Message::StepDone`] with those
+//!   counts and its owned slice of every stepped lane's support.
 //! * [`Message::Checkpoint`] — shard → coordinator, every few rounds: a
 //!   snapshot of every lane's owned support, enough to re-materialise the
 //!   shard after a crash (see `ShardWorker::from_checkpoint`).
 //! * [`Message::Assist`] — coordinator → shards during recovery: re-send
-//!   your cached outgoing delta buckets for the named rounds to the named
+//!   your cached outgoing share buckets for the named rounds to the named
 //!   (re-materialised) shard so it can replay them.
 //! * [`Message::Halt`] — shut the shard down.
 //!
 //! On a fault-free transport rounds are globally synchronous — the
 //! coordinator collects every `StepDone` before issuing the next command —
-//! so at most one `Deltas` per (sender, receiver) pair is in flight and the
+//! so at most one `Shares` per (sender, receiver) pair is in flight and the
 //! sequence numbers are pure bookkeeping. Under faults (see the
 //! [`chaos`](crate::chaos) module) they are what makes retries idempotent:
 //! duplicates are absorbed by the `(seq, from)` keys, never double-counted.
 //!
 //! ## Shared payloads
 //!
-//! The bulk payloads — a `Deltas` message's buckets ([`DeltaBuckets`]) and a
+//! The bulk payloads — a `Shares` message's buckets ([`ShareBuckets`]) and a
 //! `StepDone`'s lane reports — travel behind an [`Arc`]. A shard builds each
 //! peer's bucket once and keeps the same `Arc` in its round cache, so the
 //! first send, a retry's re-send, a recovery assist and a chaos duplicate
 //! all share one allocation; the receiver only reads it. A shard never
-//! caches its own bucket: that bucket never touches the wire, is read in
-//! place by the absorb, and is dropped with the round. A socket transport
+//! caches its own run: it never touches the wire, is read in place by the
+//! absorb, and is dropped with the round. A socket transport
 //! would serialise the pointee, so the wire format is unaffected.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -61,7 +64,7 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use cdrw_graph::VertexId;
-use cdrw_walk::shard::MassDelta;
+use cdrw_walk::shard::Share;
 
 /// Why a receive did not produce a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,29 +88,32 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// A walk lane's deltas addressed to one receiving shard, for one round.
+/// A walk lane's shares addressed to one receiving shard, for one round.
 #[derive(Debug, Clone)]
-pub struct LaneDeltas {
-    /// The walk lane the deltas belong to.
+pub struct LaneShares {
+    /// The walk lane the shares belong to.
     pub lane: u32,
-    /// The mass contributions, in the sender's emission order (ascending by
-    /// source).
-    pub deltas: Vec<MassDelta>,
+    /// One share per sending source with a neighbour homed on the receiver,
+    /// ascending by source.
+    pub shares: Vec<Share>,
 }
 
-/// One sender's per-lane delta buckets for one receiver and round,
+/// One sender's per-lane share buckets for one receiver and round,
 /// ascending by lane, shared between the message and the sender's re-send
 /// cache.
-pub type DeltaBuckets = Arc<Vec<LaneDeltas>>;
+pub type ShareBuckets = Arc<Vec<LaneShares>>;
 
 /// A shard's post-step report for one walk lane.
 #[derive(Debug, Clone)]
 pub struct LaneState {
     /// The walk lane.
     pub lane: u32,
-    /// Edge messages this shard emitted for the lane this round (its share
-    /// of the CONGEST flood cost).
-    pub emitted_messages: u64,
+    /// Edge contributions this shard applied to its owned vertices for the
+    /// lane this round (its share of the CONGEST flood cost).
+    pub messages: u64,
+    /// Share entries this shard sent to remote peers for the lane this
+    /// round.
+    pub wire_entries: u64,
     /// The shard-owned slice of the lane's support after the step:
     /// `(vertex, mass)`, ascending by vertex, zero-mass entries included.
     pub support: Vec<(VertexId, f64)>,
@@ -131,14 +137,14 @@ pub enum Message {
         /// Active lanes, ascending.
         lanes: Vec<u32>,
     },
-    /// Shard → shard: one round's mass deltas for the receiving shard.
-    Deltas {
-        /// The command sequence number of the `Step` these deltas belong to.
+    /// Shard → shard: one round's shares for the receiving shard.
+    Shares {
+        /// The command sequence number of the `Step` these shares belong to.
         seq: u64,
         /// The sending shard.
         from: usize,
-        /// Per-lane delta buckets, ascending by lane.
-        lanes: DeltaBuckets,
+        /// Per-lane share buckets, ascending by lane.
+        lanes: ShareBuckets,
     },
     /// Shard → coordinator: the step round is complete on this shard.
     StepDone {
@@ -146,14 +152,14 @@ pub enum Message {
         seq: u64,
         /// The reporting shard.
         shard: usize,
-        /// Per-lane emitted counts and owned support slices, ascending by
+        /// Per-lane message counts and owned support slices, ascending by
         /// lane; shared with the shard's re-send cache.
         lanes: Arc<Vec<LaneState>>,
     },
     /// Shard → shard-coordinator liveness signal: the shard is alive and
     /// inside the exchange barrier of round `seq` (sent when a coordinator
     /// retry reaches a shard already working on that round). Distinguishes a
-    /// *blocked* shard — waiting on a dead peer's deltas — from a dead one,
+    /// *blocked* shard — waiting on a dead peer's shares — from a dead one,
     /// so the coordinator recovers only the truly silent shard.
     Busy {
         /// The round the shard is working on.
@@ -181,7 +187,7 @@ pub enum Message {
     },
     /// Coordinator → shards: shard `shard` was re-materialised and is
     /// replaying commands `from_seq..=to_seq`; re-send it your cached
-    /// outgoing delta buckets for those rounds.
+    /// outgoing share buckets for those rounds.
     Assist {
         /// The recovering shard.
         shard: usize,
@@ -415,7 +421,7 @@ mod tests {
         // Shard 0 → shard 1.
         transports[0].send(
             Peer::Shard(1),
-            Message::Deltas {
+            Message::Shares {
                 seq: 1,
                 from: 0,
                 lanes: Arc::default(),
@@ -423,7 +429,7 @@ mod tests {
         );
         assert!(matches!(
             transports[1].recv(),
-            Ok(Message::Deltas {
+            Ok(Message::Shares {
                 seq: 1,
                 from: 0,
                 ..
@@ -490,7 +496,7 @@ mod tests {
         links.send(1, Message::Halt);
         transports[0].send(
             Peer::Shard(1),
-            Message::Deltas {
+            Message::Shares {
                 seq: 3,
                 from: 0,
                 lanes: Arc::default(),
@@ -499,7 +505,7 @@ mod tests {
         assert!(matches!(replacement.recv(), Ok(Message::Halt)));
         assert!(matches!(
             replacement.recv(),
-            Ok(Message::Deltas { seq: 3, .. })
+            Ok(Message::Shares { seq: 3, .. })
         ));
         // The old inbox's last sender (the routing-table slot) was dropped by
         // the swap: the orphaned worker observes disconnection and exits.

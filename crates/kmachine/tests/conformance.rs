@@ -7,10 +7,13 @@
 //!    sequential [`cdrw_core::Cdrw::detect_all`] for every criterion /
 //!    ensemble / assembly combination, across shard counts `k ∈ {1, 2, 3, 8}`
 //!    and arbitrary graphs (property-pinned).
-//! 2. **Message conformance** — the *measured* per-round edge-delta counts
-//!    equal the `cdrw-congest` exact-delta model (`sparse_walk_step_cost`),
-//!    round by round, and the per-detection totals equal the CONGEST runner's
-//!    `flood` accounts on the same instances.
+//! 2. **Message conformance** — the *measured* per-round counts of applied
+//!    edge contributions equal the `cdrw-congest` exact-delta model
+//!    (`sparse_walk_step_cost`), round by round, and the per-detection totals
+//!    equal the CONGEST runner's `flood` accounts on the same instances. The
+//!    share entries that actually cross between shards — one per (source,
+//!    remote shard homing a neighbour) — are pinned exactly on a fixed
+//!    partition and never exceed the messages they stand for.
 //! 3. **Intentional deviations** (documented in `docs/PAPER_MAP.md`) are
 //!    asserted, not assumed: physical rounds ≤ modelled lane rounds (batched
 //!    lanes share one exchange), and the flood is a strict *subset* of the
@@ -20,7 +23,8 @@ use cdrw_congest::{CongestCdrw, CongestConfig};
 use cdrw_core::{AssemblyPolicy, Cdrw, CdrwConfig, EnsemblePolicy, MixingCriterion};
 use cdrw_gen::{generate_ppm, PpmParams};
 use cdrw_graph::{Graph, GraphBuilder};
-use cdrw_kmachine::{KMachineConfig, KMachineEngine, KMachineRunReport};
+use cdrw_kmachine::{KMachineConfig, KMachineEngine, KMachineRunReport, RandomVertexPartition};
+use cdrw_walk::{WalkEngine, WalkWorkspace};
 use proptest::prelude::*;
 
 fn engine_for(config: CdrwConfig, k: usize, partition_seed: u64) -> KMachineEngine {
@@ -34,7 +38,8 @@ fn engine_for(config: CdrwConfig, k: usize, partition_seed: u64) -> KMachineEngi
 
 /// Runs the engine and checks the full contract against the sequential
 /// driver: bit-identical result, measured == modelled flood per physical
-/// round, and the batching deviation (physical ≤ lane rounds).
+/// round, wire entries ≤ measured messages, and the batching deviation
+/// (physical ≤ lane rounds).
 fn assert_matches_sequential(
     graph: &Graph,
     config: CdrwConfig,
@@ -54,6 +59,8 @@ fn assert_matches_sequential(
         );
     }
     assert_eq!(ledger.measured_messages, ledger.modelled_messages);
+    // One wire entry stands for at least one edge contribution.
+    assert!(ledger.wire_entries <= ledger.measured_messages);
     assert_eq!(ledger.physical_rounds, ledger.per_round.len() as u64);
     assert!(ledger.physical_rounds <= ledger.lane_rounds);
     report
@@ -288,6 +295,72 @@ fn unit_weight_lane_is_bit_identical_to_the_unweighted_run() {
             plain.conformance.physical_rounds,
             weighted.conformance.physical_rounds
         );
+    }
+}
+
+/// The share entries one walk step ships from `ws`: for every source with
+/// mass and a neighbour, the number of shards other than its own that home
+/// one of its neighbours.
+fn expected_wire_entries(graph: &Graph, assignment: &[usize], ws: &WalkWorkspace) -> u64 {
+    ws.support()
+        .iter()
+        .filter(|&&u| ws.probability(u) > 0.0 && graph.degree(u) > 0)
+        .map(|&u| {
+            let mut homes: Vec<usize> = graph
+                .neighbor_slice(u)
+                .iter()
+                .map(|&v| assignment[v])
+                .filter(|&m| m != assignment[u])
+                .collect();
+            homes.sort_unstable();
+            homes.dedup();
+            homes.len() as u64
+        })
+        .sum()
+}
+
+#[test]
+fn wire_entries_are_one_per_source_and_remote_shard() {
+    // A fixed three-shard layout of the PPM. Single walks under raw
+    // assembly step one lane per physical round, so replaying every
+    // detection's walk from its seed with the sequential engine yields the
+    // pre-step distribution of every round.
+    let (graph, delta) = ppm_instance();
+    let k = 3;
+    let assignment: Vec<usize> = (0..graph.num_vertices())
+        .map(|v| (v * 7 + v / 5) % k)
+        .collect();
+    let partition = RandomVertexPartition::from_assignment(assignment.clone(), k);
+    for config in [
+        CdrwConfig::builder().seed(5).delta(delta).build(),
+        CdrwConfig::builder()
+            .seed(5)
+            .delta(delta)
+            .criterion(MixingCriterion::Lazy(0.5))
+            .build(),
+    ] {
+        let report = engine_for(config, k, 0)
+            .run_with_partition(&graph, &partition)
+            .unwrap();
+        assert_eq!(report.result, Cdrw::new(config).detect_all(&graph).unwrap());
+        let ledger = &report.conformance;
+        assert_eq!(ledger.physical_rounds, ledger.lane_rounds);
+
+        let walk = WalkEngine::lazy(&graph, config.criterion.laziness());
+        let mut ws = walk.workspace();
+        let mut expected = Vec::new();
+        for flood in &ledger.per_detection {
+            ws.load_point_mass(flood.seed).unwrap();
+            for _ in 0..flood.lane_rounds {
+                expected.push(expected_wire_entries(&graph, &assignment, &ws));
+                walk.step(&mut ws);
+            }
+        }
+        let measured: Vec<u64> = ledger.per_round.iter().map(|r| r.wire_entries).collect();
+        assert_eq!(measured, expected);
+        assert_eq!(ledger.wire_entries, expected.iter().sum::<u64>());
+        assert!(ledger.wire_entries > 0);
+        assert!(ledger.wire_entries < ledger.measured_messages);
     }
 }
 

@@ -6,7 +6,8 @@
 //! * more shards than vertices (`k > n`, some shards own nothing),
 //! * a shard owning only an isolated vertex,
 //! * a boundary vertex whose neighbours are *all* remote (a star centre
-//!   homed alone — every edge delta it emits crosses a shard boundary).
+//!   homed alone — its one share per round crosses a shard boundary and is
+//!   expanded over all its edges by the receiving shard).
 
 use cdrw_congest::CongestConfig;
 use cdrw_core::{Cdrw, CdrwConfig};
@@ -38,8 +39,9 @@ fn run_pinned_chaos(graph: &Graph, assignment: Vec<usize>, k: usize, plan: Optio
 
 #[test]
 fn more_shards_than_vertices_leaves_empty_shards_harmless() {
-    // A 4-vertex path on 7 shards: shards 1, 2, 4 and 6 own nothing and must
-    // still participate in every exchange barrier.
+    // A 4-vertex path on 7 shards: shards 1, 2, 4 and 6 own nothing, are
+    // no source's peer and receive only empty buckets, yet must still
+    // participate in every exchange barrier.
     let graph = GraphBuilder::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
     run_pinned(&graph, vec![5, 0, 3, 6], 7);
 }
@@ -47,16 +49,19 @@ fn more_shards_than_vertices_leaves_empty_shards_harmless() {
 #[test]
 fn a_shard_owning_only_an_isolate_never_sends_mass() {
     // Vertex 4 is isolated and homed alone on shard 2; its detection is the
-    // zero-degree singleton path and must not disturb the message protocol.
+    // zero-degree singleton path: the mass stays put, shard 2 ships no share
+    // and counts no message, and the message protocol is undisturbed.
     let graph = GraphBuilder::from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3)]).unwrap();
     run_pinned(&graph, vec![0, 0, 1, 1, 2], 3);
 }
 
 #[test]
 fn a_boundary_vertex_with_all_neighbours_remote_is_exact() {
-    // Star centre 0 homed alone on shard 0, all five leaves on shard 1:
-    // every delta the centre emits crosses the boundary, and every delta it
-    // receives comes from remote leaves.
+    // Star centre 0 homed alone on shard 0, all five leaves on shard 1: the
+    // centre's one share per round crosses the boundary and shard 1 applies
+    // it to all five leaves; every share the centre absorbs comes from a
+    // remote leaf, and shard 0 counts one edge contribution per leaf with
+    // mass.
     let graph = GraphBuilder::from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]).unwrap();
     run_pinned(&graph, vec![0, 1, 1, 1, 1, 1], 2);
 }
@@ -64,7 +69,8 @@ fn a_boundary_vertex_with_all_neighbours_remote_is_exact() {
 #[test]
 fn single_shard_degenerates_to_the_sequential_driver() {
     // k = 1 exercises the full protocol against a single worker: every
-    // delta is shard-local, the exchange barrier is empty.
+    // share stays in the own run, nothing crosses the wire, and the
+    // exchange barrier is empty.
     let graph = GraphBuilder::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
     run_pinned(&graph, vec![0, 0, 0, 0, 0], 1);
 }

@@ -252,8 +252,10 @@ impl WalkBatch {
 /// The step pulls once the live lanes' summed support volume reaches
 /// `1/PULL_VOLUME_FRACTION` of the graph volume `2m`. The choice is not
 /// sensitive: fractions 2, 4 and 16 gave `sbm8-ensemble` detection times
-/// within 8% of each other, 4 the fastest.
-const PULL_VOLUME_FRACTION: usize = 4;
+/// within 8% of each other, 4 the fastest. A shard receiver
+/// ([`crate::shard::ShareReceiver`]) applies the same fraction to its
+/// absorbed volume against its owned volume.
+pub(crate) const PULL_VOLUME_FRACTION: usize = 4;
 
 /// Lanes per pull pass: one bit each in the per-vertex lane byte.
 const PULL_CHUNK: usize = 8;
@@ -483,57 +485,21 @@ fn pull<const L: usize>(
                 &mut ws.next_support,
             )
         });
-        let shares = &*shares;
-        let lane_bits = &*lane_bits;
+        let plane = SharePlane {
+            shares: &*shares,
+            lane_bits: &*lane_bits,
+        };
         for v in 0..n {
-            let neighbors = graph.neighbor_slice(v);
-            let own = lane_bits[v];
             let mut acc = [0.0f64; L];
-            let mut touched = 0u8;
-            if neighbors.is_empty() {
-                // Nowhere to go: the mass stays.
-                if own == 0 {
-                    continue;
-                }
-                touched = own;
-                for (sum, (current, ..)) in acc.iter_mut().zip(&lane_io) {
-                    *sum = current[v];
-                }
-            } else {
-                let weights = graph.weight_slice(v);
-                // The push adds the lazy self-term when it reaches source
-                // `v`, i.e. between `v`'s smaller and larger neighbours.
-                let split = if laziness > 0.0 {
-                    neighbors.partition_point(|&u| u < v)
-                } else {
-                    neighbors.len()
-                };
-                gather(
-                    &mut acc,
-                    &mut touched,
-                    neighbors,
-                    weights,
-                    shares,
-                    lane_bits,
-                    0..split,
-                );
-                if laziness > 0.0 && own != 0 {
-                    touched |= own;
-                    for (sum, (current, ..)) in acc.iter_mut().zip(&lane_io) {
-                        *sum += current[v] * laziness;
-                    }
-                }
-                let rest = split..neighbors.len();
-                gather(
-                    &mut acc,
-                    &mut touched,
-                    neighbors,
-                    weights,
-                    shares,
-                    lane_bits,
-                    rest,
-                );
-            }
+            let mut touched = gather_row(
+                &mut acc,
+                v,
+                graph.neighbor_slice(v),
+                graph.weight_slice(v),
+                laziness,
+                |l| lane_io[l].0[v],
+                plane,
+            );
             while touched != 0 {
                 let l = touched.trailing_zeros() as usize;
                 touched &= touched - 1;
@@ -554,6 +520,68 @@ fn pull<const L: usize>(
     }
 }
 
+/// The read side of a pull: lane-interleaved outgoing shares and per-source
+/// lane bits, both indexed by global source vertex.
+#[derive(Clone, Copy)]
+pub(crate) struct SharePlane<'a, const L: usize> {
+    /// `shares[u][l]`: the share `p_l(u) · (1−α) / w(u)` source `u` sends
+    /// along each edge in lane `l` (`0.0` where it sends nothing).
+    pub(crate) shares: &'a [[f64; L]],
+    /// Bit `l` of `lane_bits[u]` is set iff `p_l(u) ≠ 0`.
+    pub(crate) lane_bits: &'a [u8],
+}
+
+/// Gathers target `v`'s next mass into the `L` lane accumulators from its
+/// ascending row: the shares of `neighbors` in row order (times the edge
+/// weight on a weighted graph), with the lazy self-term `mass(l) · α` of
+/// every lane holding mass on `v` added at `v`'s ascending position — where
+/// the push adds it, between `v`'s smaller and larger neighbours. A
+/// degree-0 `v` keeps `mass(l)`. Returns the lanes that touched `v`: those
+/// with mass on `v` or on one of its neighbours.
+#[inline(always)]
+pub(crate) fn gather_row<const L: usize>(
+    acc: &mut [f64; L],
+    v: VertexId,
+    neighbors: &[VertexId],
+    weights: Option<&[f64]>,
+    laziness: f64,
+    mass: impl Fn(usize) -> f64,
+    plane: SharePlane<'_, L>,
+) -> u8 {
+    let own = plane.lane_bits[v];
+    if neighbors.is_empty() {
+        // Nowhere to go: the mass stays.
+        if own != 0 {
+            for (l, sum) in acc.iter_mut().enumerate() {
+                *sum = mass(l);
+            }
+        }
+        return own;
+    }
+    let mut touched = 0u8;
+    let split = if laziness > 0.0 {
+        neighbors.partition_point(|&u| u < v)
+    } else {
+        neighbors.len()
+    };
+    gather(acc, &mut touched, neighbors, weights, plane, 0..split);
+    if laziness > 0.0 && own != 0 {
+        touched |= own;
+        for (l, sum) in acc.iter_mut().enumerate() {
+            *sum += mass(l) * laziness;
+        }
+    }
+    gather(
+        acc,
+        &mut touched,
+        neighbors,
+        weights,
+        plane,
+        split..neighbors.len(),
+    );
+    touched
+}
+
 /// Adds the shares of `neighbors[range]`, in row order, into the `L` lane
 /// accumulators (times the edge weight on weighted graphs) and ORs their
 /// lane bits into `touched`.
@@ -563,10 +591,10 @@ fn gather<const L: usize>(
     touched: &mut u8,
     neighbors: &[VertexId],
     weights: Option<&[f64]>,
-    shares: &[[f64; L]],
-    lane_bits: &[u8],
+    plane: SharePlane<'_, L>,
     range: std::ops::Range<usize>,
 ) {
+    let SharePlane { shares, lane_bits } = plane;
     match weights {
         None => {
             for &u in &neighbors[range] {

@@ -1146,7 +1146,7 @@ impl WalkWorkspace {
     /// kept ascending by every load/absorb path, so feeding the snapshot
     /// back through [`WalkWorkspace::load_sparse`] reproduces the workspace
     /// bit for bit, including zero-mass support entries: a checkpoint-
-    /// restored shard emits exactly the deltas the lost shard would have.
+    /// restored shard emits exactly the shares the lost shard would have.
     pub fn snapshot_sparse(&self) -> Vec<(VertexId, f64)> {
         debug_assert!(
             self.support.windows(2).all(|w| w[0] < w[1]),

@@ -41,9 +41,11 @@
 //!   through it. Each lane is bit-identical to a solo walk (see the
 //!   [`batch`] module docs).
 //! * [`shard`] splits one step across vertex-partitioned shards as an
-//!   emit/exchange/absorb message round ([`shard::MassDelta`]) that
-//!   reconstructs the sequential accumulation order exactly — the stepping
-//!   kernel of `cdrw-kmachine`'s real multi-shard execution engine.
+//!   emit/exchange/absorb message round — one [`shard::Share`] per (source,
+//!   remote shard homing a neighbour), expanded by each receiver over its
+//!   own rows — that reconstructs the sequential accumulation order exactly:
+//!   the stepping kernel of `cdrw-kmachine`'s real multi-shard execution
+//!   engine.
 //! * Per-vertex bookkeeping is a bit-packed membership mask
 //!   ([`mask::BitMask`], one bit per vertex) instead of the former
 //!   8-bytes-per-vertex epoch stamps, so the membership test in the hot

@@ -52,7 +52,8 @@ fn congest_and_kmachine_results_equal_the_sequential_result() {
             assert_eq!(cost.cost, Default::default(), "seed {}", cost.seed);
             assert_eq!(cost.flood, Default::default(), "seed {}", cost.seed);
         }
-        for k in 1..=3 {
+        // With k ≥ 3 a source's share goes to some peer shards but not all.
+        for k in [1, 2, 3, 8] {
             let engine = KMachineEngine::new(
                 KMachineConfig::new(k)
                     .with_congest(CongestConfig::new(algorithm))
@@ -65,5 +66,33 @@ fn congest_and_kmachine_results_equal_the_sequential_result() {
                 "k = {k}, {ensemble:?}/{assembly:?}"
             );
         }
+    }
+}
+
+#[test]
+fn kmachine_results_equal_the_sequential_result_on_a_weighted_ppm() {
+    // The two-block PPM re-weighted heavier inside the blocks than across:
+    // the receivers multiply each share by the weight stored in their own
+    // rows.
+    let params = PpmParams::new(160, 2, 0.12, 0.004).unwrap();
+    let (ppm, truth) = generate_ppm(&params, 29).unwrap();
+    let mut builder = GraphBuilder::new(160);
+    for (u, v) in ppm.edges() {
+        let same_block = truth.community_of(u) == truth.community_of(v);
+        let w = if same_block { 1.5 } else { 0.5 } + ((u + v) % 4) as f64 * 0.25;
+        builder.add_weighted_edge(u, v, w).unwrap();
+    }
+    let graph = builder.build();
+    assert!(graph.is_weighted());
+    let algorithm = CdrwConfig::builder().seed(11).delta(0.1).build();
+    let sequential = Cdrw::new(algorithm).detect_all(&graph).unwrap();
+    for k in [2, 3] {
+        let engine = KMachineEngine::new(
+            KMachineConfig::new(k)
+                .with_congest(CongestConfig::new(algorithm))
+                .with_partition_seed(5),
+        )
+        .unwrap();
+        assert_eq!(engine.run(&graph).unwrap().result, sequential, "k = {k}");
     }
 }
