@@ -18,7 +18,7 @@
 //!
 //! The per-primitive formulas live in [`crate::primitives`]; they are the
 //! textbook costs, and the BFS/broadcast ones are cross-checked against the
-//! real message-passing simulator in [`crate::network`]
+//! real message-passing simulator in the test-only `network` module
 //! (`costs_agree_with_simulation`).
 //!
 //! ## Why costs are read off the sparse support

@@ -10,27 +10,24 @@
 //! neighbour per round. The cost of an algorithm is its number of rounds
 //! (time complexity) and the total number of messages (message complexity).
 //!
-//! This crate has two layers:
+//! The runner ([`CongestCdrw`]) is the distributed CDRW driver. It runs
+//! `cdrw-core`'s one `Pipeline` (so its result is *identical* to the
+//! sequential algorithm's, traces included — an integration test asserts
+//! this) on an executor that charges every operation the cost the CONGEST
+//! execution would incur, by the formulas of [`primitives`]:
 //!
-//! * [`network`] — a genuine synchronous message-passing simulator
-//!   ([`network::Simulator`]) where each vertex runs a [`network::NodeProgram`]
-//!   state machine. The distributed primitives CDRW is built from — flooding
-//!   BFS-tree construction, broadcast and convergecast over the tree — are
-//!   implemented as node programs and verified (rounds = tree depth,
-//!   messages = what the textbook analysis predicts).
-//! * the runner ([`CongestCdrw`]) — the distributed CDRW driver. It runs
-//!   `cdrw-core`'s one `Pipeline` (so its result is *identical* to the
-//!   sequential algorithm's, traces included — an integration test asserts
-//!   this) on an executor that charges every operation the cost the CONGEST
-//!   execution would incur, using the cost model validated by the `network`
-//!   layer:
+//! | operation | rounds | messages |
+//! |---|---|---|
+//! | BFS tree of depth `D` | `D` | `Σ_{v∈tree} d(v)` |
+//! | one walk step (flood `p_{ℓ−1}/d`) | 1 | `Σ_{u: p(u)>0} d(u)` |
+//! | broadcast / convergecast on the tree | `D` | `#tree nodes − 1` |
+//! | binary-search aggregation of the `|S|` smallest `x_u` | `O(D·log n)` | `O((#tree nodes)·log n)` |
 //!
-//!   | operation | rounds | messages |
-//!   |---|---|---|
-//!   | BFS tree of depth `D` | `D` | `Σ_{v∈tree} d(v)` |
-//!   | one walk step (flood `p_{ℓ−1}/d`) | 1 | `Σ_{u: p(u)>0} d(u)` |
-//!   | broadcast / convergecast on the tree | `D` | `#tree nodes − 1` |
-//!   | binary-search aggregation of the `|S|` smallest `x_u` | `O(D·log n)` | `O((#tree nodes)·log n)` |
+//! The crate's tests validate the flooding formula against a real
+//! synchronous message-passing simulator (compiled for tests only), where
+//! each vertex runs a node-program state machine: flooding BFS-tree
+//! construction, broadcast and convergecast, with measured rounds and
+//! messages asserted against the textbook analysis.
 //!
 //! The resulting round counts reproduce the `O(log⁴ n)` shape of Theorem 5
 //! and the message counts the `Õ(n²(p + q(r−1))/r)` shape — the
@@ -41,7 +38,8 @@
 #![warn(missing_docs)]
 
 mod cost;
-pub mod network;
+#[cfg(test)]
+mod network;
 pub mod primitives;
 mod runner;
 

@@ -1,4 +1,5 @@
-//! A synchronous message-passing simulator for the CONGEST model.
+//! A synchronous message-passing simulator for the CONGEST model, compiled
+//! for tests only.
 //!
 //! Each vertex of the graph runs a [`NodeProgram`] state machine. In every
 //! round the simulator collects the messages produced in the previous round,
@@ -34,8 +35,6 @@ pub struct Envelope {
 /// The context handed to a node on every round.
 #[derive(Debug)]
 pub struct RoundContext<'a> {
-    /// The current round number, starting at 1.
-    pub round: u64,
     /// Messages delivered to this node at the start of the round.
     pub inbox: &'a [Envelope],
     outbox: Vec<(VertexId, i64, i64)>,
@@ -164,7 +163,6 @@ impl<'g> Simulator<'g> {
                     continue;
                 }
                 let mut ctx = RoundContext {
-                    round,
                     inbox: &inboxes[v],
                     outbox: Vec::new(),
                 };

@@ -2,11 +2,11 @@
 //!
 //! The formulas below are the textbook CONGEST costs of each primitive; the
 //! BFS flooding cost is additionally validated against the real node-program
-//! simulation in [`crate::network`] (see the `costs_agree_with_simulation`
-//! test). The CDRW runner charges these costs while executing the same
-//! decision logic as the sequential algorithm, which keeps the detected
-//! communities bit-identical to `cdrw-core` while producing the round and
-//! message counts of the distributed execution.
+//! simulation of the test-only `network` module (see the
+//! `costs_agree_with_simulation` test). The CDRW runner charges these costs
+//! while executing the same decision logic as the sequential algorithm,
+//! which keeps the detected communities bit-identical to `cdrw-core` while
+//! producing the round and message counts of the distributed execution.
 
 use cdrw_graph::{traversal::BfsTree, Graph, VertexId};
 use cdrw_walk::{WalkDistribution, WalkWorkspace};

@@ -54,9 +54,9 @@
 //!   order its solo step would process them (union vertices outside a lane's
 //!   support carry `0.0` there and are skipped, just like the solo step skips
 //!   underflowed support entries);
-//! * accumulates into each lane's double buffer through the same bit-masked
-//!   [`accumulate`](crate::WalkEngine::step) helper, so the per-vertex sums
-//!   are performed in the same order with the same operands.
+//! * runs the solo step's own per-source scatter for every lane holding mass
+//!   on the vertex, so the per-vertex sums are performed in the same order
+//!   with the same operands.
 //!
 //! The pull:
 //!
@@ -76,15 +76,14 @@
 //! stepping loop hoists the active lanes into one compact scratch table up
 //! front, so the hot per-vertex loops touch exactly the lanes that step —
 //! no per-`(vertex, lane)` activity branch, and the lane state they read
-//! (mass plane pointer, mask words) stays hot across vertices. The pre-mask
-//! layout and push loop structure are preserved in
-//! [`crate::stamp_reference`] as the correctness and perf rail.
+//! (mass plane pointer, mask words) stays hot across vertices.
 //!
 //! A property test pins `step_batch` against per-lane solo steps bit for bit
-//! (distributions *and* supports) on weighted and unweighted graphs, with
-//! more lanes than one pull chunk, and with each step's direction chosen or
-//! forced either way; `cdrw-core` pins the batched ensemble against a
-//! sequential reference. Lanes can be deactivated mid-flight
+//! (distributions *and* supports), and each lane against the dense
+//! [`crate::WalkOperator::step_dense`], on weighted and unweighted graphs,
+//! with more lanes than one pull chunk, and with each step's direction
+//! chosen or forced either way; `cdrw-core` pins the batched ensemble
+//! against a sequential reference. Lanes can be deactivated mid-flight
 //! ([`WalkBatch::set_active`]) — a walk whose growth rule fired stops paying
 //! for steps while the rest of the batch walks on.
 //!
@@ -115,7 +114,7 @@
 
 use cdrw_graph::{Graph, VertexId};
 
-use crate::engine::accumulate;
+use crate::engine::scatter;
 use crate::{WalkEngine, WalkError, WalkWorkspace};
 
 /// A bank of reusable walk workspaces stepped in lockstep by
@@ -342,14 +341,8 @@ impl WalkEngine<'_> {
             .filter_map(|(ws, &is_active)| is_active.then_some(ws))
             .collect();
 
-        // Release each live lane's outgoing mask bits (the batched analogue
-        // of the solo step's up-front bit clears).
         for ws in live.iter_mut() {
-            ws.next_support.clear();
-            for i in 0..ws.support.len() {
-                let u = ws.support[i];
-                ws.mask.remove(u);
-            }
+            ws.begin_step();
         }
 
         match direction {
@@ -378,19 +371,7 @@ impl WalkEngine<'_> {
         }
 
         for ws in live.iter_mut() {
-            // Same epilogue as the solo step: restore the all-zero-outside-
-            // support invariant, promote the accumulator, sort the support.
-            // The pull emits targets in ascending order, so it is sorted
-            // already.
-            for i in 0..ws.support.len() {
-                let u = ws.support[i];
-                ws.current[u] = 0.0;
-            }
-            std::mem::swap(&mut ws.current, &mut ws.next);
-            std::mem::swap(&mut ws.support, &mut ws.next_support);
-            if direction == StepDirection::Push {
-                ws.support.sort_unstable();
-            }
+            ws.end_step(direction);
         }
     }
 }
@@ -398,10 +379,9 @@ impl WalkEngine<'_> {
 /// The push step: scatter every live lane's mass from the union of the
 /// supports, in ascending vertex order.
 fn push(graph: &Graph, laziness: f64, live: &mut [&mut WalkWorkspace], union: &mut Vec<VertexId>) {
-    let move_fraction = 1.0 - laziness;
     // The union of the active supports, ascending: every lane's own
     // support is a subsequence, so per-lane contributor order matches the
-    // solo step exactly.
+    // solo step exactly (`scatter` skips a lane with no mass on `u`).
     union.clear();
     for ws in live.iter() {
         union.extend_from_slice(&ws.support);
@@ -410,37 +390,8 @@ fn push(graph: &Graph, laziness: f64, live: &mut [&mut WalkWorkspace], union: &m
     union.dedup();
 
     for &u in union.iter() {
-        let degree = graph.degree(u);
-        let weighted_degree = graph.weighted_degree(u);
-        let neighbors = graph.neighbor_slice(u);
-        let row_weights = graph.weight_slice(u);
         for ws in live.iter_mut() {
-            let p = ws.current[u];
-            if p == 0.0 {
-                // Outside this lane's support — or an underflowed support
-                // entry, which the solo step also skips.
-                continue;
-            }
-            if degree == 0 {
-                accumulate(ws, u, p);
-                continue;
-            }
-            if laziness > 0.0 {
-                accumulate(ws, u, p * laziness);
-            }
-            let share = p * move_fraction / weighted_degree;
-            match row_weights {
-                None => {
-                    for &v in neighbors {
-                        accumulate(ws, v, share);
-                    }
-                }
-                Some(row_weights) => {
-                    for (&v, &w) in neighbors.iter().zip(row_weights) {
-                        accumulate(ws, v, share * w);
-                    }
-                }
-            }
+            scatter(graph, laziness, u, ws);
         }
     }
 }
@@ -620,6 +571,7 @@ fn gather<const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{WalkDistribution, WalkOperator};
     use cdrw_graph::GraphBuilder;
 
     #[test]
@@ -817,7 +769,9 @@ mod tests {
         /// mid-flight deactivation patterns, every batched lane's
         /// distribution and support are bit-identical to a solo walk of the
         /// same length from the same seed — whether each step picks its own
-        /// direction or is forced to push or to pull.
+        /// direction or is forced to push or to pull. The solo step shares
+        /// the push's `scatter`, so each lane is also checked against the
+        /// dense operator, which shares no stepping code with either.
         #[test]
         fn step_batch_is_bit_identical_to_solo_steps(
             edges in proptest::collection::vec((0usize..16, 0usize..16, 0.125f64..4.0), 1..90),
@@ -843,6 +797,7 @@ mod tests {
             };
             let direction = [None, Some(StepDirection::Push), Some(StepDirection::Pull)][forced];
             let engine = WalkEngine::lazy(&g, laziness);
+            let operator = WalkOperator::lazy(&g, laziness);
             let mut batch = WalkBatch::for_graph(&g);
             batch.load_point_masses(&seeds).unwrap();
             // Lane 0 freezes after `frozen_after` steps (if that is sooner
@@ -864,8 +819,10 @@ mod tests {
                 let walked = if lane == 0 { lane0_steps } else { steps };
                 let mut solo = engine.workspace();
                 solo.load_point_mass(seed).unwrap();
+                let mut dense = WalkDistribution::point_mass(16, seed).unwrap();
                 for _ in 0..walked {
                     engine.step(&mut solo);
+                    dense = operator.step_dense(&dense);
                 }
                 prop_assert_eq!(
                     batch.lane(lane).as_slice(),
@@ -874,6 +831,13 @@ mod tests {
                     lane
                 );
                 prop_assert_eq!(batch.lane(lane).support(), solo.support());
+                let bits = |values: &[f64]| values.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(
+                    bits(batch.lane(lane).as_slice()),
+                    bits(dense.as_slice()),
+                    "lane {} diverged from the dense operator",
+                    lane
+                );
             }
         }
     }

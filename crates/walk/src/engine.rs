@@ -82,7 +82,7 @@
 //!
 //! | layout | membership plane | total resident @ `n = 2²⁰` per workspace/lane |
 //! |---|---|---|
-//! | epoch stamps (pre-mask, kept in [`crate::stamp_reference`]) | 8 B/vertex (8 MiB @ 2²⁰) | ≈ 24 MiB |
+//! | epoch stamps (former layout) | 8 B/vertex (8 MiB @ 2²⁰) | ≈ 24 MiB |
 //! | bit-packed mask ([`WalkWorkspace`]) | 1 bit/vertex (128 KiB @ 2²⁰) | ≈ 16.1 MiB |
 //!
 //! The mass planes are unavoidable (they hold the walk), so the win is in
@@ -127,6 +127,7 @@ use std::sync::OnceLock;
 
 use cdrw_graph::{Graph, VertexId};
 
+use crate::batch::StepDirection;
 use crate::local_mixing::{affinity_ratio, LocalMixingConfig, LocalMixingOutcome, MixingCheck};
 use crate::mask::BitMask;
 use crate::{MixingCriterion, WalkDistribution, WalkError};
@@ -266,66 +267,18 @@ impl<'g> WalkEngine<'g> {
             self.graph.num_vertices()
         );
         let ws = workspace;
-        ws.next_support.clear();
-        let move_fraction = 1.0 - self.laziness;
-        // Detach the support so accumulation can borrow the rest of the
-        // workspace mutably; the buffer is recycled below.
+        ws.begin_step();
+        // Detach the support so `scatter` can borrow the rest of the
+        // workspace mutably. Iterating it in ascending vertex order makes
+        // every accumulation into `next[v]` happen in the same order as the
+        // dense operator's `for u in 0..n` loop, so the sums are
+        // bit-identical.
         let support = std::mem::take(&mut ws.support);
-        // Release the outgoing support's mask bits so the mask is free to
-        // mark the incoming support during accumulation — O(|support|) bit
-        // clears, the mask-layout replacement for bumping an epoch.
         for &u in &support {
-            ws.mask.remove(u);
+            scatter(self.graph, self.laziness, u, ws);
         }
-        // Iterating the sorted support in ascending vertex order makes every
-        // accumulation into `next[v]` happen in the same order as the dense
-        // operator's `for u in 0..n` loop, so the sums are bit-identical.
-        for &u in &support {
-            let p = ws.current[u];
-            if p == 0.0 {
-                // Mirrors the dense operator's skip; keeps a vertex whose
-                // mass underflowed to zero out of the cost and the result.
-                continue;
-            }
-            let degree = self.graph.degree(u);
-            if degree == 0 {
-                // Nowhere to go: the mass stays.
-                accumulate(ws, u, p);
-                continue;
-            }
-            if self.laziness > 0.0 {
-                accumulate(ws, u, p * self.laziness);
-            }
-            // Weighted transition P(u→v) = w(u,v)/w(u); on an unweighted
-            // graph `weighted_degree` is exactly `degree as f64` and the
-            // weightless loop below performs the identical arithmetic the
-            // pre-weight-lane kernel did.
-            let share = p * move_fraction / self.graph.weighted_degree(u);
-            match self.graph.weight_slice(u) {
-                None => {
-                    for &v in self.graph.neighbor_slice(u) {
-                        accumulate(ws, v, share);
-                    }
-                }
-                Some(row_weights) => {
-                    for (&v, &w) in self.graph.neighbor_slice(u).iter().zip(row_weights) {
-                        accumulate(ws, v, share * w);
-                    }
-                }
-            }
-        }
-        // Zero the outgoing buffer so the all-zero-outside-support invariant
-        // holds after the swap (the old `current` becomes the next `next`).
-        for &u in &support {
-            ws.current[u] = 0.0;
-        }
-        std::mem::swap(&mut ws.current, &mut ws.next);
-        ws.support = std::mem::take(&mut ws.next_support);
-        // Push order is a merge of ascending neighbour lists, so the support
-        // is nearly sorted already; pdqsort handles this in near-linear time.
-        ws.support.sort_unstable();
-        // Recycle the old support's allocation for the next step.
-        ws.next_support = support;
+        ws.support = support;
+        ws.end_step(StepDirection::Push);
     }
 
     /// The pre-weight-lane step kernel, preserved verbatim: uniform
@@ -940,11 +893,50 @@ pub(crate) fn degree_key_cmp(graph: &Graph, a: VertexId, b: VertexId) -> std::cm
         .then(a.cmp(&b))
 }
 
+/// One source's part of a push step (Algorithm 1, lines 9–11): `u`'s mass
+/// `p` goes out as `p·α` to itself and `p·(1−α)·w(u,v)/w(u)` to each
+/// neighbour `v`, in row order. A zero `p` — outside the support, or an
+/// underflowed support entry — sends nothing, as in the dense operator; a
+/// degree-0 `u` keeps `p`. Called for every source in ascending order, it
+/// adds each `next[v]`'s terms in the dense operator's order, which is the
+/// whole bit-identity argument for the solo and the batched push.
+#[inline(always)]
+pub(crate) fn scatter(graph: &Graph, laziness: f64, u: VertexId, ws: &mut WalkWorkspace) {
+    let p = ws.current[u];
+    if p == 0.0 {
+        return;
+    }
+    if graph.degree(u) == 0 {
+        // Nowhere to go: the mass stays.
+        accumulate(ws, u, p);
+        return;
+    }
+    if laziness > 0.0 {
+        accumulate(ws, u, p * laziness);
+    }
+    // Weighted transition P(u→v) = w(u,v)/w(u); on an unweighted graph
+    // `weighted_degree` is exactly `degree as f64` and the weightless loop
+    // performs the identical arithmetic the pre-weight-lane kernel did.
+    let share = p * (1.0 - laziness) / graph.weighted_degree(u);
+    let neighbors = graph.neighbor_slice(u);
+    match graph.weight_slice(u) {
+        None => {
+            for &v in neighbors {
+                accumulate(ws, v, share);
+            }
+        }
+        Some(row_weights) => {
+            for (&v, &w) in neighbors.iter().zip(row_weights) {
+                accumulate(ws, v, share * w);
+            }
+        }
+    }
+}
+
 /// The hot accumulation kernel: first touch of `v` this step initialises
 /// `next[v]` and records it in the incoming support; later touches add.
 /// The first-touch test is one bit read/write against the mask (the caller
-/// has already released the outgoing support's bits), against the 8-byte
-/// epoch-stamp compare of [`crate::stamp_reference`].
+/// has already released the outgoing support's bits).
 #[inline]
 pub(crate) fn accumulate(ws: &mut WalkWorkspace, v: VertexId, mass: f64) {
     if ws.mask.insert(v) {
@@ -1131,6 +1123,34 @@ impl WalkWorkspace {
             self.support.push(v);
         }
         Ok(())
+    }
+
+    /// Opens a step: empties the incoming support and releases the outgoing
+    /// support's mask bits, so the mask is free to mark the incoming support
+    /// as [`accumulate`] first-touches it — `O(|support|)` bit clears, the
+    /// mask-layout replacement for bumping an epoch.
+    pub(crate) fn begin_step(&mut self) {
+        self.next_support.clear();
+        for &u in &self.support {
+            self.mask.remove(u);
+        }
+    }
+
+    /// Closes a step: zeroes the outgoing mass (so the all-zero-outside-
+    /// support invariant holds after the swap, the old `current` becoming
+    /// the next `next`), promotes the accumulated buffer and support, and
+    /// sorts the support unless the step pulled (a pull emits it in
+    /// ascending order). A push emits a merge of ascending neighbour lists,
+    /// which pdqsort sorts in near-linear time.
+    pub(crate) fn end_step(&mut self, direction: StepDirection) {
+        for &u in &self.support {
+            self.current[u] = 0.0;
+        }
+        std::mem::swap(&mut self.current, &mut self.next);
+        std::mem::swap(&mut self.support, &mut self.next_support);
+        if direction == StepDirection::Push {
+            self.support.sort_unstable();
+        }
     }
 
     fn clear_support(&mut self) {
@@ -1538,15 +1558,17 @@ mod tests {
         }
 
         /// On arbitrary graphs, laziness values, and walk lengths, the sparse
-        /// engine's distribution and local-mixing outcomes agree with the
-        /// dense reference path within 1e-12 (the distributions are in fact
-        /// bit-identical; the mixing sets are identical as sets).
+        /// engine's distribution is bit-identical to the dense reference path
+        /// after every step and its local-mixing outcomes agree (the mixing
+        /// sets are identical as sets). One workspace is re-seeded across
+        /// several sources, which exercises the mask-clear paths the way
+        /// `detect_all` does.
         #[test]
         fn sparse_engine_matches_dense_reference(
             edges in proptest::collection::vec((0usize..16, 0usize..16), 1..100),
-            source in 0usize..16,
+            sources in proptest::collection::vec(0usize..16, 1..4),
             laziness in 0.0f64..1.0,
-            steps in 0usize..8,
+            steps in 0usize..10,
         ) {
             use proptest::{prop_assert, prop_assert_eq, prop_assume};
 
@@ -1556,41 +1578,48 @@ mod tests {
             let engine = WalkEngine::lazy(&g, laziness);
             let operator = WalkOperator::lazy(&g, laziness);
             let mut ws = engine.workspace();
-            ws.load_point_mass(source).unwrap();
-            let mut dense = WalkDistribution::point_mass(16, source).unwrap();
-            for _ in 0..steps {
-                engine.step(&mut ws);
-                dense = operator.step_dense(&dense);
-            }
-            for v in 0..16 {
-                prop_assert!(
-                    (ws.probability(v) - dense.probability(v)).abs() <= 1e-12,
-                    "probability diverged at {}: {} vs {}",
-                    v, ws.probability(v), dense.probability(v)
-                );
-            }
-            // The support must be exactly the non-zero entries.
-            for v in 0..16 {
-                let in_support = ws.support().binary_search(&v).is_ok();
-                prop_assert_eq!(in_support, ws.probability(v) != 0.0);
-            }
-            if g.total_volume() > 0 {
-                let config = LocalMixingConfig {
-                    min_size: 2,
-                    ..LocalMixingConfig::default()
-                };
-                let sparse = engine.sweep(&mut ws, &config).unwrap();
-                let dense_outcome = largest_mixing_set(&g, &dense, &config).unwrap();
-                prop_assert_eq!(&sparse.set, &dense_outcome.set);
-                prop_assert_eq!(sparse.checks.len(), dense_outcome.checks.len());
-                for (s, d) in sparse.checks.iter().zip(&dense_outcome.checks) {
-                    prop_assert_eq!(s.size, d.size);
-                    prop_assert_eq!(s.holds, d.holds);
-                    prop_assert!(
-                        (s.score_sum - d.score_sum).abs() < 1e-12,
-                        "score sums diverged at size {}: {} vs {}",
-                        s.size, s.score_sum, d.score_sum
-                    );
+            for &source in &sources {
+                ws.load_point_mass(source).unwrap();
+                let mut dense = WalkDistribution::point_mass(16, source).unwrap();
+                for step in 0..=steps {
+                    if step > 0 {
+                        engine.step(&mut ws);
+                        dense = operator.step_dense(&dense);
+                    }
+                    for v in 0..16 {
+                        prop_assert_eq!(
+                            ws.probability(v).to_bits(),
+                            dense.probability(v).to_bits(),
+                            "probability diverged at {} at step {} from seed {}: {} vs {}",
+                            v, step, source, ws.probability(v), dense.probability(v)
+                        );
+                    }
+                    // The support must be exactly the non-zero entries, in
+                    // ascending order.
+                    prop_assert!(ws.support().windows(2).all(|w| w[0] < w[1]));
+                    for v in 0..16 {
+                        let in_support = ws.support().binary_search(&v).is_ok();
+                        prop_assert_eq!(in_support, ws.probability(v) != 0.0);
+                    }
+                }
+                if g.total_volume() > 0 {
+                    let config = LocalMixingConfig {
+                        min_size: 2,
+                        ..LocalMixingConfig::default()
+                    };
+                    let sparse = engine.sweep(&mut ws, &config).unwrap();
+                    let dense_outcome = largest_mixing_set(&g, &dense, &config).unwrap();
+                    prop_assert_eq!(&sparse.set, &dense_outcome.set);
+                    prop_assert_eq!(sparse.checks.len(), dense_outcome.checks.len());
+                    for (s, d) in sparse.checks.iter().zip(&dense_outcome.checks) {
+                        prop_assert_eq!(s.size, d.size);
+                        prop_assert_eq!(s.holds, d.holds);
+                        prop_assert!(
+                            (s.score_sum - d.score_sum).abs() < 1e-12,
+                            "score sums diverged at size {}: {} vs {}",
+                            s.size, s.score_sum, d.score_sum
+                        );
+                    }
                 }
             }
         }

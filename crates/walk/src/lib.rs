@@ -50,8 +50,7 @@
 //!   ([`mask::BitMask`], one bit per vertex) instead of the former
 //!   8-bytes-per-vertex epoch stamps, so the membership test in the hot
 //!   accumulation loop touches 64× less memory; the [`WalkEngine`] module
-//!   docs carry the memory table and [`stamp_reference`] preserves the old
-//!   layout as the correctness/perf rail.
+//!   docs carry the memory table.
 //!
 //! The engine is bit-for-bit equivalent to the dense reference for stepping
 //! (identical accumulation order) and selects identical mixing sets (same
@@ -98,8 +97,6 @@
 //!   kept as the reference the sparse sweep is compared against.
 //! * [`mixing`] — global mixing time `τ_mix(ε)` estimation, spectral gap via
 //!   power iteration.
-//! * [`sampled`] — token-based sampled walks, used only by tests to
-//!   cross-check the deterministic push operator.
 //!
 //! # Example
 //!
@@ -138,9 +135,9 @@ pub mod evidence;
 pub mod local_mixing;
 pub mod mask;
 pub mod mixing;
-pub mod sampled;
+#[cfg(test)]
+mod sampled;
 pub mod shard;
-pub mod stamp_reference;
 mod step;
 
 pub use batch::WalkBatch;

@@ -1,9 +1,10 @@
-//! Token-based sampled random walks.
+//! Token-based sampled random walks, compiled for tests only.
 //!
 //! CDRW itself never samples trajectories — it evolves the exact distribution
-//! — but sampled walks are useful for cross-checking the push operator (the
-//! empirical visit distribution of many sampled walks must converge to the
-//! deterministic distribution) and for building intuition in the examples.
+//! — but sampled walks cross-check the push operator: the empirical visit
+//! distribution of many sampled walks must converge to the deterministic
+//! distribution. A sampled step picks a neighbour uniformly, so these walks
+//! are valid on unweighted graphs only.
 
 use cdrw_graph::{Graph, VertexId};
 use rand::rngs::SmallRng;

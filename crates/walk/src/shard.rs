@@ -329,11 +329,8 @@ impl ShareReceiver {
         );
 
         let ws = workspace;
-        ws.next_support.clear();
+        ws.begin_step();
         let support = std::mem::take(&mut ws.support);
-        for &u in &support {
-            ws.mask.remove(u);
-        }
         match direction {
             StepDirection::Push => {
                 // A degree-0 vertex receives nothing but its own mass, so its
@@ -353,16 +350,8 @@ impl ShareReceiver {
             }
             StepDirection::Pull => self.pull(sub, laziness, ws, &support, &runs),
         }
-        for &u in &support {
-            ws.current[u] = 0.0;
-        }
-        std::mem::swap(&mut ws.current, &mut ws.next);
-        ws.support = std::mem::take(&mut ws.next_support);
-        if direction == StepDirection::Push {
-            ws.support.sort_unstable();
-        }
-        ws.next_support = support;
-        ws.next_support.clear();
+        ws.support = support;
+        ws.end_step(direction);
         volume as u64
     }
 
