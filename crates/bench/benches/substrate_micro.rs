@@ -154,8 +154,8 @@ fn fig4a_instance(n: usize) -> Graph {
     generate_ppm(&params, 20190416).unwrap().0
 }
 
-fn bench_prefix_vs_per_size_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("prefix_vs_per_size_sweep");
+fn bench_renormalized_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("renormalized_sweep");
     group.sample_size(10);
     for &n in &[2048usize, 8192] {
         let graph = fig4a_instance(n);
@@ -175,9 +175,6 @@ fn bench_prefix_vs_per_size_sweep(c: &mut Criterion) {
         );
         group.bench_with_input(BenchmarkId::new("prefix_scan", n), &n, |b, _| {
             b.iter(|| black_box(engine.sweep(&mut workspace, &config).unwrap()));
-        });
-        group.bench_with_input(BenchmarkId::new("per_size", n), &n, |b, _| {
-            b.iter(|| black_box(engine.sweep_per_size(&mut workspace, &config).unwrap()));
         });
     }
     group.finish();
@@ -227,7 +224,7 @@ criterion_group!(
     bench_substrates,
     bench_sparse_vs_dense_step,
     bench_sparse_vs_dense_sweep,
-    bench_prefix_vs_per_size_sweep,
+    bench_renormalized_sweep,
     bench_batched_vs_sequential_step
 );
 criterion_main!(benches);

@@ -57,7 +57,7 @@
 //! `--json PATH` additionally writes the whole run as machine-readable JSON
 //! (per-point F / partition-F values, congest round/message costs, per-table
 //! wall-clock milliseconds and budget verdicts, the worker-thread count, and
-//! the prefix-sweep micro-perf reading) — CI uploads it as
+//! the unweighted-step micro-perf reading) — CI uploads it as
 //! `BENCH_results.json` so the perf trajectory is recorded run over run, and
 //! the `perf_gate` binary diffs the wall-clocks against the committed
 //! baselines under `ci/baselines/`.
@@ -318,7 +318,7 @@ fn scale_name(scale: Scale) -> &'static str {
 /// worker-thread count the parallel driver used), every experiment's points
 /// (value plus extras — partition F for the accuracy figures,
 /// rounds/messages for the congest tables) with wall-clock milliseconds and
-/// the per-table budget verdict, and the prefix-sweep micro-perf reading.
+/// the per-table budget verdict, and the unweighted-step micro-perf reading.
 fn json_document(
     scale: Scale,
     options: &RunOptions,
@@ -360,7 +360,6 @@ fn json_document(
                 .set("points", points)
         })
         .collect();
-    let sweep = perf::measure_sweep_speedup();
     let step = perf::measure_step_overhead();
     let threads_used = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -373,25 +372,15 @@ fn json_document(
         .set("figures", figures)
         .set(
             "perf",
-            Json::object()
-                .set(
-                    "renormalized_sweep",
-                    Json::object()
-                        .set("n", sweep.n)
-                        .set("support", sweep.support)
-                        .set("per_size_ns", sweep.per_size_ns)
-                        .set("prefix_scan_ns", sweep.prefix_ns)
-                        .set("speedup", sweep.speedup()),
-                )
-                .set(
-                    "unweighted_step",
-                    Json::object()
-                        .set("n", step.n)
-                        .set("support", step.support)
-                        .set("step_ns", step.step_ns)
-                        .set("reference_ns", step.reference_ns)
-                        .set("ratio", step.ratio()),
-                ),
+            Json::object().set(
+                "unweighted_step",
+                Json::object()
+                    .set("n", step.n)
+                    .set("support", step.support)
+                    .set("step_ns", step.step_ns)
+                    .set("reference_ns", step.reference_ns)
+                    .set("ratio", step.ratio()),
+            ),
         )
 }
 

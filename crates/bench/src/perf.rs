@@ -1,38 +1,15 @@
 //! Micro perf measurements recorded into `BENCH_results.json` and asserted
 //! by the perf-smoke acceptance test.
 //!
-//! The headline perf claim of the prefix-scan sweep — one incremental pass
-//! over the merged candidate order instead of an `O(Σ|S|)` re-scan per
-//! candidate size — is measured here on a quick-scale Figure 4a instance
-//! (the sparse 8-block PPM whose accuracy the ensemble/assembly stack was
-//! built for), so the speedup travels with every CI artifact instead of
-//! living in a one-off PR description.
+//! The unweighted step path is measured here on a quick-scale Figure 4a
+//! instance (the sparse 8-block PPM whose accuracy the ensemble/assembly
+//! stack was built for), so the weight-lane overhead travels with every CI
+//! artifact instead of living in a one-off PR description.
 
 use std::time::Instant;
 
 use cdrw_gen::{generate_ppm, PpmParams};
-use cdrw_walk::{LocalMixingConfig, MixingCriterion, WalkEngine};
-
-/// Measured sweep timings on the fig4a-sized instance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepSpeedup {
-    /// Vertices of the instance.
-    pub n: usize,
-    /// Support size of the measured walk state.
-    pub support: usize,
-    /// Time of one per-size reference sweep in the median pair, in
-    /// nanoseconds.
-    pub per_size_ns: f64,
-    /// Time of one prefix-scan sweep in the median pair, in nanoseconds.
-    pub prefix_ns: f64,
-}
-
-impl SweepSpeedup {
-    /// How many times faster the prefix scan is.
-    pub fn speedup(&self) -> f64 {
-        self.per_size_ns / self.prefix_ns
-    }
-}
+use cdrw_walk::WalkEngine;
 
 /// Measured unweighted-step timings: the current weight-dispatching kernel
 /// against the preserved pre-weight-lane kernel, on the same unweighted
@@ -160,71 +137,6 @@ fn mean_ns(iterations: u32, routine: &mut dyn FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(iterations)
 }
 
-/// Interleaved pairs [`measure_sweep_speedup`] times, each sample the mean
-/// of [`SWEEPS_PER_SAMPLE`] sweeps.
-pub const SWEEP_PAIRS: usize = 15;
-
-/// Sweeps timed back to back per sample of [`measure_sweep_speedup`].
-pub const SWEEPS_PER_SAMPLE: u32 = 10;
-
-/// Measures the renormalised sweep both ways — prefix scan
-/// ([`WalkEngine::sweep`]) against the per-size reference
-/// ([`WalkEngine::sweep_per_size`]) — on a quick-scale Figure 4a instance
-/// (8 blocks of 256, `p = 2·(ln n)²/n`, `p/q = 2^0.6·ln n`), on a walk state
-/// spread far enough that candidate prefixes are long. The two paths are
-/// timed in [`SWEEP_PAIRS`] interleaved pairs ([`median_pair`]) on copies of
-/// the same walk state.
-pub fn measure_sweep_speedup() -> SweepSpeedup {
-    let r = 8usize;
-    let block = 256usize;
-    let n = r * block;
-    let ln_n = (n as f64).ln();
-    let p = 2.0 * ln_n * ln_n / n as f64;
-    let q = p / (2f64.powf(0.6) * ln_n);
-    let params = PpmParams::new(n, r, p, q).expect("valid fig4a parameters");
-    let (graph, _) = generate_ppm(&params, 20190416).expect("valid fig4a instance");
-
-    let engine = WalkEngine::new(&graph);
-    let config = LocalMixingConfig {
-        criterion: MixingCriterion::Renormalized,
-        ..LocalMixingConfig::for_graph_size(n)
-    };
-    let mut workspace = engine.workspace();
-    workspace.load_point_mass(0).expect("vertex 0 exists");
-    for _ in 0..8 {
-        engine.step(&mut workspace);
-    }
-    let support = workspace.support_size();
-
-    // Equal-work sanity check before timing: both paths agree on this state.
-    let fast = engine.sweep(&mut workspace, &config).expect("sweep runs");
-    let reference = engine
-        .sweep_per_size(&mut workspace, &config)
-        .expect("reference sweep runs");
-    assert_eq!(fast.set, reference.set, "sweep paths diverged");
-
-    let mut reference_ws = workspace.clone();
-    let (prefix_ns, per_size_ns) = median_pair(
-        SWEEP_PAIRS,
-        &mut || {
-            mean_ns(SWEEPS_PER_SAMPLE, &mut || {
-                engine.sweep(&mut workspace, &config).unwrap();
-            })
-        },
-        &mut || {
-            mean_ns(SWEEPS_PER_SAMPLE, &mut || {
-                engine.sweep_per_size(&mut reference_ws, &config).unwrap();
-            })
-        },
-    );
-    SweepSpeedup {
-        n,
-        support,
-        per_size_ns,
-        prefix_ns,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,16 +150,5 @@ mod tests {
             reference_ns: 1_000.0,
         };
         assert!((measured.ratio() - 1.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn speedup_ratio_reads_from_the_timings() {
-        let measured = SweepSpeedup {
-            n: 2048,
-            support: 1000,
-            per_size_ns: 50_000.0,
-            prefix_ns: 5_000.0,
-        };
-        assert!((measured.speedup() - 10.0).abs() < 1e-12);
     }
 }

@@ -1,19 +1,15 @@
 //! Perf-smoke acceptance tests for the hot-loop work.
 //!
-//! These pin the *shape* of the speedups, not wall-clock absolutes: the
-//! prefix-scan sweep must beat the per-size reference by a wide margin on a
-//! fig4a-sized instance (the acceptance bar is ≥ 5×; the measured ratio is
-//! typically well above 15× in release mode), batched stepping must not
-//! lose to sequential stepping on overlapping walks, the work-stealing
-//! parallel driver must scale on a multi-core runner, the weight-lane
-//! dispatch must cost ≤ 1.1× on the unweighted step path against the
-//! preserved pre-weight-lane kernel, the fault-free chaos wrapper must cost
-//! ≤ 1.1× of the bare sharded run (the zero plan short-circuits to the
-//! inner transport), and a two-shard run must cost ≤ 2.2× of the
-//! sequential run on a clear-cell PPM. Every bar
-//! gates the median ratio of warmed, interleaved pairs
-//! ([`perf::median_pair`]), so scheduler noise shifts the ratio, not the
-//! verdict.
+//! These pin the *shape* of the speedups, not wall-clock absolutes:
+//! batched stepping must not lose to sequential stepping on overlapping
+//! walks, the work-stealing parallel driver must scale on a multi-core
+//! runner, the weight-lane dispatch must cost ≤ 1.1× on the unweighted step
+//! path against the preserved pre-weight-lane kernel, the fault-free chaos
+//! wrapper must cost ≤ 1.1× of the bare sharded run (the zero plan
+//! short-circuits to the inner transport), and a two-shard run must cost
+//! ≤ 2.2× of the sequential run on a clear-cell PPM. Every bar gates the
+//! median ratio of warmed, interleaved pairs ([`perf::median_pair`]), so
+//! scheduler noise shifts the ratio, not the verdict.
 
 use cdrw_bench::perf::{self, median_pair};
 use cdrw_congest::CongestConfig;
@@ -23,29 +19,9 @@ use cdrw_kmachine::{FaultPlan, KMachineConfig, KMachineEngine};
 use cdrw_walk::{WalkBatch, WalkEngine};
 use std::time::Instant;
 
-// Both tests are #[ignore]d so the accuracy job and plain `cargo test` stay
+// These tests are #[ignore]d so the accuracy job and plain `cargo test` stay
 // timing-deterministic; the CI perf-smoke job runs them explicitly with
 // `-- --ignored` in release mode.
-#[test]
-#[ignore = "timing assertion — run by the CI perf-smoke job with -- --ignored"]
-fn prefix_scan_sweep_is_at_least_5x_faster_on_a_fig4a_instance() {
-    let measured = perf::measure_sweep_speedup();
-    assert_eq!(measured.n, 2048, "quick-scale fig4a size");
-    assert!(
-        measured.support > measured.n / 2,
-        "the walk state must exercise long candidate prefixes, support = {}",
-        measured.support
-    );
-    assert!(
-        measured.speedup() >= 5.0,
-        "prefix-scan sweep speedup {:.1}x below the 5x acceptance bar \
-         (per-size {:.0} ns, prefix {:.0} ns)",
-        measured.speedup(),
-        measured.per_size_ns,
-        measured.prefix_ns
-    );
-}
-
 #[test]
 #[ignore = "timing assertion — run by the CI perf-smoke job with -- --ignored"]
 fn unweighted_step_path_costs_at_most_1_1x_of_the_pre_weight_lane_kernel() {

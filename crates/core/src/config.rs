@@ -394,7 +394,6 @@ impl CdrwConfig {
             min_size: self.min_community_size.unwrap_or(defaults.min_size),
             growth_factor: self.size_growth_factor,
             threshold: self.mixing_threshold,
-            stop_at_first_failure: self.criterion.stops_at_first_failure(),
             criterion: self.criterion,
         }
     }

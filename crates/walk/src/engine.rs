@@ -32,14 +32,13 @@
 //! # Per-step sweep cost (renormalised criterion)
 //!
 //! The candidate sizes grow geometrically (`R, (1+1/8e)R, …, n`), so their
-//! sum is `Θ(n)` with a large constant (≈ 24n). The per-size path re-merges
-//! and re-scores each candidate prefix from scratch; the prefix scan answers
+//! sum is `Θ(n)` with a large constant (≈ 24n). Re-scoring each candidate
+//! prefix from scratch would cost that sum; the prefix scan instead answers
 //! every size from running mass and volume sums plus one binary search:
 //!
 //! | path | cost per sweep |
 //! |---|---|
 //! | dense reference ([`crate::largest_mixing_set`]) | `O(n log n)` **per size** — `Θ(n² )`-ish overall |
-//! | per-size sparse sweep ([`WalkEngine::sweep_per_size`]) | `O(\|support\| log \|support\| + Σ\|S\|) ≈ O(24·n)` |
 //! | prefix scan ([`WalkEngine::sweep`]) | `O(P log P + sizes·log P)` plus a read-only walk of the degree order up to the largest size |
 //!
 //! `P` is the number of support entries with positive affinity `p(u)/d(u)`.
@@ -59,16 +58,16 @@
 //! id order.
 //!
 //! The candidate *order* — and therefore every candidate prefix — is
-//! identical across all three paths by construction (same keys, same
-//! tie-breaking total order). The per-size `score_sum` is regrouped by the
-//! prefix scan and so may differ from the per-term sum in the last few
-//! bits; since `holds` compares that score against the fixed `1/2e`
+//! identical across both paths by construction (same keys, same
+//! tie-breaking total order). Each size's `score_sum` is regrouped by the
+//! prefix scan and so may differ from the dense per-term sum in the last
+//! few bits; since `holds` compares that score against the fixed `1/2e`
 //! threshold, a score landing *within that rounding band of the threshold
 //! itself* could in principle decide differently. No such boundary
 //! coincidence has been observed — the property tests pin sets and
 //! decisions exactly across randomized graphs and all four criteria, and
 //! the committed `ci/baselines/` experiment tables regenerated bit-identical
-//! when the prefix scan replaced the per-size path, and again when the
+//! when the prefix scan replaced per-size re-scoring, and again when the
 //! packed-key sort and the lazy degree-order walk replaced its n-length
 //! merge.
 //!
@@ -354,16 +353,26 @@ impl<'g> WalkEngine<'g> {
         workspace: &mut WalkWorkspace,
         config: &LocalMixingConfig,
     ) -> Result<LocalMixingOutcome, WalkError> {
-        self.validate_sweep(workspace, config)?;
+        config.validate()?;
+        if self.graph.total_volume() == 0 {
+            return Err(WalkError::NoEdges);
+        }
+        assert_eq!(
+            workspace.len(),
+            self.graph.num_vertices(),
+            "workspace is over {} vertices but the graph has {}",
+            workspace.len(),
+            self.graph.num_vertices()
+        );
         if config.criterion == MixingCriterion::Renormalized {
             // The candidate set of every size is a prefix of one fixed merged
             // order, so the whole sweep is a single incremental pass.
             return Ok(self.sweep_renormalized(workspace, config));
         }
         self.fill_tail(workspace);
-        // Same override as the dense sweep: a possibly-disconnected
-        // pass-region forbids the early exit.
-        let stop_early = config.stop_at_first_failure && config.criterion.stops_at_first_failure();
+        // Same rule as the dense sweep: a possibly-disconnected pass-region
+        // forbids the early exit.
+        let stop_early = config.criterion.stops_at_first_failure();
         let mut best: Option<Vec<VertexId>> = None;
         let mut checks = Vec::new();
         for size in config.candidate_sizes(self.graph.num_vertices()) {
@@ -380,74 +389,6 @@ impl<'g> WalkEngine<'g> {
         Ok(LocalMixingOutcome { set: best, checks })
     }
 
-    /// The pre-prefix-scan sweep: identical decision logic to
-    /// [`WalkEngine::sweep`], but the renormalised criterion re-merges and
-    /// re-scores its candidate prefix from scratch for every candidate size
-    /// (`O(Σ|S|)` per sweep instead of one incremental pass), over a
-    /// comparator sort of the whole support. Kept as the reference
-    /// implementation the prefix scan is property-test-pinned against and
-    /// micro-benchmarked against (`substrate_micro`); hot paths should always
-    /// call [`WalkEngine::sweep`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`WalkEngine::sweep`].
-    pub fn sweep_per_size(
-        &self,
-        workspace: &mut WalkWorkspace,
-        config: &LocalMixingConfig,
-    ) -> Result<LocalMixingOutcome, WalkError> {
-        self.validate_sweep(workspace, config)?;
-        self.fill_tail(workspace);
-        if config.criterion == MixingCriterion::Renormalized {
-            self.sort_support_by_affinity(workspace);
-        }
-        let stop_early = config.stop_at_first_failure && config.criterion.stops_at_first_failure();
-        let mut best: Option<Vec<VertexId>> = None;
-        let mut checks = Vec::new();
-        for size in config.candidate_sizes(self.graph.num_vertices()) {
-            let (check, members) = match config.criterion {
-                MixingCriterion::Strict | MixingCriterion::Lazy(_) => {
-                    self.check_size(workspace, size, config.threshold, false)
-                }
-                MixingCriterion::Adaptive => {
-                    self.check_size(workspace, size, config.threshold, true)
-                }
-                MixingCriterion::Renormalized => {
-                    self.check_size_renormalized(workspace, size, config.threshold)
-                }
-            };
-            let holds = check.holds;
-            checks.push(check);
-            if holds {
-                best = members;
-            } else if stop_early && best.is_some() {
-                break;
-            }
-        }
-        Ok(LocalMixingOutcome { set: best, checks })
-    }
-
-    /// Shared sweep prologue: configuration, graph and workspace checks.
-    fn validate_sweep(
-        &self,
-        workspace: &WalkWorkspace,
-        config: &LocalMixingConfig,
-    ) -> Result<(), WalkError> {
-        config.validate()?;
-        if self.graph.total_volume() == 0 {
-            return Err(WalkError::NoEdges);
-        }
-        assert_eq!(
-            workspace.len(),
-            self.graph.num_vertices(),
-            "workspace is over {} vertices but the graph has {}",
-            workspace.len(),
-            self.graph.num_vertices()
-        );
-        Ok(())
-    }
-
     /// Builds the per-sweep tail of the per-size checks: the degree-sorted
     /// non-support vertices, so candidate assembly never re-skips support
     /// entries.
@@ -461,22 +402,6 @@ impl<'g> WalkEngine<'g> {
                 ws.tail.push(v);
             }
         }
-    }
-
-    /// Sorts the whole support into `workspace.affinity` by descending walk
-    /// affinity `p(u)/d(u)`, ties by `(degree, id)` — the prefix order the
-    /// renormalised criterion selects candidates in. The comparator sort of
-    /// the [`WalkEngine::sweep_per_size`] reference path; the hot sweep sorts
-    /// packed keys instead (`build_positive_prefix`).
-    fn sort_support_by_affinity(&self, ws: &mut WalkWorkspace) {
-        let graph = self.graph;
-        ws.affinity.clear();
-        for &u in &ws.support {
-            ws.affinity
-                .push((affinity_ratio(ws.current[u], graph.weighted_degree(u)), u));
-        }
-        ws.affinity
-            .sort_unstable_by(|a, b| affinity_order_cmp(graph, a, b));
     }
 
     /// Builds the positive prefix of the renormalised sweep: the support's
@@ -613,7 +538,7 @@ impl<'g> WalkEngine<'g> {
     /// degrees on either side of the crossing. The running sums add the same
     /// terms in the same order as a full merge would, so they are
     /// bit-identical to it on weighted graphs too. The candidate prefixes
-    /// are identical to the per-size path by construction; the regrouped
+    /// are the dense reference's by construction; the regrouped
     /// `score` may differ from the per-term sum in the last bits, which
     /// matters for a `holds` decision only in the (never observed,
     /// property-pinned absent) case of a score landing within that rounding
@@ -717,7 +642,7 @@ impl<'g> WalkEngine<'g> {
     /// Checks the strict (or, with `adaptive == true`, the deficit-adjusted)
     /// mixing condition for one candidate size in `O(|support| + size)`,
     /// reading the non-support candidates off the per-sweep tail built by
-    /// [`WalkEngine::prepare_sweep`].
+    /// [`WalkEngine::fill_tail`].
     fn check_size(
         &self,
         ws: &mut WalkWorkspace,
@@ -772,82 +697,6 @@ impl<'g> WalkEngine<'g> {
             threshold
         };
         let holds = score_sum < effective_threshold;
-        let check = MixingCheck {
-            size,
-            score_sum,
-            holds,
-        };
-        if holds {
-            let mut members: Vec<VertexId> = selected.iter().map(|&(_, v)| v).collect();
-            members.sort_unstable();
-            (check, Some(members))
-        } else {
-            (check, None)
-        }
-    }
-
-    /// Checks the renormalised restricted-score condition for one candidate
-    /// size in `O(size)` (after the per-sweep affinity sort): the candidate
-    /// prefix is a merge of the affinity-sorted support with the degree-order
-    /// prefix of the zero-mass tail, which reproduces the dense
-    /// implementation's global affinity sort exactly. Only used by the
-    /// [`WalkEngine::sweep_per_size`] reference path — the hot sweep answers
-    /// every size from one incremental prefix scan instead.
-    fn check_size_renormalized(
-        &self,
-        ws: &mut WalkWorkspace,
-        size: usize,
-        threshold: f64,
-    ) -> (MixingCheck, Option<Vec<VertexId>>) {
-        let graph = self.graph;
-        let n = graph.num_vertices();
-        let average_volume = graph.weighted_volume() / n as f64 * size as f64;
-
-        // Merge the two key-sorted sequences into the candidate prefix.
-        // Support entries carry their probability; the zero-mass tail (never
-        // in the support) contributes (0.0, v) in (weighted degree, id)
-        // order, which is how the dense comparator orders the affinity ties.
-        ws.candidates.clear();
-        let mut ai = 0usize;
-        let mut di = 0usize;
-        while ws.candidates.len() < size {
-            let take_support = if ai < ws.affinity.len() {
-                if di >= ws.tail.len() {
-                    true
-                } else {
-                    let (ratio, u) = ws.affinity[ai];
-                    // The tail's affinity is exactly 0, so any positive
-                    // support affinity wins; a support vertex whose mass
-                    // underflowed to 0 ties and falls back to (weighted
-                    // degree, id).
-                    ratio > 0.0 || degree_key_cmp(graph, u, ws.tail[di]).is_lt()
-                }
-            } else {
-                false
-            };
-            if take_support {
-                let (_, u) = ws.affinity[ai];
-                ai += 1;
-                ws.candidates.push((ws.current[u], u));
-            } else if di < ws.tail.len() {
-                ws.candidates.push((0.0, ws.tail[di]));
-                di += 1;
-            } else {
-                break;
-            }
-        }
-
-        let selected = &ws.candidates[..];
-        let retained: f64 = selected.iter().map(|&(p, _)| p).sum();
-        let score_sum: f64 = if retained > 0.0 {
-            selected
-                .iter()
-                .map(|&(p, v)| (p / retained - graph.weighted_degree(v) / average_volume).abs())
-                .sum()
-        } else {
-            f64::INFINITY
-        };
-        let holds = score_sum < threshold;
         let check = MixingCheck {
             size,
             score_sum,
@@ -975,13 +824,11 @@ pub struct WalkWorkspace {
     /// [`accumulate`] first-touches vertices, so the invariant is restored
     /// for the incoming support by the end of the step.
     pub(crate) mask: BitMask,
-    /// Sweep scratch: `(score, vertex)` candidate pairs (strict/adaptive
-    /// criteria) or `(probability, vertex)` merged prefixes (renormalised,
-    /// per-size reference path).
+    /// Sweep scratch: `(score, vertex)` candidate pairs (strict, lazy and
+    /// adaptive criteria).
     candidates: Vec<(f64, VertexId)>,
-    /// Renormalised-sweep scratch: the support sorted by walk affinity
-    /// `p(u)/d(u)` descending, as `(affinity, vertex)` pairs (per-size
-    /// reference path), or one tied run being re-sorted (prefix scan).
+    /// Prefix-scan scratch: one run of `(affinity, vertex)` pairs that tie
+    /// on their truncated key bits, being re-sorted by the comparator.
     affinity: Vec<(f64, VertexId)>,
     /// Prefix-scan scratch: the packed `u64` sort keys of the
     /// positive-affinity support entries…
@@ -1422,57 +1269,12 @@ mod tests {
         engine.step(&mut ws);
     }
 
-    #[test]
-    fn prefix_scan_matches_per_size_sweep_on_a_sparse_ppm() {
-        // A fig4a-shaped sparse instance at a size where the prefix scan's
-        // regrouped score actually exercises long prefixes.
-        let n = 1024;
-        let ln_n = (n as f64).ln();
-        let p = 2.0 * ln_n * ln_n / n as f64;
-        let q = p / (2f64.powf(0.6) * ln_n);
-        let params = cdrw_gen::PpmParams::new(n, 4, p, q).unwrap();
-        let (graph, _) = cdrw_gen::generate_ppm(&params, 11).unwrap();
-        let engine = WalkEngine::new(&graph);
-        let config = LocalMixingConfig {
-            criterion: MixingCriterion::Renormalized,
-            ..LocalMixingConfig::for_graph_size(n)
-        };
-        let mut ws = engine.workspace();
-        let mut reference_ws = engine.workspace();
-        for seed in [0usize, 300, 777] {
-            ws.load_point_mass(seed).unwrap();
-            reference_ws.load_point_mass(seed).unwrap();
-            for _ in 0..10 {
-                engine.step(&mut ws);
-                engine.step(&mut reference_ws);
-                let fast = engine.sweep(&mut ws, &config).unwrap();
-                let reference = engine.sweep_per_size(&mut reference_ws, &config).unwrap();
-                assert_eq!(fast.set, reference.set, "seed {seed}");
-                assert_eq!(fast.checks.len(), reference.checks.len());
-                for (f, r) in fast.checks.iter().zip(&reference.checks) {
-                    assert_eq!(f.size, r.size);
-                    assert_eq!(f.holds, r.holds, "seed {seed}, size {}", f.size);
-                    assert!(
-                        (f.score_sum - r.score_sum).abs() < 1e-9
-                            || (f.score_sum.is_infinite() && r.score_sum.is_infinite()),
-                        "seed {seed}, size {}: {} vs {}",
-                        f.size,
-                        f.score_sum,
-                        r.score_sum
-                    );
-                }
-            }
-        }
-    }
-
     proptest::proptest! {
-        /// Under every [`MixingCriterion`], the prefix-scan sweep selects the
-        /// same sets and makes the same pass/fail decisions as the per-size
-        /// reference sweep on arbitrary graphs and walk lengths — the pin for
-        /// the incremental renormalised pass (the other criteria share the
-        /// per-size code path and must stay untouched).
+        /// Under every [`MixingCriterion`], the sparse sweep selects the same
+        /// sets and makes the same pass/fail decisions as the dense reference
+        /// sweep on arbitrary graphs and walk lengths.
         #[test]
-        fn prefix_scan_sweep_matches_per_size_sweep(
+        fn criteria_sweeps_match_dense_reference(
             edges in proptest::collection::vec((0usize..24, 0usize..24), 1..160),
             source in 0usize..24,
             steps in 0usize..10,
@@ -1485,53 +1287,10 @@ mod tests {
             let g = GraphBuilder::from_edges(24, clean).unwrap();
             let criterion = MixingCriterion::all()[criterion_index];
             let engine = WalkEngine::lazy(&g, criterion.laziness());
-            let mut ws = engine.workspace();
-            ws.load_point_mass(source).unwrap();
-            for _ in 0..steps {
-                engine.step(&mut ws);
-            }
-            let config = LocalMixingConfig {
-                criterion,
-                min_size: 2,
-                ..LocalMixingConfig::default()
-            };
-            let fast = engine.sweep(&mut ws, &config).unwrap();
-            let reference = engine.sweep_per_size(&mut ws, &config).unwrap();
-            prop_assert_eq!(&fast.set, &reference.set, "criterion {}", criterion.name());
-            prop_assert_eq!(fast.checks.len(), reference.checks.len());
-            for (f, r) in fast.checks.iter().zip(&reference.checks) {
-                prop_assert_eq!(f.size, r.size);
-                prop_assert_eq!(f.holds, r.holds, "criterion {} at size {}", criterion.name(), f.size);
-                prop_assert!(
-                    (f.score_sum - r.score_sum).abs() < 1e-9
-                        || (f.score_sum.is_infinite() && r.score_sum.is_infinite()),
-                    "score sums diverged at size {}: {} vs {}",
-                    f.size, f.score_sum, r.score_sum
-                );
-            }
-        }
-
-        /// Under every [`MixingCriterion`], the sparse sweep selects the same
-        /// sets and makes the same pass/fail decisions as the dense reference
-        /// sweep on arbitrary graphs and walk lengths.
-        #[test]
-        fn criteria_sweeps_match_dense_reference(
-            edges in proptest::collection::vec((0usize..14, 0usize..14), 1..80),
-            source in 0usize..14,
-            steps in 0usize..8,
-            criterion_index in 0usize..4,
-        ) {
-            use proptest::{prop_assert, prop_assert_eq, prop_assume};
-
-            let clean: Vec<_> = edges.into_iter().filter(|(u, v)| u != v).collect();
-            prop_assume!(!clean.is_empty());
-            let g = GraphBuilder::from_edges(14, clean).unwrap();
-            let criterion = MixingCriterion::all()[criterion_index];
-            let engine = WalkEngine::lazy(&g, criterion.laziness());
             let operator = WalkOperator::lazy(&g, criterion.laziness());
             let mut ws = engine.workspace();
             ws.load_point_mass(source).unwrap();
-            let mut dense = WalkDistribution::point_mass(14, source).unwrap();
+            let mut dense = WalkDistribution::point_mass(24, source).unwrap();
             for _ in 0..steps {
                 engine.step(&mut ws);
                 dense = operator.step_dense(&dense);

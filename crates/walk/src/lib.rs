@@ -27,9 +27,13 @@
 //!   renormalised criterion the candidate sets of *all* sizes are prefixes
 //!   of one merged affinity order, so the entire sweep is a single
 //!   incremental prefix scan (a sort of the positive-affinity support plus
-//!   a read-only walk of the degree order, instead of `O(Σ|S|) ≈ 24n`; the
-//!   complexity table in the [`WalkEngine`] module docs has the details). The dense sweep pays `O(n)` per
-//!   size regardless of the support.
+//!   a read-only walk of the degree order, instead of re-scoring
+//!   `Σ|S| ≈ 24n` candidates; the complexity table in the [`WalkEngine`]
+//!   module docs has the details). The dense sweep pays `O(n)` per size
+//!   regardless of the support. The sweep has two oracles: the dense
+//!   [`largest_mixing_set`], property-pinned against it under all four
+//!   criteria, and the repository's merge-based prefix scan
+//!   (`tests/sweep_identity.rs`), pinned bit for bit.
 //! * [`WalkWorkspace`] is allocated once and reused across steps *and seeds*
 //!   (`cdrw_core::Cdrw::detect_all` re-seeds one workspace for every
 //!   community; `detect_parallel` keeps one per worker thread). Re-seeding
@@ -56,7 +60,7 @@
 //! (identical accumulation order) and selects identical mixing sets (same
 //! score expressions, same tie-breaking total order); only the reported
 //! `score_sum` of a sweep check may differ in the last bits because the
-//! summation order differs (for the prefix scan, because the per-size score
+//! summation order differs (for the prefix scan, because each size's score
 //! is regrouped around the affinity crossing).
 //!
 //! ## Pluggable mixing criteria

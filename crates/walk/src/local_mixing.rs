@@ -57,14 +57,10 @@ pub struct LocalMixingConfig {
     pub growth_factor: f64,
     /// Mixing threshold; the paper fixes it at [`MIXING_THRESHOLD`].
     pub threshold: f64,
-    /// Whether to stop the sweep at the first size that fails the condition
-    /// (the paper's behaviour) or to keep scanning all sizes up to `n` and
-    /// return the largest passing one (used by ablation benches). Criteria
-    /// whose pass-region can be disconnected override this to a full scan
-    /// regardless ([`MixingCriterion::stops_at_first_failure`]), so setting
-    /// it with [`MixingCriterion::Renormalized`] has no effect.
-    pub stop_at_first_failure: bool,
-    /// The stopping/selection rule applied per candidate size. The walk
+    /// The stopping/selection rule applied per candidate size. It also
+    /// decides whether the sweep stops at the first size that fails after a
+    /// pass (the paper's behaviour) or scans every size and keeps the
+    /// largest pass ([`MixingCriterion::stops_at_first_failure`]). The walk
     /// crate's constructors default to the paper's [`MixingCriterion::Strict`]
     /// (this module is the paper-faithful reference); `cdrw_core::CdrwConfig`
     /// injects its own default, [`MixingCriterion::Renormalized`].
@@ -80,7 +76,6 @@ impl LocalMixingConfig {
             min_size: ln_n.max(2),
             growth_factor: SIZE_GROWTH_FACTOR,
             threshold: MIXING_THRESHOLD,
-            stop_at_first_failure: true,
             criterion: MixingCriterion::Strict,
         }
     }
@@ -144,7 +139,6 @@ impl Default for LocalMixingConfig {
             min_size: 2,
             growth_factor: SIZE_GROWTH_FACTOR,
             threshold: MIXING_THRESHOLD,
-            stop_at_first_failure: true,
             criterion: MixingCriterion::Strict,
         }
     }
@@ -468,9 +462,9 @@ pub fn largest_mixing_set(
         return Err(WalkError::NoEdges);
     }
     // A criterion with a possibly-disconnected pass-region must scan every
-    // size, whatever the config says — an early exit could return a
-    // transient small prefix instead of the community-sized set.
-    let stop_early = config.stop_at_first_failure && config.criterion.stops_at_first_failure();
+    // size — an early exit could return a transient small prefix instead of
+    // the community-sized set.
+    let stop_early = config.criterion.stops_at_first_failure();
     let mut best: Option<Vec<VertexId>> = None;
     let mut checks = Vec::new();
     for size in config.candidate_sizes(graph.num_vertices()) {
@@ -685,7 +679,7 @@ mod tests {
                 checks.push(check);
                 if holds {
                     best = members;
-                } else if config.stop_at_first_failure && best.is_some() {
+                } else if config.criterion.stops_at_first_failure() && best.is_some() {
                     break;
                 }
             }

@@ -57,12 +57,11 @@ fn renormalized_sets_are_nested_across_sizes() {
     for _ in 0..8 {
         engine.step(&mut ws);
     }
-    let mut config = LocalMixingConfig {
+    let config = LocalMixingConfig {
         criterion: MixingCriterion::Renormalized,
         min_size: 2,
         ..LocalMixingConfig::default()
     };
-    config.stop_at_first_failure = false;
     let mut previous: Option<Vec<usize>> = None;
     for size in config.candidate_sizes(graph.num_vertices()) {
         let (check, members) =

@@ -1,6 +1,8 @@
-//! The renormalised sweep's exactness rail: `WalkEngine::sweep` must agree
-//! bit for bit with the merge-based prefix scan it replaced, on every
-//! candidate size's `MixingCheck` and on the selected set.
+//! The sweep's exactness rail. Under the renormalised criterion
+//! `WalkEngine::sweep` must agree bit for bit with the merge-based prefix
+//! scan it replaced, on every candidate size's `MixingCheck` and on the
+//! selected set. Under every criterion it must select the dense
+//! `largest_mixing_set`'s sets and decisions on the dense operator's walk.
 //!
 //! The oracle below is that prefix scan, written out from public API only:
 //! it sorts the whole support by `(affinity desc, weighted degree, id)`,
@@ -15,7 +17,9 @@
 use cdrw_repro::gen::special;
 use cdrw_repro::prelude::*;
 use cdrw_repro::walk::local_mixing::MixingCheck;
-use cdrw_repro::walk::{LocalMixingOutcome, MixingCriterion, WalkEngine, WalkWorkspace};
+use cdrw_repro::walk::{
+    largest_mixing_set, LocalMixingOutcome, MixingCriterion, WalkEngine, WalkWorkspace,
+};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 
@@ -182,10 +186,16 @@ fn assert_walk_matches(graph: &Graph, seed: VertexId, steps: usize, min_size: us
 }
 
 fn fig4a_ppm(n: usize, seed: u64) -> Graph {
+    fig4a_shaped_ppm(n, 8, seed)
+}
+
+/// A PPM with Figure 4a's densities, `p = 2·(ln n)²/n` and
+/// `p/q = 2^0.6·ln n`, over `blocks` blocks.
+fn fig4a_shaped_ppm(n: usize, blocks: usize, seed: u64) -> Graph {
     let ln_n = (n as f64).ln();
     let p = 2.0 * ln_n * ln_n / n as f64;
     let q = p / (2f64.powf(0.6) * ln_n);
-    generate_ppm(&PpmParams::new(n, 8, p, q).unwrap(), seed)
+    generate_ppm(&PpmParams::new(n, blocks, p, q).unwrap(), seed)
         .unwrap()
         .0
 }
@@ -216,6 +226,12 @@ fn long_walks_match_the_merge_oracle() {
     // crowd around 1/2m, where packed keys tie on their truncated bits.
     let ppm = fig4a_ppm(1024, 5);
     assert_walk_matches(&ppm, 17, 14, 2, "ppm");
+    // Four blocks at the paper's smallest candidate size, `⌈ln n⌉`.
+    let ppm = fig4a_shaped_ppm(1024, 4, 11);
+    let min_size = LocalMixingConfig::for_graph_size(1024).min_size;
+    for seed in [0, 300, 777] {
+        assert_walk_matches(&ppm, seed, 10, min_size, "four-block ppm");
+    }
 }
 
 #[test]
@@ -315,6 +331,61 @@ fn weighted_walks_match_the_merge_oracle() {
         &renormalized(24, 1),
         "weighted sparse",
     );
+}
+
+/// Walks `steps` steps from `seed` on the engine and on the dense operator,
+/// both at each criterion's laziness, and after each step asserts that the
+/// engine's sweep selects the dense sweep's set and makes its decisions,
+/// with score sums within 1e-9 (the prefix scan regroups them).
+fn assert_criteria_match_dense(graph: &Graph, seed: VertexId, steps: usize, label: &str) {
+    let n = graph.num_vertices();
+    for criterion in MixingCriterion::all() {
+        let engine = WalkEngine::lazy(graph, criterion.laziness());
+        let operator = WalkOperator::lazy(graph, criterion.laziness());
+        let config = LocalMixingConfig {
+            criterion,
+            min_size: 2,
+            ..LocalMixingConfig::default()
+        };
+        let mut workspace = engine.workspace();
+        workspace.load_point_mass(seed).unwrap();
+        let mut dense = WalkDistribution::point_mass(n, seed).unwrap();
+        for step in 1..=steps {
+            engine.step(&mut workspace);
+            dense = operator.step_dense(&dense);
+            let label = format!("{label}, {}, step {step}", criterion.name());
+            let actual = engine.sweep(&mut workspace, &config).unwrap();
+            let expected = largest_mixing_set(graph, &dense, &config).unwrap();
+            assert_eq!(actual.set, expected.set, "{label}: selected set");
+            assert_eq!(
+                actual.checks.len(),
+                expected.checks.len(),
+                "{label}: check count"
+            );
+            for (a, e) in actual.checks.iter().zip(&expected.checks) {
+                assert_eq!((a.size, a.holds), (e.size, e.holds), "{label}");
+                assert!(
+                    (a.score_sum - e.score_sum).abs() < 1e-9
+                        || (a.score_sum.is_infinite() && e.score_sum.is_infinite()),
+                    "{label}: size {} scored {} against the dense {}",
+                    e.size,
+                    a.score_sum,
+                    e.score_sum
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_criterion_matches_the_dense_sweep() {
+    let ppm = fig4a_ppm(256, 11);
+    for seed in [0, 255] {
+        assert_criteria_match_dense(&ppm, seed, 8, "ppm");
+    }
+    assert_criteria_match_dense(&weighted_twin(&ppm), 7, 6, "weighted ppm");
+    let (ring, _) = special::ring_of_cliques(6, 9).unwrap();
+    assert_criteria_match_dense(&ring, 4, 10, "ring of cliques");
 }
 
 proptest! {
