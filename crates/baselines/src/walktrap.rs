@@ -17,7 +17,7 @@
 use std::collections::HashSet;
 
 use cdrw_graph::{Graph, Partition};
-use cdrw_walk::{WalkDistribution, WalkOperator};
+use cdrw_walk::{WalkDistribution, WalkEngine};
 use serde::{Deserialize, Serialize};
 
 use crate::BaselineError;
@@ -72,14 +72,16 @@ pub fn walktrap(graph: &Graph, config: &WalktrapConfig) -> Result<Partition, Bas
 
     // Per-vertex t-step walk distributions, degree-normalised as in the
     // original distance definition r_ij = sqrt(Σ_k (P_ik − P_jk)² / d(k)).
-    let operator = WalkOperator::new(graph);
+    let engine = WalkEngine::new(graph);
+    let mut workspace = engine.workspace();
     let signatures: Vec<WalkDistribution> = graph
         .vertices()
         .map(|v| {
-            operator.walk(
-                &WalkDistribution::point_mass(n, v).expect("v < n"),
-                config.walk_length,
-            )
+            workspace.load_point_mass(v).expect("v < n");
+            for _ in 0..config.walk_length {
+                engine.step(&mut workspace);
+            }
+            workspace.to_distribution().expect("n > 0")
         })
         .collect();
     let degrees: Vec<f64> = graph.vertices().map(|v| graph.degree(v) as f64).collect();

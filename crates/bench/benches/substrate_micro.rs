@@ -4,8 +4,8 @@
 //! the figure benches goes.
 //!
 //! The `sparse_vs_dense_*` groups measure the frontier engine
-//! (`WalkEngine`/`WalkWorkspace`) against the dense reference
-//! (`WalkOperator::step_dense`, `largest_mixing_set`) on G(n,p) and PPM
+//! (`WalkEngine`/`WalkWorkspace`) against the dense oracles of
+//! `cdrw-reference` (`dense_step`, `largest_mixing_set`) on G(n,p) and PPM
 //! instances up to n = 2¹⁶, in the early-walk regime where the walk's
 //! support is a small fraction of the graph — exactly the regime CDRW's
 //! `O(r log⁴ n)` round bound exploits.
@@ -13,10 +13,8 @@
 use cdrw_gen::{generate_gnp, generate_ppm, GnpParams, PpmParams};
 use cdrw_graph::Graph;
 use cdrw_metrics::f_score;
-use cdrw_walk::{
-    largest_mixing_set, LocalMixingConfig, MixingCriterion, WalkBatch, WalkDistribution,
-    WalkEngine, WalkOperator,
-};
+use cdrw_reference as reference;
+use cdrw_walk::{LocalMixingConfig, MixingCriterion, WalkBatch, WalkEngine};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -30,16 +28,30 @@ fn bench_substrates(c: &mut Criterion) {
         b.iter(|| black_box(generate_ppm(&params, 4).unwrap()));
     });
 
-    let operator = WalkOperator::new(&graph);
-    let start = WalkDistribution::point_mass(n, 0).unwrap();
-    let spread = operator.walk(&start, 6);
+    let engine = WalkEngine::new(&graph);
+    let mut spread = engine.workspace();
+    spread.load_point_mass(0).unwrap();
+    for _ in 0..6 {
+        engine.step(&mut spread);
+    }
     c.bench_function("walk_step_n2048", |b| {
-        b.iter(|| black_box(operator.step(&spread)));
+        b.iter(|| {
+            let mut workspace = spread.clone();
+            engine.step(&mut workspace);
+            black_box(workspace.support_size())
+        });
     });
 
-    let config = LocalMixingConfig::for_graph_size(n);
+    let min_size = LocalMixingConfig::for_graph_size(n).min_size;
     c.bench_function("local_mixing_sweep_n2048", |b| {
-        b.iter(|| black_box(largest_mixing_set(&graph, &spread, &config).unwrap()));
+        b.iter(|| {
+            black_box(reference::largest_mixing_set(
+                &graph,
+                spread.as_slice(),
+                min_size,
+                reference::Criterion::Strict,
+            ))
+        });
     });
 
     c.bench_function("f_score_n2048", |b| {
@@ -81,7 +93,6 @@ fn bench_sparse_vs_dense_step(c: &mut Criterion) {
     for (label, graph) in comparison_instances() {
         let n = graph.num_vertices();
         let engine = WalkEngine::new(&graph);
-        let operator = WalkOperator::new(&graph);
 
         // Report the regime: how much of the graph the walk touches.
         let mut probe = engine.workspace();
@@ -106,11 +117,12 @@ fn bench_sparse_vs_dense_step(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("dense", &label), &graph, |b, _| {
             b.iter(|| {
-                let mut distribution = WalkDistribution::point_mass(n, 0).unwrap();
+                let mut distribution = vec![0.0; n];
+                distribution[0] = 1.0;
                 for _ in 0..EARLY_STEPS {
-                    distribution = operator.step_dense(&distribution);
+                    distribution = reference::dense_step(&graph, 0.0, &distribution);
                 }
-                black_box(distribution.support_size())
+                black_box(distribution.iter().filter(|&&p| p > 0.0).count())
             });
         });
     }
@@ -131,13 +143,20 @@ fn bench_sparse_vs_dense_sweep(c: &mut Criterion) {
         for _ in 0..EARLY_STEPS {
             engine.step(&mut workspace);
         }
-        let distribution = workspace.to_distribution().unwrap();
+        let distribution = workspace.as_slice().to_vec();
 
         group.bench_with_input(BenchmarkId::new("sparse", &label), &graph, |b, _| {
             b.iter(|| black_box(engine.sweep(&mut workspace, &config).unwrap()));
         });
         group.bench_with_input(BenchmarkId::new("dense", &label), &graph, |b, _| {
-            b.iter(|| black_box(largest_mixing_set(&graph, &distribution, &config).unwrap()));
+            b.iter(|| {
+                black_box(reference::largest_mixing_set(
+                    &graph,
+                    &distribution,
+                    config.min_size,
+                    reference::Criterion::Strict,
+                ))
+            });
         });
     }
     group.finish();

@@ -32,7 +32,7 @@
 //! as an explicit sorted list. So the runner charges
 //! [`crate::primitives::sparse_walk_step_cost`] by summing degrees over the
 //! support in `O(|support|)` — no `O(n)` scan, and the same number the dense
-//! formula ([`crate::primitives::walk_step_cost`]) produces. This mirrors
+//! formula (its test-only oracle, `walk_step_cost`) produces. This mirrors
 //! the analysis: the paper's `Õ(m)`-messages bound comes precisely from the
 //! support staying inside the community for the first `O(log n)` steps.
 //!

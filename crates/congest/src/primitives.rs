@@ -9,7 +9,7 @@
 //! producing the round and message counts of the distributed execution.
 
 use cdrw_graph::{traversal::BfsTree, Graph, VertexId};
-use cdrw_walk::{WalkDistribution, WalkWorkspace};
+use cdrw_walk::WalkWorkspace;
 
 use crate::CostAccount;
 
@@ -42,8 +42,9 @@ pub fn bfs_tree_cost(
 
 /// Cost of one probability-flooding walk step (Algorithm 1, lines 9–11):
 /// one round; every vertex currently holding probability mass sends to all of
-/// its neighbours.
-pub fn walk_step_cost(graph: &Graph, distribution: &WalkDistribution) -> CostAccount {
+/// its neighbours. The dense `O(n)` oracle of [`sparse_walk_step_cost`].
+#[cfg(test)]
+fn walk_step_cost(graph: &Graph, distribution: &cdrw_walk::WalkDistribution) -> CostAccount {
     let messages: u64 = graph
         .vertices()
         .filter(|&u| distribution.probability(u) > 0.0)
@@ -55,10 +56,10 @@ pub fn walk_step_cost(graph: &Graph, distribution: &WalkDistribution) -> CostAcc
     }
 }
 
-/// Sparse-engine variant of [`walk_step_cost`]: reads the support directly
-/// from a [`WalkWorkspace`] instead of scanning all `n` vertices, costing
-/// `O(|support|)`. Charges the same messages (the degrees of the vertices
-/// currently holding probability mass).
+/// Cost of one probability-flooding walk step (Algorithm 1, lines 9–11):
+/// one round; every vertex currently holding probability mass sends to all
+/// of its neighbours. Reads the support directly from a [`WalkWorkspace`]
+/// instead of scanning all `n` vertices, costing `O(|support|)`.
 ///
 /// Support membership in the walk layer is maintained by the bit-packed
 /// [`cdrw_walk::mask::BitMask`] (one bit per vertex); the support list this
@@ -128,7 +129,7 @@ mod tests {
     use super::*;
     use crate::network::{prepare_bfs_programs, Simulator};
     use cdrw_graph::GraphBuilder;
-    use cdrw_walk::WalkOperator;
+    use cdrw_walk::WalkEngine;
 
     fn path(n: usize) -> Graph {
         GraphBuilder::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap()
@@ -174,13 +175,17 @@ mod tests {
     #[test]
     fn walk_step_cost_counts_only_support_degrees() {
         let g = path(6);
-        let p0 = WalkDistribution::point_mass(6, 0).unwrap();
-        let cost0 = walk_step_cost(&g, &p0);
+        let engine = WalkEngine::new(&g);
+        let mut ws = engine.workspace();
+        ws.load_point_mass(0).unwrap();
+        let cost0 = walk_step_cost(&g, &ws.to_distribution().unwrap());
         assert_eq!(cost0.rounds, 1);
         assert_eq!(cost0.messages, 1); // vertex 0 has degree 1
-        let p1 = WalkOperator::new(&g).step(&p0);
-        let cost1 = walk_step_cost(&g, &p1);
+        assert_eq!(sparse_walk_step_cost(&g, &ws), cost0);
+        engine.step(&mut ws);
+        let cost1 = walk_step_cost(&g, &ws.to_distribution().unwrap());
         assert_eq!(cost1.messages, 2); // vertex 1 has degree 2
+        assert_eq!(sparse_walk_step_cost(&g, &ws), cost1);
     }
 
     #[test]

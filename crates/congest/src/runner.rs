@@ -21,26 +21,24 @@ use crate::CostAccount;
 pub struct CongestConfig {
     /// The CDRW algorithm configuration (identical to the sequential one).
     pub algorithm: CdrwConfig,
-    /// Depth cap of the BFS tree built from each seed, as a multiple of
-    /// `ln n` (Algorithm 1 builds a tree of depth `O(log n)`).
-    pub bfs_depth_factor: f64,
-    /// Per-message bandwidth in bits (the `O(log n)` of the model); only used
-    /// to report total communication volume in bits.
-    pub bandwidth_bits: u32,
 }
 
 impl CongestConfig {
-    /// Paper-faithful defaults on top of a given algorithm configuration.
+    /// Per-message bandwidth in bits (the `O(log n)` of the model); only used
+    /// to report total communication volume in bits.
+    pub const BANDWIDTH_BITS: u64 = 32;
+
+    /// Depth cap of the BFS tree built from each seed, as a multiple of
+    /// `ln n` (Algorithm 1 builds a tree of depth `O(log n)`).
+    const BFS_DEPTH_FACTOR: f64 = 3.0;
+
+    /// The CONGEST execution of a given algorithm configuration.
     pub fn new(algorithm: CdrwConfig) -> Self {
-        CongestConfig {
-            algorithm,
-            bfs_depth_factor: 3.0,
-            bandwidth_bits: 32,
-        }
+        CongestConfig { algorithm }
     }
 
     fn bfs_depth(&self, n: usize) -> usize {
-        ((self.bfs_depth_factor * (n.max(2) as f64).ln()).ceil() as usize).max(2)
+        ((Self::BFS_DEPTH_FACTOR * (n.max(2) as f64).ln()).ceil() as usize).max(2)
     }
 }
 
@@ -108,7 +106,8 @@ pub struct CongestReport {
     /// Total cost (sequential composition across communities plus the
     /// assembly phase, as in Theorem 6's `O(r log⁴ n)` statement).
     pub total: CostAccount,
-    /// Total communication volume in bits (`messages · bandwidth_bits`).
+    /// Total communication volume in bits
+    /// (`messages ·` [`CongestConfig::BANDWIDTH_BITS`]).
     pub total_bits: u64,
     /// The detection result (identical to what the sequential algorithm
     /// produces for the same configuration and seed).
@@ -385,7 +384,7 @@ impl CongestCdrw {
             per_community,
             assembly,
             total,
-            total_bits: total.messages * u64::from(self.config.bandwidth_bits),
+            total_bits: total.messages * CongestConfig::BANDWIDTH_BITS,
             result,
         })
     }
@@ -450,7 +449,7 @@ mod tests {
         );
         assert_eq!(
             report.total_bits,
-            report.total.messages * u64::from(runner.config().bandwidth_bits)
+            report.total.messages * CongestConfig::BANDWIDTH_BITS
         );
         assert!(report.rounds_per_community() > 0.0);
         assert!(report.messages_per_community() > 0.0);

@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn invalid_config_is_reported() {
         let config = CdrwConfig {
-            max_walk_length_factor: -1.0,
+            mixing_threshold: -1.0,
             ..CdrwConfig::default()
         };
         let (g, _) = special::complete(10).unwrap();

@@ -194,9 +194,6 @@ pub struct CdrwConfig {
     pub seed: u64,
     /// Policy for the growth threshold `δ`.
     pub delta: DeltaPolicy,
-    /// Walk-length cap expressed as a multiple of `ln n` (Algorithm 1 runs
-    /// the walk for `O(log n)` steps).
-    pub max_walk_length_factor: f64,
     /// Minimum candidate community size `R`. `None` uses the paper's
     /// `⌈ln n⌉`.
     pub min_community_size: Option<usize>,
@@ -205,17 +202,6 @@ pub struct CdrwConfig {
     /// Geometric growth factor of the candidate-size sweep, `1 + 1/8e` in the
     /// paper.
     pub size_growth_factor: f64,
-    /// The growth-rule stop (`|S_ℓ| < (1+δ)|S_{ℓ−1}|`) is only applied once
-    /// the previous mixing set has at least `min_stop_size_factor · R`
-    /// vertices (with `R` the minimum candidate size). Very early in the
-    /// walk, tiny sets of ≈ R nodes around the seed can spuriously satisfy
-    /// the approximate mixing condition for a couple of steps, which would
-    /// otherwise fire the stop rule long before the walk has spread over the
-    /// community; the paper's analysis implicitly excludes this regime by
-    /// assuming every community has at least `log n` members and analysing
-    /// walk lengths up to the (local) mixing time. Set to `0.0` to apply the
-    /// pseudocode's stop rule literally.
-    pub min_stop_size_factor: f64,
     /// The mixing criterion the sweep applies per candidate size. Defaults to
     /// [`MixingCriterion::Renormalized`] — the rule under which the
     /// reproduction meets the paper's accuracy targets on every measured
@@ -250,6 +236,21 @@ impl CdrwConfig {
     /// produced it.
     pub const MIN_DELTA: f64 = 1e-6;
 
+    /// Walk-length cap as a multiple of `ln n` (Algorithm 1 runs the walk for
+    /// `O(log n)` steps).
+    pub const MAX_WALK_LENGTH_FACTOR: f64 = 3.0;
+
+    /// The growth-rule stop (`|S_ℓ| < (1+δ)|S_{ℓ−1}|`) is only applied once
+    /// the previous mixing set has at least `MIN_STOP_SIZE_FACTOR · R`
+    /// vertices (with `R` the minimum candidate size). Very early in the
+    /// walk, tiny sets of ≈ R nodes around the seed can spuriously satisfy
+    /// the approximate mixing condition for a couple of steps, which would
+    /// otherwise fire the stop rule long before the walk has spread over the
+    /// community; the paper's analysis implicitly excludes this regime by
+    /// assuming every community has at least `log n` members and analysing
+    /// walk lengths up to the (local) mixing time.
+    pub const MIN_STOP_SIZE_FACTOR: f64 = 2.0;
+
     /// Starts building a configuration.
     pub fn builder() -> CdrwConfigBuilder {
         CdrwConfigBuilder::default()
@@ -260,19 +261,13 @@ impl CdrwConfig {
     /// # Errors
     ///
     /// Returns [`CdrwError::InvalidConfig`] when a field is outside its valid
-    /// domain (non-positive walk-length factor, threshold, growth factor ≤ 1,
+    /// domain (non-positive threshold, growth factor ≤ 1,
     /// a fixed δ outside `[CdrwConfig::MIN_DELTA, 1.0]`, or an ensemble
     /// policy whose quorum exceeds its walk count).
     // The negated comparisons are deliberate: NaN fails `x > 0.0` and must be
     // rejected, which `x <= 0.0` would silently accept.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn validate(&self) -> Result<(), CdrwError> {
-        if !(self.max_walk_length_factor > 0.0) {
-            return Err(CdrwError::InvalidConfig {
-                field: "max_walk_length_factor",
-                reason: format!("must be positive, got {}", self.max_walk_length_factor),
-            });
-        }
         if !(self.mixing_threshold > 0.0) {
             return Err(CdrwError::InvalidConfig {
                 field: "mixing_threshold",
@@ -289,12 +284,6 @@ impl CdrwConfig {
             return Err(CdrwError::InvalidConfig {
                 field: "min_community_size",
                 reason: "must be at least 1".to_string(),
-            });
-        }
-        if !(self.min_stop_size_factor >= 0.0) {
-            return Err(CdrwError::InvalidConfig {
-                field: "min_stop_size_factor",
-                reason: format!("must be non-negative, got {}", self.min_stop_size_factor),
             });
         }
         if let DeltaPolicy::Fixed(delta) = self.delta {
@@ -370,12 +359,12 @@ impl CdrwConfig {
     }
 
     /// The maximum walk length for a graph of `n` vertices:
-    /// `⌈max_walk_length_factor · ln n⌉` stretched by the criterion's
+    /// `⌈MAX_WALK_LENGTH_FACTOR · ln n⌉` stretched by the criterion's
     /// walk-length multiplier (the lazy walk mixes `1/(1−α)` times slower),
     /// at least 2.
     pub fn max_walk_length(&self, n: usize) -> usize {
         let ln_n = (n.max(2) as f64).ln();
-        let budget = self.max_walk_length_factor * self.criterion.walk_length_multiplier() * ln_n;
+        let budget = Self::MAX_WALK_LENGTH_FACTOR * self.criterion.walk_length_multiplier() * ln_n;
         (budget.ceil() as usize).max(2)
     }
 
@@ -383,7 +372,7 @@ impl CdrwConfig {
     /// considered, for a graph of `n` vertices.
     pub fn min_stop_size(&self, n: usize) -> usize {
         let r = self.local_mixing_config(n).min_size;
-        (self.min_stop_size_factor * r as f64).ceil() as usize
+        (Self::MIN_STOP_SIZE_FACTOR * r as f64).ceil() as usize
     }
 
     /// The [`LocalMixingConfig`] induced by this configuration for a graph of
@@ -424,11 +413,9 @@ impl Default for CdrwConfig {
         CdrwConfig {
             seed: 0,
             delta: DeltaPolicy::default(),
-            max_walk_length_factor: 3.0,
             min_community_size: None,
             mixing_threshold: MIXING_THRESHOLD,
             size_growth_factor: SIZE_GROWTH_FACTOR,
-            min_stop_size_factor: 2.0,
             criterion: MixingCriterion::default(),
             ensemble: EnsemblePolicy::default(),
             assembly: AssemblyPolicy::default(),
@@ -461,12 +448,6 @@ impl CdrwConfigBuilder {
         self
     }
 
-    /// Sets the walk-length cap as a multiple of `ln n`.
-    pub fn max_walk_length_factor(mut self, factor: f64) -> Self {
-        self.config.max_walk_length_factor = factor;
-        self
-    }
-
     /// Sets the minimum candidate community size `R`.
     pub fn min_community_size(mut self, size: usize) -> Self {
         self.config.min_community_size = Some(size);
@@ -482,14 +463,6 @@ impl CdrwConfigBuilder {
     /// Sets the candidate-size growth factor (paper default `1 + 1/8e`).
     pub fn size_growth_factor(mut self, factor: f64) -> Self {
         self.config.size_growth_factor = factor;
-        self
-    }
-
-    /// Sets the minimum size (as a multiple of `R`) the previous mixing set
-    /// must reach before the growth-rule stop applies (default 2.0; 0.0
-    /// reproduces the pseudocode literally).
-    pub fn min_stop_size_factor(mut self, factor: f64) -> Self {
-        self.config.min_stop_size_factor = factor;
         self
     }
 
@@ -552,22 +525,18 @@ mod tests {
         let config = CdrwConfig::builder()
             .seed(9)
             .delta(0.25)
-            .max_walk_length_factor(5.0)
             .min_community_size(16)
             .mixing_threshold(0.2)
             .size_growth_factor(1.1)
-            .min_stop_size_factor(3.5)
             .criterion(MixingCriterion::Adaptive)
             .ensemble(5, 2)
             .assembly(4, 2)
             .build();
         assert_eq!(config.seed, 9);
         assert_eq!(config.delta, DeltaPolicy::Fixed(0.25));
-        assert_eq!(config.max_walk_length_factor, 5.0);
         assert_eq!(config.min_community_size, Some(16));
         assert_eq!(config.mixing_threshold, 0.2);
         assert_eq!(config.size_growth_factor, 1.1);
-        assert_eq!(config.min_stop_size_factor, 3.5);
         assert_eq!(config.criterion, MixingCriterion::Adaptive);
         assert_eq!(
             config.ensemble,
@@ -598,11 +567,6 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_values() {
-        let bad = CdrwConfig {
-            max_walk_length_factor: 0.0,
-            ..CdrwConfig::default()
-        };
-        assert!(bad.validate().is_err());
         let bad = CdrwConfig {
             mixing_threshold: -1.0,
             ..CdrwConfig::default()

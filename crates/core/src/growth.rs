@@ -101,7 +101,7 @@ impl GrowthTracker {
             // Stopping rule (Algorithm 1, line 18): the mixing set stopped
             // growing by more than a (1 + δ) factor, so the previous set is
             // the community. Tiny sets near the minimum candidate size are
-            // excluded (see `CdrwConfig::min_stop_size_factor`).
+            // excluded (see `CdrwConfig::MIN_STOP_SIZE_FACTOR`).
             if prev.len() >= self.stop_floor
                 && (cur.len() as f64) < (1.0 + self.delta) * prev.len() as f64
             {

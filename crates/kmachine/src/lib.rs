@@ -71,8 +71,6 @@ use serde::{Deserialize, Serialize};
 pub struct KMachineConfig {
     /// Number of machines `k ≥ 2`.
     pub num_machines: usize,
-    /// Link bandwidth `B` in bits per round (the model's `O(log n)`).
-    pub bandwidth_bits: u64,
     /// Seed of the random vertex partition hash.
     pub partition_seed: u64,
     /// The CONGEST/CDRW configuration whose execution is converted.
@@ -84,7 +82,6 @@ impl KMachineConfig {
     pub fn new(num_machines: usize) -> Self {
         KMachineConfig {
             num_machines,
-            bandwidth_bits: 32,
             partition_seed: 0,
             congest: CongestConfig::default(),
         }

@@ -79,8 +79,8 @@
 //! (mass plane pointer, mask words) stays hot across vertices.
 //!
 //! A property test pins `step_batch` against per-lane solo steps bit for bit
-//! (distributions *and* supports), and each lane against the dense
-//! [`crate::WalkOperator::step_dense`], on weighted and unweighted graphs,
+//! (distributions *and* supports), and each lane against the dense step of
+//! the dev-only `cdrw-reference` crate, on weighted and unweighted graphs,
 //! with more lanes than one pull chunk, and with each step's direction
 //! chosen or forced either way; `cdrw-core` pins the batched ensemble
 //! against a sequential reference. Lanes can be deactivated mid-flight
@@ -571,8 +571,8 @@ fn gather<const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{WalkDistribution, WalkOperator};
     use cdrw_graph::GraphBuilder;
+    use cdrw_reference::dense_step;
 
     #[test]
     fn batch_accessors_and_lane_growth() {
@@ -797,7 +797,6 @@ mod tests {
             };
             let direction = [None, Some(StepDirection::Push), Some(StepDirection::Pull)][forced];
             let engine = WalkEngine::lazy(&g, laziness);
-            let operator = WalkOperator::lazy(&g, laziness);
             let mut batch = WalkBatch::for_graph(&g);
             batch.load_point_masses(&seeds).unwrap();
             // Lane 0 freezes after `frozen_after` steps (if that is sooner
@@ -819,10 +818,10 @@ mod tests {
                 let walked = if lane == 0 { lane0_steps } else { steps };
                 let mut solo = engine.workspace();
                 solo.load_point_mass(seed).unwrap();
-                let mut dense = WalkDistribution::point_mass(16, seed).unwrap();
+                let mut dense = solo.as_slice().to_vec();
                 for _ in 0..walked {
                     engine.step(&mut solo);
-                    dense = operator.step_dense(&dense);
+                    dense = dense_step(&g, laziness, &dense);
                 }
                 prop_assert_eq!(
                     batch.lane(lane).as_slice(),

@@ -40,20 +40,6 @@ impl WalkDistribution {
         Ok(WalkDistribution { values })
     }
 
-    /// The uniform distribution over all vertices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WalkError::EmptyDistribution`] when `num_vertices == 0`.
-    pub fn uniform(num_vertices: usize) -> Result<Self, WalkError> {
-        if num_vertices == 0 {
-            return Err(WalkError::EmptyDistribution);
-        }
-        Ok(WalkDistribution {
-            values: vec![1.0 / num_vertices as f64; num_vertices],
-        })
-    }
-
     /// The stationary distribution of the random walk on `graph`:
     /// `π(v) = w(v)/w(V)`, which is `d(v)/2m` on an unweighted graph.
     ///
@@ -180,59 +166,18 @@ impl WalkDistribution {
     ///
     /// # Panics
     ///
-    /// Panics if the distributions have different lengths; use
-    /// [`WalkDistribution::try_l1_distance`] for a fallible version.
+    /// Panics if the distributions have different lengths.
     pub fn l1_distance(&self, other: &WalkDistribution) -> f64 {
-        self.try_l1_distance(other)
-            .expect("distributions must be over the same vertex set")
-    }
-
-    /// Fallible L1 distance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WalkError::DimensionMismatch`] when the lengths differ.
-    pub fn try_l1_distance(&self, other: &WalkDistribution) -> Result<f64, WalkError> {
-        if self.len() != other.len() {
-            return Err(WalkError::DimensionMismatch {
-                left: self.len(),
-                right: other.len(),
-            });
-        }
-        Ok(self
-            .values
+        assert_eq!(
+            self.len(),
+            other.len(),
+            "distributions must be over the same vertex set"
+        );
+        self.values
             .iter()
             .zip(&other.values)
             .map(|(a, b)| (a - b).abs())
-            .sum())
-    }
-
-    /// Restriction `p_S` of the distribution to a vertex set: probabilities
-    /// outside `set` are zeroed (Section I-C).
-    ///
-    /// Costs `O(n)` for the zeroed output vector plus `O(|set|)` to copy the
-    /// kept entries — no membership mask is built (copying the same entry
-    /// twice for a duplicate member is idempotent).
-    pub fn restrict(&self, set: &[VertexId]) -> WalkDistribution {
-        let mut values = vec![0.0; self.len()];
-        for &v in set {
-            if v < self.len() {
-                values[v] = self.values[v];
-            }
-        }
-        WalkDistribution { values }
-    }
-
-    /// Mass of the distribution inside a vertex set, `Σ_{v∈S} p(v)`.
-    ///
-    /// Duplicate members are counted once; deduplication goes through a
-    /// sorted copy of the (typically small) set, costing
-    /// `O(|set| log |set|)` instead of an `O(n)` membership mask.
-    pub fn mass_on(&self, set: &[VertexId]) -> f64 {
-        let mut members: Vec<VertexId> = set.iter().copied().filter(|&v| v < self.len()).collect();
-        members.sort_unstable();
-        members.dedup();
-        members.iter().map(|&v| self.values[v]).sum()
+            .sum()
     }
 }
 
@@ -256,14 +201,6 @@ mod tests {
         assert!((d.total_mass() - 1.0).abs() < 1e-15);
         assert!(WalkDistribution::point_mass(0, 0).is_err());
         assert!(WalkDistribution::point_mass(3, 3).is_err());
-    }
-
-    #[test]
-    fn uniform_distribution_sums_to_one() {
-        let d = WalkDistribution::uniform(8).unwrap();
-        assert!((d.total_mass() - 1.0).abs() < 1e-12);
-        assert_eq!(d.support_size(), 8);
-        assert!(WalkDistribution::uniform(0).is_err());
     }
 
     #[test]
@@ -348,24 +285,11 @@ mod tests {
         let b = WalkDistribution::point_mass(4, 3).unwrap();
         assert!((a.l1_distance(&b) - 2.0).abs() < 1e-15);
         assert_eq!(a.l1_distance(&a), 0.0);
-        let c = WalkDistribution::uniform(5).unwrap();
-        assert!(a.try_l1_distance(&c).is_err());
-    }
-
-    #[test]
-    fn restriction_and_mass_on() {
-        let d = WalkDistribution::uniform(10).unwrap();
-        let r = d.restrict(&[0, 1, 2]);
-        assert!((r.total_mass() - 0.3).abs() < 1e-12);
-        assert_eq!(r.probability(5), 0.0);
-        assert!((d.mass_on(&[0, 1, 2]) - 0.3).abs() < 1e-12);
-        // Duplicates in the set are counted once; out-of-range ignored.
-        assert!((d.mass_on(&[0, 0, 0, 42]) - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn out_of_range_probability_is_zero() {
-        let d = WalkDistribution::uniform(3).unwrap();
+        let d = WalkDistribution::point_mass(3, 0).unwrap();
         assert_eq!(d.probability(10), 0.0);
     }
 
@@ -384,20 +308,6 @@ mod tests {
             prop_assert!((da.l1_distance(&db) - db.l1_distance(&da)).abs() < 1e-12);
             prop_assert!(da.l1_distance(&da).abs() < 1e-12);
             prop_assert!(da.l1_distance(&dc) <= da.l1_distance(&db) + db.l1_distance(&dc) + 1e-12);
-        }
-
-        /// Restriction never increases mass and mass_on agrees with the
-        /// restricted total mass.
-        #[test]
-        fn restriction_mass_consistency(
-            values in proptest::collection::vec(0.0f64..1.0, 1..20),
-            picks in proptest::collection::vec(any::<bool>(), 20),
-        ) {
-            let d = WalkDistribution::from_values(values.clone()).unwrap();
-            let set: Vec<usize> = (0..values.len()).filter(|&v| picks[v]).collect();
-            let restricted = d.restrict(&set);
-            prop_assert!(restricted.total_mass() <= d.total_mass() + 1e-12);
-            prop_assert!((restricted.total_mass() - d.mass_on(&set)).abs() < 1e-12);
         }
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! CDRW's cost bound comes from the walk's *locality*: for the first
 //! `O(log n)` steps the distribution `p_ℓ` is supported on the ball of radius
-//! `ℓ` around the seed, which is far smaller than the graph. The dense
-//! [`crate::WalkOperator`] ignores this — every step allocates a fresh
-//! length-`n` vector and scans all `n` vertices, and every candidate-size
-//! check of the mixing sweep rebuilds an `O(n)` score vector. This module
+//! `ℓ` around the seed, which is far smaller than the graph. A dense step
+//! allocates a fresh length-`n` vector and scans all `n` vertices, and a
+//! dense candidate-size check rebuilds an `O(n)` score vector. This module
 //! exploits the locality explicitly:
 //!
 //! * [`WalkWorkspace`] owns two length-`n` probability buffers plus the walk's
@@ -14,8 +13,8 @@
 //!   `cdrw_core::Cdrw::detect_all` does.
 //! * [`WalkEngine::step`] pushes probability only out of support vertices,
 //!   costing `O(vol(support))` instead of `O(n + m)`. Accumulation order is
-//!   identical to the dense operator, so the resulting probabilities are
-//!   bit-for-bit equal to [`crate::WalkOperator::step`].
+//!   identical to the dense step, so the resulting probabilities are
+//!   bit-for-bit equal to `cdrw-reference`'s `dense_step`.
 //! * [`WalkEngine::sweep`] evaluates each candidate size `|S|` of the local
 //!   mixing sweep against the engine's degree-sorted vertex order (computed
 //!   once per engine): outside the support the score `x_u = |0 − d(u)/µ′(S)|`
@@ -38,7 +37,7 @@
 //!
 //! | path | cost per sweep |
 //! |---|---|
-//! | dense reference ([`crate::largest_mixing_set`]) | `O(n log n)` **per size** — `Θ(n² )`-ish overall |
+//! | dense reference (`cdrw-reference`'s `largest_mixing_set`) | `O(n log n)` **per size** — `Θ(n² )`-ish overall |
 //! | prefix scan ([`WalkEngine::sweep`]) | `O(P log P + sizes·log P)` plus a read-only walk of the degree order up to the largest size |
 //!
 //! `P` is the number of support entries with positive affinity `p(u)/d(u)`.
@@ -174,7 +173,7 @@ use crate::{MixingCriterion, WalkDistribution, WalkError};
 #[derive(Debug)]
 pub struct WalkEngine<'g> {
     graph: &'g Graph,
-    /// Laziness parameter `α`; same semantics as [`crate::WalkOperator`].
+    /// Laziness parameter `α`: with probability `α` the walk stays put.
     laziness: f64,
     /// The `(weighted degree, id)` vertex order. Computed on first sweep.
     degree_order: OnceLock<DegreeOrder>,
@@ -340,14 +339,14 @@ impl<'g> WalkEngine<'g> {
     /// Runs the candidate-size sweep of Algorithm 1 (lines 12–17) against the
     /// workspace's current distribution.
     ///
-    /// Produces the same selected sets and `holds` decisions as
-    /// [`crate::largest_mixing_set`] on the equivalent dense distribution
-    /// (`score_sum` may differ in the last bits; see the module docs).
+    /// Produces the same selected sets and `holds` decisions as the dense
+    /// oracle sweep on the equivalent dense distribution (`score_sum` may
+    /// differ in the last bits; see the module docs).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::largest_mixing_set`]: configuration
-    /// validation failures and [`WalkError::NoEdges`] for edgeless graphs.
+    /// Configuration validation failures and [`WalkError::NoEdges`] for
+    /// edgeless graphs.
     pub fn sweep(
         &self,
         workspace: &mut WalkWorkspace,
@@ -652,8 +651,8 @@ impl<'g> WalkEngine<'g> {
     ) -> (MixingCheck, Option<Vec<VertexId>>) {
         let graph = self.graph;
         let n = graph.num_vertices();
-        // Same expression as the dense `node_scores`, so per-vertex scores
-        // are bit-identical.
+        // Same expression as the dense oracle's `node_scores`, so per-vertex
+        // scores are bit-identical.
         let average_volume = graph.weighted_volume() / n as f64 * size as f64;
 
         ws.candidates.clear();
@@ -909,30 +908,6 @@ impl WalkWorkspace {
         Ok(())
     }
 
-    /// Loads an arbitrary dense distribution (used by the compatibility
-    /// wrappers); costs `O(n)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WalkError::DimensionMismatch`] when the lengths differ.
-    pub fn load_distribution(&mut self, distribution: &WalkDistribution) -> Result<(), WalkError> {
-        if distribution.len() != self.current.len() {
-            return Err(WalkError::DimensionMismatch {
-                left: distribution.len(),
-                right: self.current.len(),
-            });
-        }
-        self.clear_support();
-        for (v, &p) in distribution.as_slice().iter().enumerate() {
-            if p != 0.0 {
-                self.current[v] = p;
-                self.mask.insert(v);
-                self.support.push(v);
-            }
-        }
-        Ok(())
-    }
-
     /// Loads a sparse distribution given as sorted `(vertex, mass)` entries,
     /// preserving the support *exactly* — including any zero-mass entries, so
     /// a gathered sharded state reproduces the sequential workspace bit for
@@ -1069,8 +1044,15 @@ impl WalkWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{largest_mixing_set, WalkOperator};
     use cdrw_graph::GraphBuilder;
+    use cdrw_reference::{dense_step, largest_mixing_set, Criterion};
+
+    fn point_mass(n: usize, source: VertexId) -> Vec<f64> {
+        WalkDistribution::point_mass(n, source)
+            .unwrap()
+            .as_slice()
+            .to_vec()
+    }
 
     fn path(n: usize) -> Graph {
         GraphBuilder::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap()
@@ -1089,14 +1071,13 @@ mod tests {
     #[test]
     fn step_matches_dense_operator_bit_for_bit() {
         let (graph, _) = cdrw_gen::special::ring_of_cliques(4, 16).unwrap();
-        let operator = WalkOperator::new(&graph);
         let engine = WalkEngine::new(&graph);
         let mut ws = engine.workspace();
         ws.load_point_mass(3).unwrap();
-        let mut dense = WalkDistribution::point_mass(graph.num_vertices(), 3).unwrap();
+        let mut dense = point_mass(graph.num_vertices(), 3);
         for _ in 0..12 {
             engine.step(&mut ws);
-            dense = operator.step_dense(&dense);
+            dense = dense_step(&graph, 0.0, &dense);
             assert_eq!(ws.as_slice(), dense.as_slice(), "sparse and dense diverged");
         }
     }
@@ -1134,15 +1115,14 @@ mod tests {
     #[test]
     fn lazy_step_matches_dense_operator() {
         let g = path(9);
-        let operator = WalkOperator::lazy(&g, 0.3);
         let engine = WalkEngine::lazy(&g, 0.3);
         assert_eq!(engine.laziness(), 0.3);
         let mut ws = engine.workspace();
         ws.load_point_mass(4).unwrap();
-        let mut dense = WalkDistribution::point_mass(9, 4).unwrap();
+        let mut dense = point_mass(9, 4);
         for _ in 0..20 {
             engine.step(&mut ws);
-            dense = operator.step_dense(&dense);
+            dense = dense_step(&g, 0.3, &dense);
             assert_eq!(ws.as_slice(), dense.as_slice());
         }
     }
@@ -1187,7 +1167,7 @@ mod tests {
             engine.step(&mut ws);
             let sparse = engine.sweep(&mut ws, &config).unwrap();
             let dense =
-                largest_mixing_set(&graph, &ws.to_distribution().unwrap(), &config).unwrap();
+                largest_mixing_set(&graph, ws.as_slice(), config.min_size, Criterion::Strict);
             assert_eq!(sparse.set, dense.set);
             assert_eq!(sparse.checks.len(), dense.checks.len());
             for (s, d) in sparse.checks.iter().zip(&dense.checks) {
@@ -1210,7 +1190,7 @@ mod tests {
         assert_eq!(ws.support_size(), 32);
         let config = LocalMixingConfig::for_graph_size(32);
         let sparse = engine.sweep(&mut ws, &config).unwrap();
-        let dense = largest_mixing_set(&g, &ws.to_distribution().unwrap(), &config).unwrap();
+        let dense = largest_mixing_set(&g, ws.as_slice(), config.min_size, Criterion::Strict);
         assert_eq!(sparse.set, dense.set);
         assert!(sparse.found());
         assert_eq!(sparse.size(), 32);
@@ -1232,19 +1212,6 @@ mod tests {
                 assert_eq!(reused.support(), fresh.support());
             }
         }
-    }
-
-    #[test]
-    fn load_distribution_round_trips() {
-        let g = path(6);
-        let engine = WalkEngine::new(&g);
-        let mut ws = engine.workspace();
-        let d = WalkDistribution::from_values(vec![0.0, 0.5, 0.0, 0.25, 0.25, 0.0]).unwrap();
-        ws.load_distribution(&d).unwrap();
-        assert_eq!(ws.support(), &[1, 3, 4]);
-        assert_eq!(ws.to_distribution().unwrap(), d);
-        let wrong = WalkDistribution::uniform(4).unwrap();
-        assert!(ws.load_distribution(&wrong).is_err());
     }
 
     #[test]
@@ -1287,13 +1254,12 @@ mod tests {
             let g = GraphBuilder::from_edges(24, clean).unwrap();
             let criterion = MixingCriterion::all()[criterion_index];
             let engine = WalkEngine::lazy(&g, criterion.laziness());
-            let operator = WalkOperator::lazy(&g, criterion.laziness());
             let mut ws = engine.workspace();
             ws.load_point_mass(source).unwrap();
-            let mut dense = WalkDistribution::point_mass(24, source).unwrap();
+            let mut dense = point_mass(24, source);
             for _ in 0..steps {
                 engine.step(&mut ws);
-                dense = operator.step_dense(&dense);
+                dense = dense_step(&g, criterion.laziness(), &dense);
             }
             let config = LocalMixingConfig {
                 criterion,
@@ -1301,7 +1267,8 @@ mod tests {
                 ..LocalMixingConfig::default()
             };
             let sparse = engine.sweep(&mut ws, &config).unwrap();
-            let dense_outcome = largest_mixing_set(&g, &dense, &config).unwrap();
+            let oracle = Criterion::ALL[criterion_index];
+            let dense_outcome = largest_mixing_set(&g, &dense, config.min_size, oracle);
             prop_assert_eq!(&sparse.set, &dense_outcome.set, "criterion {}", criterion.name());
             prop_assert_eq!(sparse.checks.len(), dense_outcome.checks.len());
             for (s, d) in sparse.checks.iter().zip(&dense_outcome.checks) {
@@ -1335,22 +1302,21 @@ mod tests {
             prop_assume!(!clean.is_empty());
             let g = GraphBuilder::from_edges(16, clean).unwrap();
             let engine = WalkEngine::lazy(&g, laziness);
-            let operator = WalkOperator::lazy(&g, laziness);
             let mut ws = engine.workspace();
             for &source in &sources {
                 ws.load_point_mass(source).unwrap();
-                let mut dense = WalkDistribution::point_mass(16, source).unwrap();
+                let mut dense = point_mass(16, source);
                 for step in 0..=steps {
                     if step > 0 {
                         engine.step(&mut ws);
-                        dense = operator.step_dense(&dense);
+                        dense = dense_step(&g, laziness, &dense);
                     }
-                    for v in 0..16 {
+                    for (v, &expected) in dense.iter().enumerate() {
                         prop_assert_eq!(
                             ws.probability(v).to_bits(),
-                            dense.probability(v).to_bits(),
+                            expected.to_bits(),
                             "probability diverged at {} at step {} from seed {}: {} vs {}",
-                            v, step, source, ws.probability(v), dense.probability(v)
+                            v, step, source, ws.probability(v), expected
                         );
                     }
                     // The support must be exactly the non-zero entries, in
@@ -1367,7 +1333,7 @@ mod tests {
                         ..LocalMixingConfig::default()
                     };
                     let sparse = engine.sweep(&mut ws, &config).unwrap();
-                    let dense_outcome = largest_mixing_set(&g, &dense, &config).unwrap();
+                    let dense_outcome = largest_mixing_set(&g, &dense, config.min_size, Criterion::Strict);
                     prop_assert_eq!(&sparse.set, &dense_outcome.set);
                     prop_assert_eq!(sparse.checks.len(), dense_outcome.checks.len());
                     for (s, d) in sparse.checks.iter().zip(&dense_outcome.checks) {
@@ -1381,6 +1347,54 @@ mod tests {
                     }
                 }
             }
+        }
+
+        /// Mass conservation and non-negativity hold for arbitrary graphs,
+        /// sources, laziness and step counts.
+        #[test]
+        fn push_preserves_mass(
+            edges in proptest::collection::vec((0usize..12, 0usize..12), 1..60),
+            source in 0usize..12,
+            laziness in 0.0f64..1.0,
+            steps in 0usize..20,
+        ) {
+            use proptest::{prop_assert, prop_assume};
+
+            let clean: Vec<_> = edges.into_iter().filter(|(u, v)| u != v).collect();
+            prop_assume!(!clean.is_empty());
+            let g = GraphBuilder::from_edges(12, clean).unwrap();
+            let engine = WalkEngine::lazy(&g, laziness);
+            let mut ws = engine.workspace();
+            ws.load_point_mass(source).unwrap();
+            for _ in 0..steps {
+                engine.step(&mut ws);
+            }
+            prop_assert!((ws.total_mass() - 1.0).abs() < 1e-9);
+            prop_assert!(ws.as_slice().iter().all(|&p| p >= 0.0));
+        }
+
+        /// The support of the walk after ℓ steps is contained in the ball of
+        /// radius ℓ around the source (probability propagates one hop per step).
+        #[test]
+        fn support_stays_within_ball(
+            edges in proptest::collection::vec((0usize..10, 0usize..10), 1..40),
+            source in 0usize..10,
+            steps in 0usize..6,
+        ) {
+            use proptest::{prop_assert, prop_assume};
+
+            let clean: Vec<_> = edges.into_iter().filter(|(u, v)| u != v).collect();
+            prop_assume!(!clean.is_empty());
+            let g = GraphBuilder::from_edges(10, clean).unwrap();
+            let engine = WalkEngine::new(&g);
+            let mut ws = engine.workspace();
+            ws.load_point_mass(source).unwrap();
+            for _ in 0..steps {
+                engine.step(&mut ws);
+            }
+            let ball = cdrw_graph::traversal::ball(&g, source, steps).unwrap();
+            let inside: f64 = ball.iter().map(|&v| ws.probability(v)).sum();
+            prop_assert!((inside - 1.0).abs() < 1e-9);
         }
     }
 }

@@ -14,13 +14,6 @@ pub enum WalkError {
     NoEdges,
     /// A distribution was requested over zero vertices.
     EmptyDistribution,
-    /// Distributions over different vertex counts were combined.
-    DimensionMismatch {
-        /// Length of the left operand.
-        left: usize,
-        /// Length of the right operand.
-        right: usize,
-    },
     /// A parameter was outside its valid domain.
     InvalidParameter {
         /// Name of the offending parameter.
@@ -43,9 +36,6 @@ impl fmt::Display for WalkError {
             }
             WalkError::EmptyDistribution => {
                 write!(f, "a probability distribution needs at least one vertex")
-            }
-            WalkError::DimensionMismatch { left, right } => {
-                write!(f, "distribution dimensions differ: {left} vs {right}")
             }
             WalkError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter `{name}`: {reason}")
@@ -77,9 +67,6 @@ mod tests {
     #[test]
     fn display_messages() {
         assert!(WalkError::NoEdges.to_string().contains("stationary"));
-        let e = WalkError::DimensionMismatch { left: 3, right: 5 };
-        assert!(e.to_string().contains('3'));
-        assert!(e.to_string().contains('5'));
     }
 
     #[test]

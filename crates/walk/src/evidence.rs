@@ -271,12 +271,6 @@ impl WalkEvidence {
         std::mem::take(&mut self.pooled)
     }
 
-    /// Clears the pooled view (start of a fresh run). Per-detection epoch
-    /// state is untouched.
-    pub fn clear_pool(&mut self) {
-        self.pooled.clear();
-    }
-
     /// Retains only the pooled claims `keep` accepts, preserving flush
     /// order. This makes the pool the unit of *cache* rather than the unit
     /// of run: an incremental driver drops the claims of invalidated
@@ -553,14 +547,12 @@ mod tests {
         assert!((claims[4].margin - 0.4).abs() < 1e-15, "vertex 5 margin");
         // Pooling does not consume the current epoch.
         assert_eq!(evidence.votes(5), 1);
-        // take_pool drains; extend_pool re-adds; clear_pool empties.
+        // take_pool drains; extend_pool re-adds.
         let taken = evidence.take_pool();
         assert_eq!(taken.len(), 6);
         assert!(evidence.pooled_claims().is_empty());
         evidence.extend_pool(&taken);
         assert_eq!(evidence.pooled_claims().len(), 6);
-        evidence.clear_pool();
-        assert!(evidence.pooled_claims().is_empty());
     }
 
     #[test]

@@ -29,11 +29,11 @@
 //!   incremental prefix scan (a sort of the positive-affinity support plus
 //!   a read-only walk of the degree order, instead of re-scoring
 //!   `Σ|S| ≈ 24n` candidates; the complexity table in the [`WalkEngine`]
-//!   module docs has the details). The dense sweep pays `O(n)` per size
-//!   regardless of the support. The sweep has two oracles: the dense
-//!   [`largest_mixing_set`], property-pinned against it under all four
-//!   criteria, and the repository's merge-based prefix scan
-//!   (`tests/sweep_identity.rs`), pinned bit for bit.
+//!   module docs has the details). The sweep has two oracles: the dense
+//!   `largest_mixing_set` of the dev-only `cdrw-reference` crate,
+//!   property-pinned against it under all four criteria, and the
+//!   repository's merge-based prefix scan (`tests/sweep_identity.rs`),
+//!   pinned bit for bit.
 //! * [`WalkWorkspace`] is allocated once and reused across steps *and seeds*
 //!   (`cdrw_core::Cdrw::detect_all` re-seeds one workspace for every
 //!   community; `detect_parallel` keeps one per worker thread). Re-seeding
@@ -56,12 +56,12 @@
 //!   accumulation loop touches 64× less memory; the [`WalkEngine`] module
 //!   docs carry the memory table.
 //!
-//! The engine is bit-for-bit equivalent to the dense reference for stepping
-//! (identical accumulation order) and selects identical mixing sets (same
-//! score expressions, same tie-breaking total order); only the reported
-//! `score_sum` of a sweep check may differ in the last bits because the
-//! summation order differs (for the prefix scan, because each size's score
-//! is regrouped around the affinity crossing).
+//! The engine is bit-for-bit equivalent to `cdrw-reference`'s dense oracles
+//! for stepping (identical accumulation order) and selects identical mixing
+//! sets (same score expressions, same tie-breaking total order); only the
+//! reported `score_sum` of a sweep check may differ in the last bits because
+//! the summation order differs (for the prefix scan, because each size's
+//! score is regrouped around the affinity crossing).
 //!
 //! ## Pluggable mixing criteria
 //!
@@ -86,21 +86,12 @@
 //! which `cdrw_core::assembly` reconciles into the run's single global
 //! partition.
 //!
-//! ## Dense compatibility API
+//! ## Distributions and global mixing
 //!
-//! * [`WalkDistribution`] — a dense probability vector over the vertices with
-//!   L1 arithmetic, restriction to a subset, and comparison against the
-//!   (restricted) stationary distribution `π_S(v) = d(v)/µ(S)`.
-//! * [`WalkOperator`] — the one-step push `p_ℓ = A·p_{ℓ−1}`, now a thin
-//!   wrapper over the engine ([`WalkOperator::step_dense`] keeps the original
-//!   dense loop as the reference implementation the engine is validated and
-//!   benchmarked against).
-//! * [`local_mixing`] — the per-node scores `x_u = |p_ℓ(u) − d(u)/µ′(S)|`,
-//!   the `Σ x_u < 1/2e` mixing condition, and the dense candidate-size sweep
-//!   [`largest_mixing_set`] (Definition 2 plus Algorithm 1, lines 12–17),
-//!   kept as the reference the sparse sweep is compared against.
-//! * [`mixing`] — global mixing time `τ_mix(ε)` estimation, spectral gap via
-//!   power iteration.
+//! [`WalkDistribution`] is a dense probability vector with L1 arithmetic and
+//! the (restricted) stationary distribution `π_S(v) = d(v)/µ(S)`;
+//! [`mixing`] estimates the global mixing time `τ_mix(ε)` (Definition 1)
+//! and the spectral gap by power iteration (Lemmas 1–2).
 //!
 //! # Example
 //!
@@ -142,7 +133,6 @@ pub mod mixing;
 #[cfg(test)]
 mod sampled;
 pub mod shard;
-mod step;
 
 pub use batch::WalkBatch;
 pub use criterion::{MixingCriterion, DEFAULT_LAZINESS};
@@ -151,8 +141,6 @@ pub use engine::{WalkEngine, WalkWorkspace};
 pub use error::WalkError;
 pub use evidence::WalkEvidence;
 pub use local_mixing::{
-    largest_mixing_set, mixing_check, mixing_condition_holds, LocalMixingConfig,
-    LocalMixingOutcome, MIXING_THRESHOLD, SIZE_GROWTH_FACTOR,
+    LocalMixingConfig, LocalMixingOutcome, MIXING_THRESHOLD, SIZE_GROWTH_FACTOR,
 };
 pub use mixing::{estimate_mixing_time, spectral_gap, MixingEstimate};
-pub use step::WalkOperator;

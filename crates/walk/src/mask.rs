@@ -26,10 +26,9 @@ const WORD_BITS: usize = u64::BITS as usize;
 
 /// A fixed-capacity set of vertices stored as one bit per vertex.
 ///
-/// All operations are `O(1)` except [`BitMask::iter`] /
-/// [`BitMask::count_ones`] (`O(capacity/64)` words) and
-/// [`BitMask::clear_all`] (`O(capacity/64)`, which hot paths avoid by
-/// clearing exactly the bits they set).
+/// All operations are `O(1)` except [`BitMask::iter`],
+/// [`BitMask::count_ones`] and [`BitMask::drain_into`] (`O(capacity/64)`
+/// words); hot paths clear exactly the bits they set.
 ///
 /// # Examples
 ///
@@ -58,11 +57,6 @@ impl BitMask {
             words: vec![0; capacity.div_ceil(WORD_BITS)],
             capacity,
         }
-    }
-
-    /// Number of vertices the mask covers.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Whether the mask covers zero vertices.
@@ -116,12 +110,6 @@ impl BitMask {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Clears every bit (`O(capacity/64)`; hot paths clear only the bits
-    /// they set instead).
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
     /// Iterates the set vertices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &word)| {
@@ -159,7 +147,6 @@ mod tests {
     #[test]
     fn basic_set_clear_contains() {
         let mut mask = BitMask::with_capacity(130);
-        assert_eq!(mask.capacity(), 130);
         assert!(!mask.is_empty());
         assert!(BitMask::with_capacity(0).is_empty());
         assert_eq!(mask.count_ones(), 0);
@@ -178,9 +165,6 @@ mod tests {
         assert!(!mask.remove(64));
         assert!(!mask.contains(64));
         assert_eq!(mask.count_ones(), 6);
-        mask.clear_all();
-        assert_eq!(mask.count_ones(), 0);
-        assert_eq!(mask.iter().count(), 0);
         assert_eq!(mask.words().len(), 130usize.div_ceil(64));
     }
 

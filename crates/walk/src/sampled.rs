@@ -17,7 +17,7 @@ use crate::{WalkDistribution, WalkError};
 ///
 /// If the walk reaches an isolated vertex it stays there for the remaining
 /// steps (matching the mass-preserving convention of
-/// [`crate::WalkOperator::step`]).
+/// [`crate::WalkEngine::step`]).
 ///
 /// # Errors
 ///
@@ -85,7 +85,7 @@ pub fn empirical_distribution(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WalkOperator;
+    use crate::WalkEngine;
     use cdrw_gen::{generate_gnp, GnpParams};
     use cdrw_graph::GraphBuilder;
 
@@ -126,7 +126,13 @@ mod tests {
         let p = 0.15;
         let g = generate_gnp(&GnpParams::new(n, p).unwrap(), 17).unwrap();
         let steps = 4;
-        let exact = WalkOperator::new(&g).walk(&WalkDistribution::point_mass(n, 0).unwrap(), steps);
+        let engine = WalkEngine::new(&g);
+        let mut ws = engine.workspace();
+        ws.load_point_mass(0).unwrap();
+        for _ in 0..steps {
+            engine.step(&mut ws);
+        }
+        let exact = ws.to_distribution().unwrap();
         let empirical = empirical_distribution(&g, 0, steps, 40_000, 99).unwrap();
         let distance = exact.l1_distance(&empirical);
         assert!(

@@ -3,7 +3,8 @@
 //! tests don't cover.
 
 use cdrw_gen::{generate_ppm, special, PpmParams};
-use cdrw_walk::{largest_mixing_set, LocalMixingConfig, MixingCriterion, WalkEngine, WalkOperator};
+use cdrw_reference::{dense_step, largest_mixing_set, mixing_check, Criterion};
+use cdrw_walk::{LocalMixingConfig, MixingCriterion, WalkEngine};
 
 /// The motivating regime: a multi-block PPM where mass leaks across blocks
 /// faster than it equalises inside one. The strict rule stops firing once the
@@ -64,8 +65,7 @@ fn renormalized_sets_are_nested_across_sizes() {
     };
     let mut previous: Option<Vec<usize>> = None;
     for size in config.candidate_sizes(graph.num_vertices()) {
-        let (check, members) =
-            cdrw_walk::mixing_check(&graph, &ws.to_distribution().unwrap(), size, &config).unwrap();
+        let (check, members) = mixing_check(&graph, ws.as_slice(), size, Criterion::Renormalized);
         if let (Some(prev), true) = (&previous, check.holds) {
             let members = members.as_ref().unwrap();
             for v in prev {
@@ -127,21 +127,20 @@ fn lazy_criterion_fires_on_periodic_structures() {
 fn sparse_and_dense_agree_for_every_criterion_on_ppm() {
     let params = PpmParams::new(200, 2, 0.25, 0.01).unwrap();
     let (graph, _) = generate_ppm(&params, 11).unwrap();
-    for criterion in MixingCriterion::all() {
+    for (criterion, oracle) in MixingCriterion::all().into_iter().zip(Criterion::ALL) {
         let engine = WalkEngine::lazy(&graph, criterion.laziness());
-        let operator = WalkOperator::lazy(&graph, criterion.laziness());
         let mut ws = engine.workspace();
         ws.load_point_mass(5).unwrap();
-        let mut dense = cdrw_walk::WalkDistribution::point_mass(200, 5).unwrap();
+        let mut dense = ws.as_slice().to_vec();
         let config = LocalMixingConfig {
             criterion,
             ..LocalMixingConfig::for_graph_size(200)
         };
         for step in 1..=10 {
             engine.step(&mut ws);
-            dense = operator.step_dense(&dense);
+            dense = dense_step(&graph, criterion.laziness(), &dense);
             let sparse_outcome = engine.sweep(&mut ws, &config).unwrap();
-            let dense_outcome = largest_mixing_set(&graph, &dense, &config).unwrap();
+            let dense_outcome = largest_mixing_set(&graph, &dense, config.min_size, oracle);
             assert_eq!(
                 sparse_outcome.set,
                 dense_outcome.set,

@@ -57,6 +57,6 @@ pub mod prelude {
     };
     pub use cdrw_walk::{
         LocalMixingConfig, LocalMixingOutcome, WalkDistribution, WalkEngine, WalkEvidence,
-        WalkOperator, WalkWorkspace,
+        WalkWorkspace,
     };
 }

@@ -1,17 +1,158 @@
 //! Every driver runs the same Algorithm-1 pipeline, so the CONGEST runner's
 //! and the k-machine engine's results must equal `Cdrw::detect_all`'s as
-//! whole values — detections, traces, partition and assembly report.
+//! whole values — detections, traces, partition and assembly report. The
+//! chain is rooted in the paper: under the strict criterion, one walk per
+//! detection and first-claim results, `Cdrw::detect_all` must equal the
+//! dense, line-by-line Algorithm 1 of `cdrw_reference::reference_detect_all`
+//! (reference → sequential → CONGEST → k-machine). The k-machine runs must
+//! also measure exactly the messages the CONGEST model charges, and a
+//! crashed shard must recover to the same result.
 
-use cdrw_repro::core::{AssemblyPolicy, EnsemblePolicy};
-use cdrw_repro::kmachine::KMachineEngine;
+use cdrw_reference::reference_detect_all;
+use cdrw_repro::core::{
+    shuffled_seed_pool, AssemblyPolicy, CommunityDetection, DetectionTrace, EnsemblePolicy,
+    MixingCriterion, StepTrace,
+};
+use cdrw_repro::kmachine::{FaultPlan, KMachineEngine};
 use cdrw_repro::prelude::*;
+
+/// The k-machine engine on `k` shards for `algorithm`.
+fn sharded(k: usize, algorithm: CdrwConfig) -> KMachineEngine {
+    KMachineEngine::new(
+        KMachineConfig::new(k)
+            .with_congest(CongestConfig::new(algorithm))
+            .with_partition_seed(5),
+    )
+    .unwrap()
+}
+
+/// Runs the k-machine engine for k ∈ {1, 2, 3, 8}: each result must equal
+/// `sequential`, and the conformance ledger must show measured == modelled
+/// messages per physical round, in total and per detection.
+fn assert_sharded_runs_match(
+    graph: &Graph,
+    algorithm: CdrwConfig,
+    sequential: &DetectionResult,
+    what: &str,
+) {
+    // With k ≥ 3 a source's share goes to some peer shards but not all.
+    for k in [1, 2, 3, 8] {
+        let report = sharded(k, algorithm).run(graph).unwrap();
+        assert_eq!(report.result, *sequential, "k = {k}, {what}");
+        let ledger = &report.conformance;
+        for round in &ledger.per_round {
+            assert_eq!(
+                round.measured_messages, round.modelled_messages,
+                "k = {k}, {what}: round {}",
+                round.round
+            );
+        }
+        assert_eq!(
+            ledger.measured_messages, ledger.modelled_messages,
+            "k = {k}, {what}: total"
+        );
+        assert_eq!(ledger.per_detection.len(), sequential.detections().len());
+        for flood in &ledger.per_detection {
+            assert_eq!(
+                flood.measured_messages, flood.modelled_messages,
+                "k = {k}, {what}: detection seeded at {}",
+                flood.seed
+            );
+        }
+    }
+}
+
+/// The two-block PPM of the identity tests with three zero-degree vertices
+/// appended.
+fn ppm_with_isolates() -> Graph {
+    let params = PpmParams::new(160, 2, 0.12, 0.004).unwrap();
+    let (ppm, _) = generate_ppm(&params, 29).unwrap();
+    GraphBuilder::from_edges(163, ppm.edges()).unwrap()
+}
+
+/// `reference_detect_all`'s detections over the configuration's seed pool,
+/// as the result `Cdrw::detect_all` reports.
+fn reference_result(graph: &Graph, seed: u64, delta: f64) -> DetectionResult {
+    let n = graph.num_vertices();
+    let detections = reference_detect_all(graph, &shuffled_seed_pool(n, seed), delta)
+        .into_iter()
+        .map(|detection| CommunityDetection {
+            seed: detection.seed,
+            members: detection.members,
+            trace: DetectionTrace {
+                steps: detection
+                    .steps
+                    .iter()
+                    .map(|&(walk_length, mixing_set_size, sizes_checked)| StepTrace {
+                        walk_length,
+                        mixing_set_size,
+                        sizes_checked,
+                    })
+                    .collect(),
+                stopped_by_growth_rule: detection.stopped_by_growth_rule,
+                delta,
+                ensemble: None,
+            },
+        })
+        .collect();
+    DetectionResult::new(n, detections, delta)
+}
+
+#[test]
+fn the_paper_literal_algorithm_roots_the_driver_chain() {
+    let four_blocks = generate_ppm(&PpmParams::new(200, 4, 0.2, 0.005).unwrap(), 3)
+        .unwrap()
+        .0;
+    let gnp = generate_gnp(&GnpParams::new(128, 0.08).unwrap(), 5).unwrap();
+    for (label, graph, delta) in [
+        ("ppm with isolates", ppm_with_isolates(), 0.1),
+        ("gnp", gnp, 0.2),
+        ("four-block ppm", four_blocks, 0.1),
+    ] {
+        let algorithm = CdrwConfig::builder()
+            .seed(11)
+            .delta(delta)
+            .criterion(MixingCriterion::Strict)
+            .build();
+        let sequential = Cdrw::new(algorithm).detect_all(&graph).unwrap();
+        let reference = reference_result(&graph, 11, delta);
+        assert_eq!(sequential, reference, "{label}: reference");
+        // The input exercises the growth rule and finds real communities.
+        let detections = reference.detections();
+        assert!(detections.iter().any(|d| d.trace.stopped_by_growth_rule));
+        assert!(detections.iter().any(|d| d.members.len() > 16), "{label}");
+        let congest = CongestCdrw::new(CongestConfig::new(algorithm))
+            .detect_all(&graph)
+            .unwrap();
+        assert_eq!(congest.result, sequential, "{label}: CONGEST");
+        assert_sharded_runs_match(&graph, algorithm, &sequential, label);
+    }
+}
+
+#[test]
+fn a_crashed_shard_recovers_the_sequential_result() {
+    let graph = ppm_with_isolates();
+    let algorithm = CdrwConfig::builder().seed(11).delta(0.1).build();
+    let sequential = Cdrw::new(algorithm).detect_all(&graph).unwrap();
+    let plan = FaultPlan::seeded(41).with_crash(1, 6);
+    let report = sharded(2, algorithm).run_chaos(&graph, &plan).unwrap();
+    assert_eq!(report.result, sequential);
+    assert_eq!(report.fault_log.recoveries.len(), 1);
+    // The plan drops nothing, so the replayed command log brings the
+    // replacement up to date without it asking for a resend.
+    assert_eq!(report.fault_log.nacks, 0, "{:?}", report.fault_log);
+    for round in &report.conformance.per_round {
+        assert_eq!(
+            round.measured_messages, round.modelled_messages,
+            "round {}",
+            round.round
+        );
+    }
+}
 
 #[test]
 fn congest_and_kmachine_results_equal_the_sequential_result() {
-    // A two-block PPM with three zero-degree vertices appended.
-    let params = PpmParams::new(160, 2, 0.12, 0.004).unwrap();
-    let (ppm, _) = generate_ppm(&params, 29).unwrap();
-    let graph = GraphBuilder::from_edges(163, ppm.edges()).unwrap();
+    let graph = ppm_with_isolates();
     let ensemble = EnsemblePolicy::Ensemble {
         walks: 3,
         quorum: 2,
@@ -52,20 +193,12 @@ fn congest_and_kmachine_results_equal_the_sequential_result() {
             assert_eq!(cost.cost, Default::default(), "seed {}", cost.seed);
             assert_eq!(cost.flood, Default::default(), "seed {}", cost.seed);
         }
-        // With k ≥ 3 a source's share goes to some peer shards but not all.
-        for k in [1, 2, 3, 8] {
-            let engine = KMachineEngine::new(
-                KMachineConfig::new(k)
-                    .with_congest(CongestConfig::new(algorithm))
-                    .with_partition_seed(5),
-            )
-            .unwrap();
-            let sharded = engine.run(&graph).unwrap();
-            assert_eq!(
-                sharded.result, sequential,
-                "k = {k}, {ensemble:?}/{assembly:?}"
-            );
-        }
+        assert_sharded_runs_match(
+            &graph,
+            algorithm,
+            &sequential,
+            &format!("{ensemble:?}/{assembly:?}"),
+        );
     }
 }
 

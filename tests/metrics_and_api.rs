@@ -83,14 +83,15 @@ fn walk_machinery_is_reachable_and_consistent_through_the_umbrella() {
     assert!(lambda < 0.7, "λ₂ = {lambda}");
 
     // The local mixing sweep via the prelude types.
-    let operator = WalkOperator::new(&graph);
-    let distribution = operator.walk(&WalkDistribution::point_mass(256, 0).unwrap(), 8);
-    let outcome = cdrw_repro::walk::largest_mixing_set(
-        &graph,
-        &distribution,
-        &LocalMixingConfig::for_graph_size(256),
-    )
-    .unwrap();
+    let engine = WalkEngine::new(&graph);
+    let mut workspace: WalkWorkspace = engine.workspace();
+    workspace.load_point_mass(0).unwrap();
+    for _ in 0..8 {
+        engine.step(&mut workspace);
+    }
+    let outcome = engine
+        .sweep(&mut workspace, &LocalMixingConfig::for_graph_size(256))
+        .unwrap();
     assert!(outcome.found());
     assert!(outcome.size() > 200);
     let _: &LocalMixingOutcome = &outcome;

@@ -1,6 +1,6 @@
 //! The walk step's exactness rail: the solo `WalkEngine::step` and every
 //! lane of a batched `WalkEngine::step_batch` must reproduce the dense
-//! operator `WalkOperator::step_dense` bit for bit, step after step.
+//! operator `cdrw_reference::dense_step` bit for bit, step after step.
 //!
 //! The dense operator loops over all `n` vertices and shares no stepping
 //! code with the engine, so it is the independent oracle for the push
@@ -11,6 +11,7 @@
 //! 1 − α is exact for those two, so only a non-dyadic α pins the order of
 //! the share expression's rounding steps.
 
+use cdrw_reference::dense_step;
 use cdrw_repro::prelude::*;
 use cdrw_repro::walk::WalkBatch;
 
@@ -35,6 +36,13 @@ fn weighted_ppm() -> Graph {
     builder.build()
 }
 
+fn point_mass(n: usize, seed: VertexId) -> Vec<f64> {
+    WalkDistribution::point_mass(n, seed)
+        .unwrap()
+        .as_slice()
+        .to_vec()
+}
+
 /// The bits of each probability, so `-0.0` and `+0.0` compare unequal.
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|p| p.to_bits()).collect()
@@ -42,11 +50,9 @@ fn bits(values: &[f64]) -> Vec<u64> {
 
 /// Asserts `ws` holds exactly `dense`: every probability bit for bit, and a
 /// support that lists exactly the non-zero entries in ascending order.
-fn assert_matches_dense(ws: &WalkWorkspace, dense: &WalkDistribution, what: &str) {
-    assert_eq!(bits(ws.as_slice()), bits(dense.as_slice()), "{what}: mass");
-    let nonzero: Vec<VertexId> = (0..dense.len())
-        .filter(|&v| dense.probability(v) != 0.0)
-        .collect();
+fn assert_matches_dense(ws: &WalkWorkspace, dense: &[f64], what: &str) {
+    assert_eq!(bits(ws.as_slice()), bits(dense), "{what}: mass");
+    let nonzero: Vec<VertexId> = (0..dense.len()).filter(|&v| dense[v] != 0.0).collect();
     assert_eq!(ws.support(), nonzero.as_slice(), "{what}: support");
 }
 
@@ -63,13 +69,12 @@ fn pulls_next(graph: &Graph, batch: &WalkBatch) -> bool {
 
 fn check(graph: &Graph, laziness: f64) {
     let engine = WalkEngine::lazy(graph, laziness);
-    let operator = WalkOperator::lazy(graph, laziness);
     let mut solo = engine.workspace();
     let mut batch = WalkBatch::for_graph(graph);
     batch.load_point_masses(&SEEDS).unwrap();
-    let mut dense: Vec<WalkDistribution> = SEEDS
+    let mut dense: Vec<Vec<f64>> = SEEDS
         .iter()
-        .map(|&s| WalkDistribution::point_mass(graph.num_vertices(), s).unwrap())
+        .map(|&s| point_mass(graph.num_vertices(), s))
         .collect();
     let mut pushed = false;
     let mut pulled = false;
@@ -81,7 +86,7 @@ fn check(graph: &Graph, laziness: f64) {
         }
         engine.step_batch(&mut batch);
         for (lane, oracle) in dense.iter_mut().enumerate() {
-            *oracle = operator.step_dense(oracle);
+            *oracle = dense_step(graph, laziness, oracle);
             let what = format!("laziness {laziness}, lane {lane}, step {step}");
             assert_matches_dense(batch.lane(lane), oracle, &format!("batched {what}"));
         }
@@ -91,10 +96,10 @@ fn check(graph: &Graph, laziness: f64) {
     // The solo step, re-seeding one workspace for every seed.
     for &seed in &SEEDS {
         solo.load_point_mass(seed).unwrap();
-        let mut oracle = WalkDistribution::point_mass(graph.num_vertices(), seed).unwrap();
+        let mut oracle = point_mass(graph.num_vertices(), seed);
         for step in 1..=STEPS {
             engine.step(&mut solo);
-            oracle = operator.step_dense(&oracle);
+            oracle = dense_step(graph, laziness, &oracle);
             let what = format!("solo laziness {laziness}, seed {seed}, step {step}");
             assert_matches_dense(&solo, &oracle, &what);
         }

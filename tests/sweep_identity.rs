@@ -2,7 +2,8 @@
 //! `WalkEngine::sweep` must agree bit for bit with the merge-based prefix
 //! scan it replaced, on every candidate size's `MixingCheck` and on the
 //! selected set. Under every criterion it must select the dense
-//! `largest_mixing_set`'s sets and decisions on the dense operator's walk.
+//! `cdrw_reference::largest_mixing_set`'s sets and decisions on the dense
+//! operator's walk.
 //!
 //! The oracle below is that prefix scan, written out from public API only:
 //! it sorts the whole support by `(affinity desc, weighted degree, id)`,
@@ -14,12 +15,11 @@
 //! zero-affinity support entries, an infinite affinity, weighted degrees,
 //! a crossing that underflows to 0, and sizes past the support.
 
+use cdrw_reference::{dense_step, largest_mixing_set, Criterion};
 use cdrw_repro::gen::special;
 use cdrw_repro::prelude::*;
 use cdrw_repro::walk::local_mixing::MixingCheck;
-use cdrw_repro::walk::{
-    largest_mixing_set, LocalMixingOutcome, MixingCriterion, WalkEngine, WalkWorkspace,
-};
+use cdrw_repro::walk::{LocalMixingOutcome, MixingCriterion, WalkEngine, WalkWorkspace};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 
@@ -339,9 +339,8 @@ fn weighted_walks_match_the_merge_oracle() {
 /// with score sums within 1e-9 (the prefix scan regroups them).
 fn assert_criteria_match_dense(graph: &Graph, seed: VertexId, steps: usize, label: &str) {
     let n = graph.num_vertices();
-    for criterion in MixingCriterion::all() {
+    for (criterion, oracle) in MixingCriterion::all().into_iter().zip(Criterion::ALL) {
         let engine = WalkEngine::lazy(graph, criterion.laziness());
-        let operator = WalkOperator::lazy(graph, criterion.laziness());
         let config = LocalMixingConfig {
             criterion,
             min_size: 2,
@@ -349,13 +348,14 @@ fn assert_criteria_match_dense(graph: &Graph, seed: VertexId, steps: usize, labe
         };
         let mut workspace = engine.workspace();
         workspace.load_point_mass(seed).unwrap();
-        let mut dense = WalkDistribution::point_mass(n, seed).unwrap();
+        let mut dense = vec![0.0; n];
+        dense[seed] = 1.0;
         for step in 1..=steps {
             engine.step(&mut workspace);
-            dense = operator.step_dense(&dense);
+            dense = dense_step(graph, criterion.laziness(), &dense);
             let label = format!("{label}, {}, step {step}", criterion.name());
             let actual = engine.sweep(&mut workspace, &config).unwrap();
-            let expected = largest_mixing_set(graph, &dense, &config).unwrap();
+            let expected = largest_mixing_set(graph, &dense, config.min_size, oracle);
             assert_eq!(actual.set, expected.set, "{label}: selected set");
             assert_eq!(
                 actual.checks.len(),
