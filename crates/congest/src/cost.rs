@@ -95,15 +95,6 @@ impl CostAccount {
         self.rounds += other.rounds;
         self.messages += other.messages;
     }
-
-    /// The cost of running `self` and `other` concurrently: rounds take the
-    /// maximum, messages add up (parallel composition).
-    pub fn parallel_with(self, other: CostAccount) -> CostAccount {
-        CostAccount {
-            rounds: self.rounds.max(other.rounds),
-            messages: self.messages + other.messages,
-        }
-    }
 }
 
 impl std::ops::Add for CostAccount {
@@ -166,20 +157,5 @@ mod tests {
                 messages: 15
             }
         );
-    }
-
-    #[test]
-    fn parallel_composition_takes_max_rounds() {
-        let a = CostAccount {
-            rounds: 10,
-            messages: 100,
-        };
-        let b = CostAccount {
-            rounds: 4,
-            messages: 50,
-        };
-        let c = a.parallel_with(b);
-        assert_eq!(c.rounds, 10);
-        assert_eq!(c.messages, 150);
     }
 }

@@ -74,9 +74,10 @@ use crate::{Cdrw, CdrwError};
 /// How a [`CdrwService::refresh`] satisfied its contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefreshKind {
-    /// The complete one-shot pipeline ran on the committed graph (first
-    /// refresh, explicit [`CdrwService::refresh_full`], or an incremental
-    /// refresh that found every cached detection stale).
+    /// The complete one-shot pipeline ran on the committed graph: the first
+    /// refresh, or an explicit [`CdrwService::refresh_full`]. An incremental
+    /// refresh that finds every cached detection stale still reports
+    /// [`RefreshKind::Incremental`], with no survivors.
     Full,
     /// Cached detections disjoint from the dirty set were kept (members,
     /// claims and all); only the dirty region was re-walked.
@@ -778,6 +779,40 @@ mod tests {
         assert_eq!(report.kind, RefreshKind::Incremental);
         let partition = service.partition().unwrap();
         assert_eq!(partition.num_vertices(), 512);
+    }
+
+    #[test]
+    fn retiring_every_detection_is_still_an_incremental_refresh() {
+        let graph = ppm(512, 4, 29);
+        let n = graph.num_vertices();
+        let mut service = CdrwService::new(pooled_cdrw(17), graph);
+        service.refresh().unwrap();
+        let before = service.result().unwrap().detections().len();
+
+        // Dirty every cached detection: drop one edge at a member of each.
+        let mut doomed: Vec<(VertexId, VertexId)> = service
+            .result()
+            .unwrap()
+            .detections()
+            .iter()
+            .map(|d| {
+                let u = d.members[0];
+                let v = service.graph().neighbor_slice(u)[0];
+                (u.min(v), u.max(v))
+            })
+            .collect();
+        doomed.sort_unstable();
+        doomed.dedup();
+        for (u, v) in doomed {
+            service.remove_edge(u, v).unwrap();
+        }
+        let report = service.refresh().unwrap();
+        assert_eq!(report.kind, RefreshKind::Incremental);
+        assert_eq!(report.surviving, 0);
+        assert_eq!(report.retired, before);
+        assert_eq!(service.stats().full_refreshes, 1);
+        // A `Partition` assigns every vertex it covers: this one is total.
+        assert_eq!(service.partition().unwrap().num_vertices(), n);
     }
 
     proptest::proptest! {

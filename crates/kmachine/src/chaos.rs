@@ -176,11 +176,6 @@ impl ChaosHarness {
         }
     }
 
-    /// The plan this harness injects.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Wraps shard `shard`'s transport in the fault injector.
     pub fn wrap<T: Transport>(&self, shard: usize, inner: T) -> ChaosTransport<T> {
         ChaosTransport {
@@ -391,28 +386,6 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         }
     }
 
-    fn recv(&mut self) -> Result<Message, TransportError> {
-        if self.inert {
-            return self.inner.recv();
-        }
-        loop {
-            if self.crashed {
-                return Err(TransportError::Disconnected);
-            }
-            if let Some(due) = self.tick_delays() {
-                match self.filter_incoming(due)? {
-                    Some(message) => return Ok(message),
-                    None => continue,
-                }
-            }
-            let message = self.inner.recv()?;
-            match self.filter_incoming(message)? {
-                Some(message) => return Ok(message),
-                None => continue,
-            }
-        }
-    }
-
     fn recv_deadline(&mut self, timeout: Duration) -> Result<Message, TransportError> {
         if self.inert {
             return self.inner.recv_deadline(timeout);
@@ -453,13 +426,16 @@ mod tests {
     use super::*;
     use crate::transport::mpsc_mesh;
 
+    /// A wait no healthy in-process delivery comes near.
+    const WAIT: Duration = Duration::from_secs(5);
+
     #[test]
     fn fault_free_plan_is_inert_and_transparent() {
         let plan = FaultPlan::fault_free();
         assert!(plan.is_fault_free());
         plan.validate().unwrap();
         let harness = ChaosHarness::new(plan);
-        let (links, transports) = mpsc_mesh(2);
+        let (links, transports, _) = mpsc_mesh(2);
         let mut chaos: Vec<_> = transports
             .into_iter()
             .enumerate()
@@ -470,7 +446,10 @@ mod tests {
             lanes: vec![0],
         });
         for t in &mut chaos {
-            assert!(matches!(t.recv(), Ok(Message::Step { seq: 1, .. })));
+            assert!(matches!(
+                t.recv_deadline(WAIT),
+                Ok(Message::Step { seq: 1, .. })
+            ));
         }
         chaos[0].send(
             Peer::Coordinator,
@@ -480,15 +459,17 @@ mod tests {
                 lanes: Default::default(),
             },
         );
-        assert!(matches!(links.recv(), Ok(Message::StepDone { seq: 1, .. })));
+        assert!(matches!(
+            links.recv_deadline(WAIT),
+            Ok(Message::StepDone { seq: 1, .. })
+        ));
     }
 
     #[test]
     fn crash_fires_once_and_reports_disconnection() {
         let plan = FaultPlan::seeded(7).with_crash(0, 2);
         let harness = ChaosHarness::new(plan);
-        let (links, transports) = mpsc_mesh(1);
-        let mut transports = transports;
+        let (links, mut transports, _) = mpsc_mesh(1);
         let mut chaos = harness.wrap(0, transports.pop().unwrap());
         links.send(
             0,
@@ -497,7 +478,10 @@ mod tests {
                 lanes: vec![],
             },
         );
-        assert!(matches!(chaos.recv(), Ok(Message::Step { seq: 1, .. })));
+        assert!(matches!(
+            chaos.recv_deadline(WAIT),
+            Ok(Message::Step { seq: 1, .. })
+        ));
         links.send(
             0,
             Message::Step {
@@ -505,9 +489,15 @@ mod tests {
                 lanes: vec![],
             },
         );
-        assert!(matches!(chaos.recv(), Err(TransportError::Disconnected)));
+        assert!(matches!(
+            chaos.recv_deadline(WAIT),
+            Err(TransportError::Disconnected)
+        ));
         // Once crashed, always crashed — and sends are swallowed.
-        assert!(matches!(chaos.recv(), Err(TransportError::Disconnected)));
+        assert!(matches!(
+            chaos.recv_deadline(WAIT),
+            Err(TransportError::Disconnected)
+        ));
         chaos.send(
             Peer::Coordinator,
             Message::Nack {
@@ -521,8 +511,7 @@ mod tests {
         ));
         // A replacement wrapped from the same harness does not re-crash on
         // the same sequence numbers: the instruction was consumed.
-        let (links2, transports2) = mpsc_mesh(1);
-        let mut transports2 = transports2;
+        let (links2, mut transports2, _) = mpsc_mesh(1);
         let mut replacement = harness.wrap(0, transports2.pop().unwrap());
         links2.send(
             0,
@@ -532,7 +521,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            replacement.recv(),
+            replacement.recv_deadline(WAIT),
             Ok(Message::Step { seq: 2, .. })
         ));
     }
@@ -544,8 +533,7 @@ mod tests {
         let plan = FaultPlan::seeded(3).with_drop_rate(0.5);
         plan.validate().unwrap();
         let harness = ChaosHarness::new(plan);
-        let (links, transports) = mpsc_mesh(1);
-        let mut transports = transports;
+        let (links, mut transports, _) = mpsc_mesh(1);
         let mut chaos = harness.wrap(0, transports.pop().unwrap());
         let mut delivered = 0;
         for _ in 0..64 {

@@ -53,9 +53,13 @@
 //! separate [`FaultLog`] — the conformance ledger counts only the first
 //! accepted reply per round, so measured-vs-modelled equality survives
 //! arbitrary recoverable fault schedules (deviation 16 in
-//! `docs/PAPER_MAP.md`). When a shard exhausts
-//! [`ResiliencePolicy::max_recoveries`] the run fails with the typed
-//! [`CdrwError::ShardFailure`] — never a hang.
+//! `docs/PAPER_MAP.md`). When a shard exhausts its recoveries the run fails
+//! with the typed [`CdrwError::ShardFailure`] — never a hang.
+//!
+//! The fault plan alone sets the budget. A plan that injects faults (not
+//! [`FaultPlan::is_fault_free`]) gets 15 ms round deadlines, 3 recoveries per
+//! shard and 10 s of shard patience; every other run gets 250 ms, 2 and 60 s.
+//! Both retry a round 4 times before declaring its silent shards dead.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -69,10 +73,8 @@ use cdrw_walk::WalkWorkspace;
 
 use crate::chaos::{ChaosHarness, FaultPlan};
 use crate::partition::{PartitionStats, RandomVertexPartition};
-use crate::shard::{ShardOptions, ShardWorker};
-use crate::transport::{
-    mpsc_mesh_recoverable, CoordinatorLinks, LaneState, Message, MpscTransport, TransportError,
-};
+use crate::shard::ShardWorker;
+use crate::transport::{mpsc_mesh, CoordinatorLinks, LaneState, Message, TransportError};
 use crate::KMachineConfig;
 
 /// Message conformance of one physical walk round.
@@ -173,66 +175,46 @@ impl FaultLog {
     }
 }
 
-/// The coordinator's fault-tolerance budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResiliencePolicy {
+/// Consecutive timeouts tolerated, each followed by a command re-broadcast,
+/// before the still-silent shards are declared dead.
+const MAX_RETRIES: u32 = 4;
+
+/// The fault-tolerance budget of one run, chosen by [`budget`].
+#[derive(Debug, Clone, Copy)]
+struct Budget {
     /// Base deadline for one wait on shard replies; consecutive timeouts
     /// back off exponentially from here (doubling, capped at 32×).
-    pub round_timeout: Duration,
-    /// Consecutive timeouts tolerated (each followed by a command
-    /// re-broadcast) before the still-silent shards are declared dead.
-    pub max_retries: u32,
+    round_timeout: Duration,
     /// Re-materialisations allowed per shard before the run fails with
     /// [`CdrwError::ShardFailure`].
-    pub max_recoveries: u32,
-    /// Shards checkpoint their lane state every this-many commands
-    /// (`0` disables checkpointing — recovery then replays from scratch,
-    /// which only works while the full command log and peer caches cover
-    /// the run).
-    pub checkpoint_interval: u64,
+    max_recoveries: u32,
     /// How long a shard waits without hearing anything before assuming the
     /// run is gone and exiting (the lost-`Halt` watchdog).
-    pub shard_patience: Duration,
+    shard_patience: Duration,
 }
 
-impl Default for ResiliencePolicy {
-    fn default() -> Self {
-        // Generous production defaults: a fault-free in-process round
-        // completes in microseconds, so these never fire on a healthy mesh,
-        // while a genuinely wedged shard is recovered within ~10 s.
-        ResiliencePolicy {
-            round_timeout: Duration::from_millis(250),
-            max_retries: 4,
-            max_recoveries: 2,
-            checkpoint_interval: 4,
-            shard_patience: Duration::from_secs(60),
-        }
-    }
-}
+/// A healthy run's budget: an in-process round takes microseconds, so these
+/// deadlines never fire, while a wedged shard is recovered within ~10 s.
+const GENEROUS: Budget = Budget {
+    round_timeout: Duration::from_millis(250),
+    max_recoveries: 2,
+    shard_patience: Duration::from_secs(60),
+};
 
-impl ResiliencePolicy {
-    /// A tight-deadline policy for fault-injection tests: retries fire in
-    /// milliseconds so a chaos matrix sweeps quickly.
-    pub fn aggressive() -> Self {
-        ResiliencePolicy {
-            round_timeout: Duration::from_millis(15),
-            max_retries: 4,
-            max_recoveries: 3,
-            checkpoint_interval: 4,
-            shard_patience: Duration::from_secs(10),
-        }
-    }
+/// The budget under injected faults: retries fire in milliseconds so a
+/// chaos matrix sweeps quickly.
+const TIGHT: Budget = Budget {
+    round_timeout: Duration::from_millis(15),
+    max_recoveries: 3,
+    shard_patience: Duration::from_secs(10),
+};
 
-    /// The shard-side options this policy implies.
-    fn shard_options(&self) -> ShardOptions {
-        ShardOptions {
-            checkpoint_interval: self.checkpoint_interval,
-            patience: self.shard_patience,
-            // The reply/bucket cache must cover the widest replay window a
-            // recovery can need: up to two checkpoint intervals (the latest
-            // checkpoint message may itself have been lost), plus slack.
-            cache_depth: (self.checkpoint_interval.saturating_mul(2) + 2).max(8) as usize,
-        }
+/// The tight budget iff the run injects faults; every other run, fault-free
+/// plans included, gets the generous one.
+fn budget(plan: Option<&FaultPlan>) -> Budget {
+    match plan {
+        Some(plan) if !plan.is_fault_free() => TIGHT,
+        _ => GENEROUS,
     }
 }
 
@@ -261,13 +243,12 @@ pub struct KMachineRunReport {
 #[derive(Debug, Clone)]
 pub struct KMachineEngine {
     config: KMachineConfig,
-    resilience: ResiliencePolicy,
     fault_plan: Option<FaultPlan>,
 }
 
 impl KMachineEngine {
-    /// Creates an engine with the given configuration, default
-    /// [`ResiliencePolicy`] and no fault injection.
+    /// Creates an engine with the given configuration and no fault
+    /// injection.
     ///
     /// # Errors
     ///
@@ -281,7 +262,6 @@ impl KMachineEngine {
         }
         Ok(KMachineEngine {
             config,
-            resilience: ResiliencePolicy::default(),
             fault_plan: None,
         })
     }
@@ -291,15 +271,10 @@ impl KMachineEngine {
         &self.config
     }
 
-    /// Replaces the fault-tolerance budget.
-    #[must_use]
-    pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> Self {
-        self.resilience = resilience;
-        self
-    }
-
     /// Wraps every shard transport in a [`crate::chaos::ChaosTransport`]
     /// injecting the given plan's faults. The plan is validated at run time.
+    /// A plan that injects faults also tightens the fault-tolerance budget
+    /// (see the [module docs](self)).
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -312,7 +287,7 @@ impl KMachineEngine {
     /// # Errors
     ///
     /// Same conditions as [`cdrw_core::Cdrw::detect_all`], plus
-    /// [`CdrwError::ShardFailure`] when a shard dies beyond the resilience
+    /// [`CdrwError::ShardFailure`] when a shard dies beyond the recovery
     /// budget.
     pub fn run(&self, graph: &Graph) -> Result<KMachineRunReport, CdrwError> {
         let partition =
@@ -320,11 +295,10 @@ impl KMachineEngine {
         self.run_with_partition(graph, &partition)
     }
 
-    /// Runs under fault injection with the tight-deadline
-    /// [`ResiliencePolicy::aggressive`] budget: the standard entry point of
-    /// the chaos conformance matrix. The result must still be bit-identical
-    /// to the fault-free (and sequential) run whenever the plan is
-    /// recoverable.
+    /// Runs under the given fault plan (see
+    /// [`KMachineEngine::with_fault_plan`]): the standard entry point of the
+    /// chaos conformance matrix. The result must still be bit-identical to
+    /// the fault-free (and sequential) run whenever the plan is recoverable.
     ///
     /// # Errors
     ///
@@ -335,10 +309,7 @@ impl KMachineEngine {
         graph: &Graph,
         plan: &FaultPlan,
     ) -> Result<KMachineRunReport, CdrwError> {
-        self.clone()
-            .with_resilience(ResiliencePolicy::aggressive())
-            .with_fault_plan(plan.clone())
-            .run(graph)
+        self.clone().with_fault_plan(plan.clone()).run(graph)
     }
 
     /// [`KMachineEngine::run_chaos`] over an explicit partition.
@@ -353,7 +324,6 @@ impl KMachineEngine {
         plan: &FaultPlan,
     ) -> Result<KMachineRunReport, CdrwError> {
         self.clone()
-            .with_resilience(ResiliencePolicy::aggressive())
             .with_fault_plan(plan.clone())
             .run_with_partition(graph, partition)
     }
@@ -373,19 +343,17 @@ impl KMachineEngine {
         let pipeline = Pipeline::new(&self.config.congest.algorithm, graph)?;
         let k = partition.num_machines();
         let laziness = pipeline.engine().laziness();
-        let options = self.resilience.shard_options();
+        let budget = budget(self.fault_plan.as_ref());
+        let patience = budget.shard_patience;
 
-        let chaos = match &self.fault_plan {
-            Some(plan) => {
-                plan.validate().map_err(|reason| CdrwError::InvalidConfig {
-                    field: "fault_plan",
-                    reason,
-                })?;
-                Some(ChaosHarness::new(plan.clone()))
-            }
-            None => None,
-        };
-        let (links, transports, reconnector) = mpsc_mesh_recoverable(k);
+        if let Some(plan) = &self.fault_plan {
+            plan.validate().map_err(|reason| CdrwError::InvalidConfig {
+                field: "fault_plan",
+                reason,
+            })?;
+        }
+        let chaos = self.fault_plan.clone().map(ChaosHarness::new);
+        let (links, transports, reconnector) = mpsc_mesh(k);
 
         let outcome = std::thread::scope(|scope| {
             // Spawns one worker thread for shard `m`. The thread extracts
@@ -393,32 +361,30 @@ impl KMachineEngine {
             // recovery, which cannot reuse the dead worker's (it lives on the
             // wedged thread) — and starts from the given checkpoint
             // (`seq == 0` with an empty checkpoint is a cold start).
-            let spawn =
-                |m: usize, transport: MpscTransport, seq: u64, checkpoint: Vec<LaneState>| {
-                    let worker = move || {
-                        let sub = SubCsr::extract(graph, partition.vertices_of(m), |v| {
-                            partition.machine_of(v)
-                        });
-                        ShardWorker::from_checkpoint(m, k, sub, laziness, options, seq, &checkpoint)
-                    };
-                    match &chaos {
-                        Some(harness) => {
-                            let mut chaotic = harness.wrap(m, transport);
-                            scope.spawn(move || worker().run(&mut chaotic));
-                        }
-                        None => {
-                            let mut transport = transport;
-                            scope.spawn(move || worker().run(&mut transport));
-                        }
-                    }
+            let spawn = |m: usize, mut transport, seq: u64, lanes: Vec<LaneState>| {
+                let worker = move || {
+                    let sub = SubCsr::extract(graph, partition.vertices_of(m), |v| {
+                        partition.machine_of(v)
+                    });
+                    ShardWorker::from_checkpoint(m, k, sub, laziness, patience, seq, &lanes)
                 };
+                match &chaos {
+                    Some(harness) => {
+                        let mut chaotic = harness.wrap(m, transport);
+                        scope.spawn(move || worker().run(&mut chaotic));
+                    }
+                    None => {
+                        scope.spawn(move || worker().run(&mut transport));
+                    }
+                }
+            };
             for (m, transport) in transports.into_iter().enumerate() {
                 spawn(m, transport, 0, Vec::new());
             }
             let respawn = |m: usize, seq: u64, checkpoint: Vec<LaneState>| {
                 spawn(m, reconnector.reconnect(m), seq, checkpoint);
             };
-            let mut coordinator = Coordinator::new(graph, &links, self.resilience, &respawn);
+            let mut coordinator = Coordinator::new(graph, &links, budget, &respawn);
             let result = pipeline.detect_all(&mut coordinator);
             links.broadcast(&Message::Halt);
             result.map(|(r, _)| (r, coordinator.conformance, coordinator.fault_log))
@@ -439,7 +405,7 @@ impl KMachineEngine {
 struct Coordinator<'g, 'l> {
     graph: &'g Graph,
     links: &'l CoordinatorLinks,
-    resilience: ResiliencePolicy,
+    budget: Budget,
     /// Re-materialises shard `m` from `(seq, checkpoint)` on a fresh
     /// transport (wired by the caller through the mesh's reconnector).
     respawn: &'l dyn Fn(usize, u64, Vec<LaneState>),
@@ -456,7 +422,7 @@ struct Coordinator<'g, 'l> {
     command_log: Vec<(u64, Message)>,
     /// Per-shard newest received checkpoint: `(seq, all-lane snapshot)`.
     checkpoints: Vec<(u64, Vec<LaneState>)>,
-    /// Per-shard re-materialisations consumed from the resilience budget.
+    /// Per-shard re-materialisations consumed from the recovery budget.
     recoveries_used: Vec<u32>,
     fault_log: FaultLog,
 }
@@ -465,14 +431,14 @@ impl<'g, 'l> Coordinator<'g, 'l> {
     fn new(
         graph: &'g Graph,
         links: &'l CoordinatorLinks,
-        resilience: ResiliencePolicy,
+        budget: Budget,
         respawn: &'l dyn Fn(usize, u64, Vec<LaneState>),
     ) -> Self {
         let k = links.num_shards();
         Coordinator {
             graph,
             links,
-            resilience,
+            budget,
             respawn,
             lanes: Vec::new(),
             conformance: WalkConformance::default(),
@@ -538,15 +504,15 @@ impl<'g, 'l> Coordinator<'g, 'l> {
     /// # Errors
     ///
     /// [`CdrwError::ShardFailure`] when the shard's recovery budget
-    /// ([`ResiliencePolicy::max_recoveries`]) is exhausted.
+    /// (`Budget::max_recoveries`) is exhausted.
     fn recover(&mut self, shard: usize, current_seq: u64) -> Result<(), CdrwError> {
-        if self.recoveries_used[shard] >= self.resilience.max_recoveries {
+        if self.recoveries_used[shard] >= self.budget.max_recoveries {
             return Err(CdrwError::ShardFailure {
                 shard,
                 seq: current_seq,
                 reason: format!(
                     "silent past {} retries with all {} recoveries spent",
-                    self.resilience.max_retries, self.resilience.max_recoveries
+                    MAX_RETRIES, self.budget.max_recoveries
                 ),
             });
         }
@@ -664,7 +630,7 @@ impl LaneExecutor for Coordinator<'_, '_> {
     /// The collect loop is the resilient heart of the engine: every wait is
     /// deadline-bounded with exponential backoff, a timeout re-broadcasts
     /// the round (shards absorb duplicates idempotently), and a shard silent
-    /// past [`ResiliencePolicy::max_retries`] consecutive timeouts is
+    /// past `MAX_RETRIES` consecutive timeouts is
     /// declared dead and re-materialised from its checkpoint. Only the first
     /// accepted `StepDone` per shard enters the conformance ledger; all
     /// retry-induced traffic lands in the [`FaultLog`].
@@ -699,7 +665,7 @@ impl LaneExecutor for Coordinator<'_, '_> {
         let mut consecutive_timeouts = 0u32;
         while done_count < k {
             let backoff = self
-                .resilience
+                .budget
                 .round_timeout
                 .saturating_mul(1u32 << consecutive_timeouts.min(5));
             match self.links.recv_deadline(backoff) {
@@ -744,7 +710,7 @@ impl LaneExecutor for Coordinator<'_, '_> {
                         // against the retry probes that follow.
                         heard.fill(false);
                     }
-                    if consecutive_timeouts > self.resilience.max_retries {
+                    if consecutive_timeouts > MAX_RETRIES {
                         let silent: Vec<usize> = (0..k)
                             .filter(|&shard| !done[shard] && !heard[shard])
                             .collect();

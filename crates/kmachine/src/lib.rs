@@ -54,11 +54,10 @@ pub mod transport;
 pub use chaos::{ChaosHarness, ChaosTransport, FaultPlan, ShardCrash};
 pub use conversion::{conversion_rounds, paper_round_bound, ConversionInput};
 pub use engine::{
-    DetectionFlood, FaultLog, KMachineEngine, KMachineRunReport, ResiliencePolicy,
-    RoundConformance, ShardRecovery, WalkConformance,
+    DetectionFlood, FaultLog, KMachineEngine, KMachineRunReport, RoundConformance, ShardRecovery,
+    WalkConformance,
 };
 pub use partition::{PartitionStats, RandomVertexPartition};
-pub use shard::ShardOptions;
 pub use transport::TransportError;
 
 use cdrw_congest::{CongestCdrw, CongestConfig, CongestReport};

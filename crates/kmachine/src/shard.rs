@@ -30,14 +30,15 @@
 //!
 //! Inter-shard `Shares` are keyed by `(seq, from)`: buckets for a future
 //! round are buffered, duplicates for an already-counted sender are
-//! discarded, and stale rounds are dropped. Every `checkpoint_interval`
-//! commands the worker ships a [`Message::Checkpoint`] snapshot of all lane
-//! supports to the coordinator — the state a replacement worker is rebuilt
-//! from ([`ShardWorker::from_checkpoint`]) after a crash, which is bit-exact
-//! because a workspace's support order survives the snapshot/restore
-//! round-trip (see [`WalkWorkspace::snapshot_sparse`]). A worker that hears
-//! nothing for the configured patience window assumes the run is gone and
-//! exits rather than blocking forever on a lost `Halt`.
+//! discarded, and stale rounds are dropped. Every 4 commands
+//! (`CHECKPOINT_INTERVAL`) the worker ships a [`Message::Checkpoint`]
+//! snapshot of all lane supports to the coordinator — the state a
+//! replacement worker is rebuilt from ([`ShardWorker::from_checkpoint`])
+//! after a crash, which is bit-exact because a workspace's support order
+//! survives the snapshot/restore round-trip (see
+//! [`WalkWorkspace::snapshot_sparse`]). A worker that hears nothing for its
+//! patience window (which the engine sets from the fault plan) assumes the
+//! run is gone and exits rather than blocking forever on a lost `Halt`.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -52,45 +53,16 @@ use crate::transport::{
     LaneShares, LaneState, Message, Peer, ShareBuckets, Transport, TransportError,
 };
 
-/// Fault-tolerance knobs of one worker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardOptions {
-    /// Send a [`Message::Checkpoint`] after every this-many executed
-    /// commands (`0` = never checkpoint).
-    pub checkpoint_interval: u64,
-    /// Give up and exit when no message arrives for this long — the lost-
-    /// `Halt` watchdog. Generous by default: the coordinator legitimately
-    /// goes quiet between rounds while it sweeps and assembles.
-    pub patience: Duration,
-    /// How many completed rounds of outgoing buckets and `StepDone` replies
-    /// to keep for duplicate-triggered re-sends and recovery assists. Must
-    /// cover the replay window of a checkpoint-restored peer — at least two
-    /// checkpoint intervals.
-    pub cache_depth: usize,
-}
+/// A worker ships a [`Message::Checkpoint`] after every this-many executed
+/// commands.
+const CHECKPOINT_INTERVAL: u64 = 4;
 
-impl Default for ShardOptions {
-    fn default() -> Self {
-        ShardOptions {
-            checkpoint_interval: 4,
-            patience: Duration::from_secs(60),
-            cache_depth: 10,
-        }
-    }
-}
-
-impl ShardOptions {
-    /// Options consistent with a checkpoint interval: the reply cache spans
-    /// two intervals (plus slack) so an assist can always cover the replay
-    /// window from the coordinator's last received checkpoint.
-    pub fn with_checkpoint_interval(interval: u64) -> Self {
-        ShardOptions {
-            checkpoint_interval: interval,
-            cache_depth: (interval.saturating_mul(2) + 2).max(8) as usize,
-            ..ShardOptions::default()
-        }
-    }
-}
+/// How many completed rounds of outgoing buckets and `StepDone` replies a
+/// worker keeps for duplicate-triggered re-sends and recovery assists. It
+/// covers the widest replay window a recovery can need: two checkpoint
+/// intervals (the latest checkpoint message may itself have been lost),
+/// plus slack.
+const CACHE_DEPTH: usize = 2 * CHECKPOINT_INTERVAL as usize + 2;
 
 /// One completed round's cached artefacts, for duplicate-triggered re-sends.
 #[derive(Debug)]
@@ -113,55 +85,50 @@ pub struct ShardWorker {
     /// The reverse index of `sub`'s rows, which expands received shares.
     receiver: ShareReceiver,
     laziness: f64,
-    options: ShardOptions,
+    /// Give up and exit when no message arrives for this long — the lost-
+    /// `Halt` watchdog. Generous: the coordinator legitimately goes quiet
+    /// between rounds while it sweeps and assembles.
+    patience: Duration,
     /// Last executed command sequence number.
     seq: u64,
     /// Per-lane shard-local walk state; grown on demand by `LoadLanes`.
     lanes: Vec<WalkWorkspace>,
     /// Per-destination share buckets (`k` of them) the emission fills.
     buckets: Vec<Vec<Share>>,
-    /// Completed rounds, newest last, bounded by `options.cache_depth`.
+    /// Completed rounds, newest last, bounded by `CACHE_DEPTH`.
     cache: VecDeque<RoundCache>,
 }
 
 impl ShardWorker {
-    /// Creates the worker for shard `id` of `k`, owning `sub`, and builds
-    /// its reverse index.
-    pub fn new(id: usize, k: usize, sub: SubCsr, laziness: f64, options: ShardOptions) -> Self {
-        let n = sub.num_global_vertices();
-        let receiver = ShareReceiver::new(&sub);
-        ShardWorker {
-            id,
-            k,
-            n,
-            sub,
-            receiver,
-            laziness,
-            options,
-            seq: 0,
-            lanes: Vec::new(),
-            buckets: (0..k).map(|_| Vec::new()).collect(),
-            cache: VecDeque::new(),
-        }
-    }
-
-    /// Re-materialises a crashed shard from its last checkpoint: the worker
-    /// starts with `seq` already executed and every checkpointed lane's
-    /// support restored bit-exactly. The coordinator replays the command log
-    /// from `seq + 1` and peers re-send the matching share rounds
-    /// ([`Message::Assist`]), after which the replacement is
+    /// Builds the worker for shard `id` of `k`, owning `sub`, and its
+    /// reverse index, with `seq` commands already executed and every
+    /// checkpointed lane's support restored bit-exactly (`seq == 0` with an
+    /// empty checkpoint is a cold start). After a crash the coordinator
+    /// replays the command log from `seq + 1` and peers re-send the matching
+    /// share rounds ([`Message::Assist`]), after which the replacement is
     /// indistinguishable from a worker that never died.
     pub fn from_checkpoint(
         id: usize,
         k: usize,
         sub: SubCsr,
         laziness: f64,
-        options: ShardOptions,
+        patience: Duration,
         seq: u64,
         checkpoint: &[LaneState],
     ) -> Self {
-        let mut worker = ShardWorker::new(id, k, sub, laziness, options);
-        worker.seq = seq;
+        let mut worker = ShardWorker {
+            id,
+            k,
+            n: sub.num_global_vertices(),
+            receiver: ShareReceiver::new(&sub),
+            sub,
+            laziness,
+            patience,
+            seq,
+            lanes: Vec::new(),
+            buckets: (0..k).map(|_| Vec::new()).collect(),
+            cache: VecDeque::new(),
+        };
         for lane in checkpoint {
             worker.ensure_lane(lane.lane);
             worker.lanes[lane.lane as usize]
@@ -178,19 +145,12 @@ impl ShardWorker {
         // (a peer received its command first, or a recovery assist replayed
         // a future round), keyed by (seq, sender).
         let mut early: BTreeMap<(u64, usize), ShareBuckets> = BTreeMap::new();
-        let mut last_heard = Instant::now();
         loop {
-            let message = match transport.recv_deadline(self.options.patience) {
-                Ok(message) => message,
-                Err(TransportError::Timeout) => {
-                    if last_heard.elapsed() >= self.options.patience {
-                        return; // Orphaned: the run is gone, don't block forever.
-                    }
-                    continue;
-                }
-                Err(TransportError::Disconnected) => return,
+            // Silence for the whole patience window means the run is gone
+            // (orphaned); a disconnection means the same. Don't block forever.
+            let Ok(message) = transport.recv_deadline(self.patience) else {
+                return;
             };
-            last_heard = Instant::now();
             match message {
                 Message::LoadLanes { seq, seeds } => {
                     if seq == self.seq + 1 {
@@ -316,8 +276,7 @@ impl ShardWorker {
     }
 
     fn maybe_checkpoint<T: Transport>(&mut self, transport: &mut T) {
-        let interval = self.options.checkpoint_interval;
-        if interval == 0 || !self.seq.is_multiple_of(interval) {
+        if !self.seq.is_multiple_of(CHECKPOINT_INTERVAL) {
             return;
         }
         let lanes = (0..self.lanes.len())
@@ -491,7 +450,7 @@ impl ShardWorker {
                 Ok(Message::Halt) => return false,
                 Ok(_) => {}
                 Err(TransportError::Timeout) => {
-                    if waited.elapsed() >= self.options.patience {
+                    if waited.elapsed() >= self.patience {
                         return false;
                     }
                 }
@@ -535,7 +494,7 @@ impl ShardWorker {
             outgoing,
             reply,
         });
-        while self.cache.len() > self.options.cache_depth {
+        while self.cache.len() > CACHE_DEPTH {
             self.cache.pop_front();
         }
         true

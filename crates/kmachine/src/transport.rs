@@ -2,11 +2,11 @@
 //!
 //! The execution engine's protocol is deliberately small — a handful of
 //! message kinds, strictly round-synchronous — so the [`Transport`] trait can
-//! stay a small mailbox: `send` to a peer, blocking (or deadline-bounded)
-//! `recv` from anyone. The in-process implementation ([`MpscTransport`],
-//! built by [`mpsc_mesh`]) runs every shard on its own thread over
-//! [`std::sync::mpsc`] channels; a socket implementation would serialise
-//! [`Message`] and keep the same call sites (all payloads are plain
+//! stay a small mailbox: `send` to a peer, `recv_deadline` from anyone, so no
+//! endpoint ever waits without a deadline. The in-process implementation
+//! ([`MpscTransport`], built by [`mpsc_mesh`]) runs every shard on its own
+//! thread over [`std::sync::mpsc`] channels; a socket implementation would
+//! serialise [`Message`] and keep the same call sites (all payloads are plain
 //! `usize`/`u32`/`u64`/`f64` data).
 //!
 //! ## Protocol
@@ -209,7 +209,8 @@ pub enum Peer {
     Shard(usize),
 }
 
-/// A shard's mailbox: send to any peer, blocking receive from all of them.
+/// A shard's mailbox: send to any peer, deadline-bounded receive from all of
+/// them.
 ///
 /// In-process today ([`MpscTransport`]); the engine only ever talks through
 /// this trait, so a socket transport slots in without touching the shard or
@@ -218,14 +219,8 @@ pub enum Peer {
 pub trait Transport: Send {
     /// Sends `message` to `to`. Must not block on the receiver.
     fn send(&mut self, to: Peer, message: Message);
-    /// Receives the next message addressed to this endpoint, blocking until
-    /// one arrives.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Disconnected`] when no message can ever arrive.
-    fn recv(&mut self) -> Result<Message, TransportError>;
-    /// Receives the next message, waiting at most `timeout`.
+    /// Receives the next message addressed to this endpoint, waiting at most
+    /// `timeout`.
     ///
     /// # Errors
     ///
@@ -265,10 +260,6 @@ impl Transport for MpscTransport {
         }
     }
 
-    fn recv(&mut self) -> Result<Message, TransportError> {
-        self.inbox.recv().map_err(|_| TransportError::Disconnected)
-    }
-
     fn recv_deadline(&mut self, timeout: Duration) -> Result<Message, TransportError> {
         self.inbox.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => TransportError::Timeout,
@@ -300,22 +291,13 @@ impl CoordinatorLinks {
         }
     }
 
-    /// Receives the next shard reply, blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Disconnected`] when every shard hung up (e.g. a
-    /// shard thread panicked and the run is tearing down).
-    pub fn recv(&self) -> Result<Message, TransportError> {
-        self.inbox.recv().map_err(|_| TransportError::Disconnected)
-    }
-
     /// Receives the next shard reply, waiting at most `timeout`.
     ///
     /// # Errors
     ///
     /// [`TransportError::Timeout`] when the deadline expires first,
-    /// [`TransportError::Disconnected`] when every shard hung up.
+    /// [`TransportError::Disconnected`] when every shard endpoint and the
+    /// reconnector are gone.
     pub fn recv_deadline(&self, timeout: Duration) -> Result<Message, TransportError> {
         self.inbox.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => TransportError::Timeout,
@@ -335,8 +317,8 @@ impl CoordinatorLinks {
 /// replacement. The old shard's inbox goes quiet and its worker exits by
 /// patience timeout.
 ///
-/// Holding a reconnector keeps the coordinator inbox's channel alive, so
-/// coordinators that own one must use deadline-bounded receives.
+/// Holding a reconnector keeps the coordinator inbox's channel alive, so a
+/// coordinator sees silence, not disconnection, when every shard is gone.
 #[derive(Debug, Clone)]
 pub struct ShardReconnector {
     routes: ShardRoutes,
@@ -360,21 +342,10 @@ impl ShardReconnector {
     }
 }
 
-/// Builds a fully connected in-process mesh: the coordinator's links plus one
-/// [`MpscTransport`] per shard.
-///
-/// The links hold no sender to the coordinator inbox, so once every shard
-/// transport is dropped [`CoordinatorLinks::recv`] reports
-/// [`TransportError::Disconnected`] instead of blocking forever.
-pub fn mpsc_mesh(k: usize) -> (CoordinatorLinks, Vec<MpscTransport>) {
-    let (links, transports, _) = mpsc_mesh_recoverable(k);
-    (links, transports)
-}
-
-/// Builds the mesh of [`mpsc_mesh`] plus a [`ShardReconnector`] able to
-/// re-wire crashed shards. Because the reconnector keeps the coordinator
-/// channel alive, pair it with [`CoordinatorLinks::recv_deadline`].
-pub fn mpsc_mesh_recoverable(k: usize) -> (CoordinatorLinks, Vec<MpscTransport>, ShardReconnector) {
+/// Builds a fully connected in-process mesh: the coordinator's links, one
+/// [`MpscTransport`] per shard, and a [`ShardReconnector`] able to re-wire
+/// crashed shards.
+pub fn mpsc_mesh(k: usize) -> (CoordinatorLinks, Vec<MpscTransport>, ShardReconnector) {
     let (to_coordinator, coordinator_inbox) = channel();
     let mut route_senders = Vec::with_capacity(k);
     let mut inboxes = Vec::with_capacity(k);
@@ -411,13 +382,19 @@ pub fn mpsc_mesh_recoverable(k: usize) -> (CoordinatorLinks, Vec<MpscTransport>,
 mod tests {
     use super::*;
 
+    /// A wait no healthy in-process delivery comes near.
+    const WAIT: Duration = Duration::from_secs(5);
+
     #[test]
     fn mesh_routes_between_all_peers() {
-        let (links, mut transports) = mpsc_mesh(2);
+        let (links, mut transports, _) = mpsc_mesh(2);
         assert_eq!(links.num_shards(), 2);
         // Coordinator → shard 0.
         links.send(0, Message::Halt);
-        assert!(matches!(transports[0].recv(), Ok(Message::Halt)));
+        assert!(matches!(
+            transports[0].recv_deadline(WAIT),
+            Ok(Message::Halt)
+        ));
         // Shard 0 → shard 1.
         transports[0].send(
             Peer::Shard(1),
@@ -428,7 +405,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            transports[1].recv(),
+            transports[1].recv_deadline(WAIT),
             Ok(Message::Shares {
                 seq: 1,
                 from: 0,
@@ -445,7 +422,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            links.recv(),
+            links.recv_deadline(WAIT),
             Ok(Message::StepDone {
                 seq: 1,
                 shard: 1,
@@ -458,26 +435,30 @@ mod tests {
             lanes: vec![0],
         });
         for t in &mut transports {
-            assert!(matches!(t.recv(), Ok(Message::Step { seq: 2, .. })));
+            assert!(matches!(
+                t.recv_deadline(WAIT),
+                Ok(Message::Step { seq: 2, .. })
+            ));
         }
     }
 
     #[test]
     fn coordinator_recv_reports_disconnect_as_a_typed_error() {
-        let (links, transports) = mpsc_mesh(2);
-        // Every shard transport gone (their `to_coordinator` clones dropped):
-        // the coordinator must observe a typed error, not panic or hang.
+        let (links, transports, reconnector) = mpsc_mesh(2);
+        // Every shard transport gone (their `to_coordinator` clones dropped),
+        // and the reconnector too, which holds the coordinator's channel
+        // open: the coordinator must observe a typed error, not panic or hang.
         drop(transports);
-        assert!(matches!(links.recv(), Err(TransportError::Disconnected)));
+        drop(reconnector);
         assert!(matches!(
-            links.recv_deadline(Duration::from_millis(1)),
+            links.recv_deadline(WAIT),
             Err(TransportError::Disconnected)
         ));
     }
 
     #[test]
     fn recv_deadline_times_out_when_no_message_arrives() {
-        let (links, mut transports) = mpsc_mesh(1);
+        let (links, mut transports, _) = mpsc_mesh(1);
         assert!(matches!(
             links.recv_deadline(Duration::from_millis(1)),
             Err(TransportError::Timeout)
@@ -490,7 +471,7 @@ mod tests {
 
     #[test]
     fn reconnect_reroutes_sends_to_the_replacement_inbox() {
-        let (links, mut transports, reconnector) = mpsc_mesh_recoverable(2);
+        let (links, mut transports, reconnector) = mpsc_mesh(2);
         // Swap shard 1 for a replacement; the old inbox goes quiet.
         let mut replacement = reconnector.reconnect(1);
         links.send(1, Message::Halt);
@@ -502,9 +483,9 @@ mod tests {
                 lanes: Arc::default(),
             },
         );
-        assert!(matches!(replacement.recv(), Ok(Message::Halt)));
+        assert!(matches!(replacement.recv_deadline(WAIT), Ok(Message::Halt)));
         assert!(matches!(
-            replacement.recv(),
+            replacement.recv_deadline(WAIT),
             Ok(Message::Shares { seq: 3, .. })
         ));
         // The old inbox's last sender (the routing-table slot) was dropped by
@@ -522,7 +503,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            links.recv(),
+            links.recv_deadline(WAIT),
             Ok(Message::Nack {
                 shard: 1,
                 expected: 2

@@ -9,9 +9,10 @@
 //!   conformance ledger still shows measured == modelled per physical round
 //!   (retries and replays are charged to the [`FaultLog`], not the ledger).
 //! * **Unrecoverable plans are a typed error, never a hang.** A shard
-//!   crashed more times than [`ResiliencePolicy::max_recoveries`] fails the
-//!   run with [`CdrwError::ShardFailure`]; a watchdog asserts the engine
-//!   returns promptly instead of wedging.
+//!   crashed more times than its recovery budget allows (3 per shard under
+//!   a plan that injects faults) fails the run with
+//!   [`CdrwError::ShardFailure`]; a watchdog asserts the engine returns
+//!   promptly instead of wedging.
 //! * **The zero plan is free.** A fault-free [`FaultPlan`] leaves a clean
 //!   fault log and the inert transport wrapper changes nothing.
 
@@ -119,6 +120,18 @@ fn crash_recovery_restores_the_exact_result() {
 }
 
 #[test]
+fn a_recovered_shard_replays_the_command_log_without_a_nack() {
+    // The coordinator replays its command log to the replacement from the
+    // restored checkpoint. Without that replay the replacement still
+    // recovers the exact result, by NACKing the gap it sees, so only the
+    // NACK count tells the two apart.
+    let plan = FaultPlan::seeded(41).with_crash(1, 6);
+    let report = assert_chaos_is_invisible(2, &plan);
+    assert_eq!(report.fault_log.recoveries.len(), 1);
+    assert_eq!(report.fault_log.nacks, 0, "{:?}", report.fault_log);
+}
+
+#[test]
 fn single_shard_crash_recovers_from_its_own_checkpoint() {
     // k = 1: no peers to assist, so recovery leans entirely on the
     // checkpoint plus the coordinator's command log.
@@ -130,7 +143,7 @@ fn single_shard_crash_recovers_from_its_own_checkpoint() {
 #[test]
 fn repeated_crashes_within_budget_all_recover() {
     // Two separate crashes of the same shard (the second fires during the
-    // post-recovery run), still within the aggressive budget of 3.
+    // post-recovery run), still within the tight budget of 3.
     let plan = FaultPlan::seeded(13).with_crash(0, 4).with_crash(0, 12);
     let report = assert_chaos_is_invisible(2, &plan);
     assert_eq!(report.fault_log.recoveries.len(), 2);
@@ -138,7 +151,7 @@ fn repeated_crashes_within_budget_all_recover() {
 
 #[test]
 fn exhausted_recovery_budget_is_a_typed_error_not_a_hang() {
-    // More crashes than `max_recoveries` (aggressive allows 3): the run must
+    // More crashes than the recovery budget (the tight one allows 3): the run must
     // fail with `ShardFailure` — inside a watchdog so a wedged coordinator
     // fails the test instead of hanging the suite.
     let plan = FaultPlan::seeded(2)
