@@ -14,23 +14,23 @@
 //! weighted-graph analogue of the multi-edges the original multigraph model
 //! assigns them.
 //!
-//! Sampling stays `O(n + m)` in the sparse regime: each block pair is swept
-//! with the same geometric skip sampler as [`crate::generate_gnp`] at the
-//! *envelope* rate `p_max = min(1, θ_max·θ'_max·B_{rs})` and thinned per pair
-//! with probability `q_uv / p_max` — standard envelope/acceptance thinning,
+//! Sampling stays `O(n + m)` in the sparse regime: the DC-SBM is the SBM of
+//! *envelope* rates `p_max = min(1, θ_max·θ'_max·B_{rs})` (`θ_max`, `θ'_max`
+//! the largest propensities of the two blocks), drawn by the same block
+//! driver and skip sampler as [`crate::generate_sbm`], with each hit thinned
+//! to probability `q_uv / p_max` — standard envelope/acceptance thinning,
 //! which preserves pairwise independence.
 //!
 //! [`generate_weighted_ppm`] is the simpler heterogeneous instance family:
-//! the exact topology of [`crate::generate_ppm`] (identical RNG consumption,
+//! the symmetric SBM of [`crate::generate_ppm`] (identical RNG consumption,
 //! so the same seed yields the same edge set) with constant weights `w_in` on
 //! intra-block and `w_out` on inter-block edges.
 
-use cdrw_graph::{Graph, GraphBuilder, Partition};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use cdrw_graph::{Graph, Partition};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::gnp::unrank_pair;
+use crate::sbm::{block_partition, check_block_shape, sample_blocks, symmetric_blocks};
 use crate::{GenError, PpmParams, SbmParams};
 
 /// Parameters of a degree-corrected SBM: a block structure, a symmetric
@@ -67,17 +67,15 @@ impl DcsbmParams {
         block_matrix: Vec<Vec<f64>>,
         theta: Vec<f64>,
     ) -> Result<Self, GenError> {
-        if block_sizes.is_empty() {
-            return Err(GenError::InvalidSize {
-                reason: "the DC-SBM needs at least one block".to_string(),
-            });
-        }
-        if let Some(i) = block_sizes.iter().position(|&s| s == 0) {
-            return Err(GenError::InvalidSize {
-                reason: format!("block {i} has zero vertices"),
-            });
-        }
-        let r = block_sizes.len();
+        check_block_shape(&block_sizes, &block_matrix, |i, j, value| {
+            if value.is_finite() && value >= 0.0 {
+                Ok(())
+            } else {
+                Err(GenError::MalformedBlockMatrix {
+                    reason: format!("B[{i}][{j}] = {value} must be finite and non-negative"),
+                })
+            }
+        })?;
         let n: usize = block_sizes.iter().sum();
         if theta.len() != n {
             return Err(GenError::InvalidSize {
@@ -90,41 +88,6 @@ impl DcsbmParams {
                     name: format!("theta[{v}]"),
                     value: t,
                 });
-            }
-        }
-        if block_matrix.len() != r {
-            return Err(GenError::MalformedBlockMatrix {
-                reason: format!(
-                    "expected {r} rows to match the number of blocks, found {}",
-                    block_matrix.len()
-                ),
-            });
-        }
-        for (i, row) in block_matrix.iter().enumerate() {
-            if row.len() != r {
-                return Err(GenError::MalformedBlockMatrix {
-                    reason: format!("row {i} has {} entries, expected {r}", row.len()),
-                });
-            }
-            for (j, &value) in row.iter().enumerate() {
-                if !value.is_finite() || value < 0.0 {
-                    return Err(GenError::MalformedBlockMatrix {
-                        reason: format!("B[{i}][{j}] = {value} must be finite and non-negative"),
-                    });
-                }
-            }
-        }
-        #[allow(clippy::needless_range_loop)] // symmetric (i, j)/(j, i) access
-        for i in 0..r {
-            for j in (i + 1)..r {
-                if (block_matrix[i][j] - block_matrix[j][i]).abs() > 1e-12 {
-                    return Err(GenError::MalformedBlockMatrix {
-                        reason: format!(
-                            "matrix is not symmetric at ({i}, {j}): {} vs {}",
-                            block_matrix[i][j], block_matrix[j][i]
-                        ),
-                    });
-                }
             }
         }
         Ok(DcsbmParams {
@@ -151,11 +114,7 @@ impl DcsbmParams {
         theta_min: f64,
         theta_max: f64,
     ) -> Result<Self, GenError> {
-        if r == 0 || n == 0 || !n.is_multiple_of(r) {
-            return Err(GenError::InvalidSize {
-                reason: format!("need r > 0 dividing n (got n = {n}, r = {r})"),
-            });
-        }
+        let (block_sizes, block_matrix) = symmetric_blocks(n, r, b_in, b_out)?;
         let block = n / r;
         let theta = (0..n)
             .map(|v| {
@@ -167,10 +126,7 @@ impl DcsbmParams {
                 }
             })
             .collect();
-        let matrix = (0..r)
-            .map(|i| (0..r).map(|j| if i == j { b_in } else { b_out }).collect())
-            .collect();
-        DcsbmParams::new(vec![block; r], matrix, theta)
+        DcsbmParams::new(block_sizes, block_matrix, theta)
     }
 
     /// Lifts a plain [`SbmParams`] into the degree-corrected model with all
@@ -232,162 +188,44 @@ impl DcsbmParams {
 /// Propagates graph-construction failures (which cannot occur for validated
 /// [`DcsbmParams`]).
 pub fn generate_dcsbm(params: &DcsbmParams, seed: u64) -> Result<(Graph, Partition), GenError> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let n = params.num_vertices();
-    let mut builder = GraphBuilder::new(n);
-
-    let mut blocks: Vec<Vec<usize>> = Vec::with_capacity(params.num_blocks());
-    let mut offset = 0usize;
-    for &size in &params.block_sizes {
-        blocks.push((offset..offset + size).collect());
-        offset += size;
-    }
-
-    for (i, block) in blocks.iter().enumerate() {
-        sample_dc_pairs_into(
-            &mut builder,
-            &mut rng,
-            block,
-            &params.theta,
-            params.block_matrix[i][i],
-        )?;
-    }
-    for i in 0..blocks.len() {
-        for j in (i + 1)..blocks.len() {
-            sample_dc_bipartite_into(
-                &mut builder,
-                &mut rng,
-                &blocks[i],
-                &blocks[j],
-                &params.theta,
-                params.block_matrix[i][j],
-            )?;
-        }
-    }
-
-    let mut assignment = vec![0usize; n];
-    for (i, block) in blocks.iter().enumerate() {
-        for &v in block {
-            assignment[v] = i;
-        }
-    }
-    let partition = Partition::from_assignment(assignment)?;
-    Ok((builder.build(), partition))
-}
-
-/// Presence probability and realised weight of a pair with affinity target
-/// `target = θ_u·θ_v·B`.
-fn presence_and_weight(target: f64) -> (f64, f64) {
-    if target >= 1.0 {
-        (1.0, target)
-    } else {
-        (target, 1.0)
-    }
-}
-
-/// Adds the pair if the envelope draw survives thinning to `q_uv / p_max`.
-fn thin_and_add(
-    builder: &mut GraphBuilder,
-    rng: &mut SmallRng,
-    u: usize,
-    v: usize,
-    target: f64,
-    p_max: f64,
-) -> Result<(), GenError> {
-    let (q, w) = presence_and_weight(target);
-    if q <= 0.0 {
-        return Ok(());
-    }
-    // One uniform per envelope hit keeps RNG consumption deterministic.
-    let accept: f64 = rng.gen_range(0.0..1.0);
-    if accept < q / p_max {
-        builder.add_weighted_edge(u, v, w)?;
-    }
-    Ok(())
-}
-
-/// Skip-samples the `C(k, 2)` pairs of `vertices` at the envelope rate and
-/// thins each hit to its pair-specific presence probability.
-fn sample_dc_pairs_into(
-    builder: &mut GraphBuilder,
-    rng: &mut SmallRng,
-    vertices: &[usize],
-    theta: &[f64],
-    affinity: f64,
-) -> Result<(), GenError> {
-    let k = vertices.len();
-    if k < 2 || affinity <= 0.0 {
-        return Ok(());
-    }
-    let theta_max = vertices
+    let mut start = 0;
+    let theta_max: Vec<f64> = params
+        .block_sizes
         .iter()
-        .map(|&v| theta[v])
-        .fold(0.0f64, |a, b| a.max(b));
-    let p_max = (theta_max * theta_max * affinity).min(1.0);
-    let total_pairs = k * (k - 1) / 2;
-    if p_max >= 1.0 {
-        for i in 0..k {
-            for j in (i + 1)..k {
-                let (u, v) = (vertices[i], vertices[j]);
-                thin_and_add(builder, rng, u, v, theta[u] * theta[v] * affinity, 1.0)?;
+        .map(|&size| {
+            start += size;
+            params.theta[start - size..start]
+                .iter()
+                .fold(0.0f64, |a, &b| a.max(b))
+        })
+        .collect();
+    let envelope: Vec<Vec<f64>> = (0..theta_max.len())
+        .map(|i| {
+            (0..theta_max.len())
+                .map(|j| (theta_max[i] * theta_max[j] * params.block_matrix[i][j]).min(1.0))
+                .collect()
+        })
+        .collect();
+    let graph = sample_blocks(
+        &params.block_sizes,
+        &envelope,
+        seed,
+        |builder, rng, (u, v), (i, j)| {
+            // Presence probability `q` and weight `w` of the affinity target.
+            let target = params.theta[u] * params.theta[v] * params.block_matrix[i][j];
+            let (q, w) = if target >= 1.0 {
+                (1.0, target)
+            } else {
+                (target, 1.0)
+            };
+            // One uniform per envelope hit keeps RNG consumption deterministic.
+            if q > 0.0 && rng.gen_range(0.0..1.0) < q / envelope[i][j] {
+                builder.add_weighted_edge(u, v, w)?;
             }
-        }
-        return Ok(());
-    }
-    let ln_1_minus_p = (1.0 - p_max).ln();
-    let mut index: i64 = -1;
-    loop {
-        let draw: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let skip = (draw.ln() / ln_1_minus_p).floor() as i64 + 1;
-        index += skip.max(1);
-        if index as usize >= total_pairs {
-            break;
-        }
-        let (i, j) = unrank_pair(index as usize, k);
-        let (u, v) = (vertices[i], vertices[j]);
-        thin_and_add(builder, rng, u, v, theta[u] * theta[v] * affinity, p_max)?;
-    }
-    Ok(())
-}
-
-/// Bipartite analogue of [`sample_dc_pairs_into`] over `left × right`.
-fn sample_dc_bipartite_into(
-    builder: &mut GraphBuilder,
-    rng: &mut SmallRng,
-    left: &[usize],
-    right: &[usize],
-    theta: &[f64],
-    affinity: f64,
-) -> Result<(), GenError> {
-    if left.is_empty() || right.is_empty() || affinity <= 0.0 {
-        return Ok(());
-    }
-    let max_of = |side: &[usize]| side.iter().map(|&v| theta[v]).fold(0.0f64, |a, b| a.max(b));
-    let p_max = (max_of(left) * max_of(right) * affinity).min(1.0);
-    let total = left.len() * right.len();
-    if p_max >= 1.0 {
-        for &u in left {
-            for &v in right {
-                thin_and_add(builder, rng, u, v, theta[u] * theta[v] * affinity, 1.0)?;
-            }
-        }
-        return Ok(());
-    }
-    let ln_1_minus_p = (1.0 - p_max).ln();
-    let mut index: i64 = -1;
-    loop {
-        let draw: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let skip = (draw.ln() / ln_1_minus_p).floor() as i64 + 1;
-        index += skip.max(1);
-        if index as usize >= total {
-            break;
-        }
-        let i = index as usize / right.len();
-        let j = index as usize % right.len();
-        let (u, v) = (left[i], right[j]);
-        thin_and_add(builder, rng, u, v, theta[u] * theta[v] * affinity, p_max)?;
-    }
-    Ok(())
+            Ok(())
+        },
+    )?;
+    Ok((graph, block_partition(&params.block_sizes)?))
 }
 
 /// Parameters of the weighted planted partition model: the topology of
@@ -446,8 +284,8 @@ impl WeightedPpmParams {
 /// Generates a weighted PPM graph and its ground-truth [`Partition`].
 ///
 /// The edge set is *identical* to [`crate::generate_ppm`] with the same
-/// `base` parameters and seed (the samplers consume the RNG in the same
-/// order); only the weight lane differs.
+/// `base` parameters and seed (both are the same symmetric SBM drawn in one
+/// pass); only the weight lane differs.
 ///
 /// # Errors
 ///
@@ -457,18 +295,18 @@ pub fn generate_weighted_ppm(
     params: &WeightedPpmParams,
     seed: u64,
 ) -> Result<(Graph, Partition), GenError> {
-    let (plain, partition) = crate::generate_ppm(&params.base, seed)?;
-    let block_size = params.base.block_size();
-    let mut builder = GraphBuilder::new(params.base.n);
-    for (u, v) in plain.edges() {
-        let weight = if u / block_size == v / block_size {
-            params.w_in
-        } else {
-            params.w_out
-        };
-        builder.add_weighted_edge(u, v, weight)?;
-    }
-    Ok((builder.build(), partition))
+    let base = &params.base;
+    let sbm = SbmParams::symmetric(base.n, base.r, base.p, base.q)?;
+    let graph = sample_blocks(
+        &sbm.block_sizes,
+        &sbm.block_matrix,
+        seed,
+        |builder, _, (u, v), (i, j)| {
+            let weight = if i == j { params.w_in } else { params.w_out };
+            Ok(builder.add_weighted_edge(u, v, weight)?)
+        },
+    )?;
+    Ok((graph, block_partition(&sbm.block_sizes)?))
 }
 
 #[cfg(test)]

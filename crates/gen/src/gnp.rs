@@ -1,10 +1,12 @@
-//! Erdős–Rényi `G(n, p)` generator.
+//! Erdős–Rényi `G(n, p)` generator, and the geometric skip sampler every
+//! generator of this crate selects its pairs with.
 
-use cdrw_graph::{Graph, GraphBuilder};
+use cdrw_graph::Graph;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::sbm::sample_blocks;
 use crate::GenError;
 
 /// Parameters of an Erdős–Rényi random graph `G(n, p)`.
@@ -45,7 +47,7 @@ impl GnpParams {
     }
 }
 
-/// Generates a `G(n, p)` graph with the given seed.
+/// Generates a `G(n, p)` graph with the given seed: the one-block SBM.
 ///
 /// Uses geometric "skip" sampling over the `C(n, 2)` vertex pairs so the
 /// running time is `O(n + m)` rather than `O(n²)` for sparse graphs — the
@@ -53,54 +55,48 @@ impl GnpParams {
 ///
 /// # Errors
 ///
-/// Propagates parameter validation failures from the internal edge insertion
-/// (which cannot occur for valid [`GnpParams`]).
+/// Propagates graph-construction failures (which cannot occur for valid
+/// [`GnpParams`]).
 pub fn generate_gnp(params: &GnpParams, seed: u64) -> Result<Graph, GenError> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new(params.n);
-    sample_pairs_into(&mut builder, &mut rng, &vertex_range(params.n), params.p)?;
-    Ok(builder.build())
+    sample_blocks(
+        &[params.n],
+        &[vec![params.p]],
+        seed,
+        |builder, _, (u, v), _| Ok(builder.add_edge(u, v)?),
+    )
 }
 
-/// Samples each pair `{u, v}` (with `u < v`) from `vertices` independently
-/// with probability `p` and inserts the selected pairs as edges.
-///
-/// Exposed at crate level so the PPM/SBM generators can reuse the same
-/// skip-sampling core for their intra-block edges.
-pub(crate) fn sample_pairs_into(
-    builder: &mut GraphBuilder,
+/// Calls `visit(rng, index)` for each index of `0..total` selected
+/// independently with probability `p`, in ascending order: every index when
+/// `p ≥ 1`, none when `p ≤ 0`, and otherwise by jumping `Geometric(p)`
+/// skips through the index space, one uniform draw per skip. `visit` gets
+/// the RNG so it can draw between skips (the DC-SBM's thinning does).
+pub(crate) fn for_each_selected(
     rng: &mut SmallRng,
-    vertices: &[usize],
+    total: usize,
     p: f64,
+    mut visit: impl FnMut(&mut SmallRng, usize) -> Result<(), GenError>,
 ) -> Result<(), GenError> {
-    let k = vertices.len();
-    if k < 2 || p <= 0.0 {
+    if total == 0 || p <= 0.0 {
         return Ok(());
     }
-    let total_pairs = k * (k - 1) / 2;
     if p >= 1.0 {
-        for i in 0..k {
-            for j in (i + 1)..k {
-                builder.add_edge(vertices[i], vertices[j])?;
-            }
-        }
-        return Ok(());
+        return (0..total).try_for_each(|index| visit(rng, index));
     }
-    // Geometric skip sampling: walk the linearised pair index space and jump
-    // ahead by Geometric(p) between successive selected pairs.
-    let ln_1_minus_p = (1.0 - p).ln();
+    // `ln_1p` stays accurate where `1 − p` would round (to one for
+    // p ≲ 1.1e-16, making every skip one); the saturating arithmetic keeps
+    // the longest skips in range.
+    let ln_1_minus_p = (-p).ln_1p();
     let mut index: i64 = -1;
     loop {
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let skip = (u.ln() / ln_1_minus_p).floor() as i64 + 1;
-        index += skip.max(1);
-        if index as usize >= total_pairs {
-            break;
+        let skip = ((u.ln() / ln_1_minus_p).floor() as i64).saturating_add(1);
+        index = index.saturating_add(skip.max(1));
+        if index as usize >= total {
+            return Ok(());
         }
-        let (i, j) = unrank_pair(index as usize, k);
-        builder.add_edge(vertices[i], vertices[j])?;
+        visit(rng, index as usize)?;
     }
-    Ok(())
 }
 
 /// Maps a linear index in `0..C(k,2)` to the pair `(i, j)` with `i < j` in the
@@ -130,10 +126,6 @@ pub(crate) fn unrank_pair(index: usize, k: usize) -> (usize, usize) {
         let j = i + 1 + (index - row_start);
         return (i, j);
     }
-}
-
-pub(crate) fn vertex_range(n: usize) -> Vec<usize> {
-    (0..n).collect()
 }
 
 pub(crate) fn check_probability(name: &str, value: f64) -> Result<(), GenError> {

@@ -6,21 +6,24 @@
 //! The paper evaluates CDRW on two random graph families:
 //!
 //! * the Erdős–Rényi graph `G(n, p)` ([`generate_gnp`]) — used in Figure 2 to
-//!   check that a single expander is detected as one community, and used as
-//!   the building block of each planted block;
+//!   check that a single expander is detected as one community;
 //! * the symmetric planted partition model `G(n, p, q)` ([`generate_ppm`]) —
 //!   `r` equal-size blocks, intra-block edge probability `p`, inter-block
 //!   probability `q` — used in Figures 1, 3 and 4.
 //!
-//! A general stochastic block model with an arbitrary block-probability
-//! matrix ([`generate_sbm`]) and a deterministic ring-of-cliques graph
-//! ([`special::ring_of_cliques`]) are also provided for tests and ablations.
+//! Both are cases of the general stochastic block model with an arbitrary
+//! block-probability matrix ([`generate_sbm`]): `G(n, p)` is one block and
+//! the PPM is the symmetric SBM. Every random generator draws its pairs
+//! through the SBM's one block driver and geometric skip sampler. A
+//! deterministic ring-of-cliques graph ([`special::ring_of_cliques`]) is also
+//! provided for tests and ablations.
 //!
 //! Two heterogeneous families exercise the weighted CSR substrate: the
 //! degree-corrected SBM ([`generate_dcsbm`]) with per-vertex propensities
-//! `θ_v` targeting expected edge weights `θ_u·θ_v·B_{rs}`, and the weighted
-//! planted partition model ([`generate_weighted_ppm`]) — PPM topology with
-//! constant intra-/inter-block edge weights.
+//! `θ_v` targeting expected edge weights `θ_u·θ_v·B_{rs}` (the SBM of its
+//! envelope rates, thinned per pair), and the weighted planted partition
+//! model ([`generate_weighted_ppm`]) — PPM topology with constant
+//! intra-/inter-block edge weights.
 //!
 //! All generators are fully deterministic given a `u64` seed, which is how
 //! the experiment harness achieves reproducible figures.

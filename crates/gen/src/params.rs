@@ -77,20 +77,6 @@ impl ParamPoint {
             self.p / self.q
         }
     }
-
-    /// Expected number of intra-community edges for one block of size `n/r`
-    /// (the quantity `e_in = C(n/r, 2)·p` reported in Section IV).
-    pub fn expected_intra_edges(&self, block_size: usize) -> f64 {
-        let b = block_size as f64;
-        b * (b - 1.0) / 2.0 * self.p
-    }
-
-    /// Expected number of inter-community edges incident to one block of size
-    /// `n/r` in a graph of `n` vertices (`e_out = (n/r)(n − n/r)·q`).
-    pub fn expected_inter_edges(&self, block_size: usize, n: usize) -> f64 {
-        let b = block_size as f64;
-        b * (n as f64 - b) * self.q
-    }
 }
 
 /// The paper's Figure 2 `p` series for a given `n`: `2·ln n/n`, `2·(ln n)²/n`
@@ -171,22 +157,9 @@ mod tests {
     }
 
     #[test]
-    fn param_point_ratio_and_expectations() {
+    fn param_point_ratio() {
         let point = ParamPoint::new(0.05, 0.001, "p", "q");
         assert!((point.ratio() - 50.0).abs() < 1e-12);
-        // Figure 3's worked example (Section IV): with block size 2¹⁰,
-        // p = 2·log₂(2¹⁰)/2¹⁰ and q = 0.6/2¹⁰ the paper reports
-        // e_in ≈ 10230 intra and e_out ≈ 614 inter edges per block.
-        let block = 1024;
-        let n = 2 * block;
-        let p = log2_n_over_n(block, 2.0);
-        let q = 0.6 / block as f64;
-        let point = ParamPoint::new(p, q, "2 log n/n", "0.6/n");
-        let e_in = point.expected_intra_edges(block);
-        let e_out = point.expected_inter_edges(block, n);
-        assert!((e_in - 10230.0).abs() < 10.0, "e_in = {e_in}");
-        assert!((e_out - 614.0).abs() < 2.0, "e_out = {e_out}");
-        assert!((e_out / e_in - 0.06).abs() < 0.01);
     }
 
     #[test]

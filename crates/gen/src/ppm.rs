@@ -1,12 +1,11 @@
 //! Symmetric planted partition model `G(n, p, q)`.
 
-use cdrw_graph::{Graph, GraphBuilder, Partition};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use cdrw_graph::{Graph, Partition};
 use serde::{Deserialize, Serialize};
 
-use crate::gnp::{check_probability, sample_pairs_into};
-use crate::GenError;
+use crate::gnp::check_probability;
+use crate::sbm::check_equal_blocks;
+use crate::{generate_sbm, GenError, SbmParams};
 
 /// Parameters of a symmetric planted partition graph `G(n, p, q)` with `r`
 /// equal-size blocks (Section I-B of the paper).
@@ -39,21 +38,7 @@ impl PpmParams {
     /// * [`GenError::ProbabilityOutOfRange`] when `p` or `q` lies outside
     ///   `[0, 1]`.
     pub fn new(n: usize, r: usize, p: f64, q: f64) -> Result<Self, GenError> {
-        if n == 0 {
-            return Err(GenError::InvalidSize {
-                reason: "the graph needs at least one vertex".to_string(),
-            });
-        }
-        if r == 0 {
-            return Err(GenError::InvalidSize {
-                reason: "the planted partition needs at least one block".to_string(),
-            });
-        }
-        if !n.is_multiple_of(r) {
-            return Err(GenError::InvalidSize {
-                reason: format!("the symmetric PPM requires r to divide n (got n = {n}, r = {r})"),
-            });
-        }
+        check_equal_blocks(n, r)?;
         check_probability("p", p)?;
         check_probability("q", q)?;
         Ok(PpmParams { n, r, p, q })
@@ -120,80 +105,23 @@ impl PpmParams {
     }
 }
 
-/// Generates a planted partition graph and its ground-truth [`Partition`].
+/// Generates a planted partition graph and its ground-truth [`Partition`]:
+/// the symmetric SBM, `generate_sbm(&SbmParams::symmetric(n, r, p, q)?)`.
 ///
 /// Block `i` consists of the contiguous vertex range
 /// `i·(n/r) .. (i+1)·(n/r)`; the ground-truth partition records exactly this
-/// assignment. Intra-block pairs are sampled with the same geometric skip
-/// sampler as [`crate::generate_gnp`]; inter-block pairs with an analogous
-/// sampler over the rectangular index space of each block pair.
+/// assignment. Each block's pairs, then each block pair's rectangle, are
+/// drawn with the geometric skip sampler of [`crate::generate_gnp`].
 ///
 /// # Errors
 ///
-/// Propagates graph-construction failures (which cannot occur for validated
-/// [`PpmParams`]).
+/// [`GenError::InvalidSize`] (or [`GenError::ProbabilityOutOfRange`]) when
+/// the fields were set directly to values [`PpmParams::new`] rejects.
 pub fn generate_ppm(params: &PpmParams, seed: u64) -> Result<(Graph, Partition), GenError> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new(params.n);
-    let block_size = params.block_size();
-    let blocks: Vec<Vec<usize>> = (0..params.r)
-        .map(|i| (i * block_size..(i + 1) * block_size).collect())
-        .collect();
-
-    // Intra-block edges: each block is a G(n/r, p) graph.
-    for block in &blocks {
-        sample_pairs_into(&mut builder, &mut rng, block, params.p)?;
-    }
-
-    // Inter-block edges: each unordered block pair is a bipartite G(b, b, q).
-    for i in 0..params.r {
-        for j in (i + 1)..params.r {
-            sample_bipartite_into(&mut builder, &mut rng, &blocks[i], &blocks[j], params.q)?;
-        }
-    }
-
-    let assignment: Vec<usize> = (0..params.n).map(|v| v / block_size).collect();
-    let partition = Partition::from_assignment(assignment)?;
-    Ok((builder.build(), partition))
-}
-
-/// Samples each pair `(u, v)` with `u ∈ left`, `v ∈ right` independently with
-/// probability `p` using geometric skip sampling over the `|left|·|right|`
-/// rectangular index space.
-pub(crate) fn sample_bipartite_into(
-    builder: &mut GraphBuilder,
-    rng: &mut SmallRng,
-    left: &[usize],
-    right: &[usize],
-    p: f64,
-) -> Result<(), GenError> {
-    use rand::Rng;
-    if left.is_empty() || right.is_empty() || p <= 0.0 {
-        return Ok(());
-    }
-    let total = left.len() * right.len();
-    if p >= 1.0 {
-        for &u in left {
-            for &v in right {
-                builder.add_edge(u, v)?;
-            }
-        }
-        return Ok(());
-    }
-    let ln_1_minus_p = (1.0 - p).ln();
-    let mut index: i64 = -1;
-    loop {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let skip = (u.ln() / ln_1_minus_p).floor() as i64 + 1;
-        index += skip.max(1);
-        if index as usize >= total {
-            break;
-        }
-        let i = index as usize / right.len();
-        let j = index as usize % right.len();
-        builder.add_edge(left[i], right[j])?;
-    }
-    Ok(())
+    generate_sbm(
+        &SbmParams::symmetric(params.n, params.r, params.p, params.q)?,
+        seed,
+    )
 }
 
 #[cfg(test)]
@@ -225,6 +153,38 @@ mod tests {
         assert!(phi > 0.0 && phi < 1.0);
         assert!((params.p_over_q() - 50.0).abs() < 1e-12);
         assert!(params.theorem6_threshold() > 0.0);
+    }
+
+    #[test]
+    fn figure3_worked_example_edge_counts() {
+        // Figure 3's worked example (Section IV): with block size 2¹⁰,
+        // p = 2·log₂(2¹⁰)/2¹⁰ and q = 0.6/2¹⁰ the paper reports
+        // e_in ≈ 10230 intra and e_out ≈ 614 inter edges per block.
+        let block = 1024;
+        let p = crate::log2_n_over_n(block, 2.0);
+        let q = 0.6 / block as f64;
+        let params = PpmParams::new(2 * block, 2, p, q).unwrap();
+        let e_in = params.expected_intra_edges_per_block();
+        let e_out = params.expected_inter_edges_per_block();
+        assert!((e_in - 10230.0).abs() < 10.0, "e_in = {e_in}");
+        assert!((e_out - 614.0).abs() < 2.0, "e_out = {e_out}");
+        assert!((e_out / e_in - 0.06).abs() < 0.01);
+    }
+
+    #[test]
+    fn literal_fields_that_new_rejects_are_typed_errors() {
+        for (n, r) in [(0, 1), (10, 0), (10, 3)] {
+            let params = PpmParams {
+                n,
+                r,
+                p: 0.5,
+                q: 0.1,
+            };
+            assert!(matches!(
+                generate_ppm(&params, 1),
+                Err(GenError::InvalidSize { .. })
+            ));
+        }
     }
 
     #[test]

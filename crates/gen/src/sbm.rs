@@ -1,12 +1,14 @@
-//! General stochastic block model with an arbitrary block-probability matrix.
+//! General stochastic block model with an arbitrary block-probability
+//! matrix, and the one block driver every generator of this crate samples
+//! through: the PPM is the symmetric SBM, `G(n, p)` is one block, and the
+//! DC-SBM samples its envelope rates and thins each hit.
 
 use cdrw_graph::{Graph, GraphBuilder, Partition};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::gnp::{check_probability, sample_pairs_into};
-use crate::ppm::sample_bipartite_into;
+use crate::gnp::{check_probability, for_each_selected, unrank_pair};
 use crate::GenError;
 
 /// Parameters of a general stochastic block model (Holland, Laskey, Leinhardt;
@@ -34,48 +36,9 @@ impl SbmParams {
     ///   matching dimension or not symmetric.
     /// * [`GenError::ProbabilityOutOfRange`] if an entry is outside `[0, 1]`.
     pub fn new(block_sizes: Vec<usize>, block_matrix: Vec<Vec<f64>>) -> Result<Self, GenError> {
-        if block_sizes.is_empty() {
-            return Err(GenError::InvalidSize {
-                reason: "the SBM needs at least one block".to_string(),
-            });
-        }
-        if let Some(i) = block_sizes.iter().position(|&s| s == 0) {
-            return Err(GenError::InvalidSize {
-                reason: format!("block {i} has zero vertices"),
-            });
-        }
-        let r = block_sizes.len();
-        if block_matrix.len() != r {
-            return Err(GenError::MalformedBlockMatrix {
-                reason: format!(
-                    "expected {r} rows to match the number of blocks, found {}",
-                    block_matrix.len()
-                ),
-            });
-        }
-        for (i, row) in block_matrix.iter().enumerate() {
-            if row.len() != r {
-                return Err(GenError::MalformedBlockMatrix {
-                    reason: format!("row {i} has {} entries, expected {r}", row.len()),
-                });
-            }
-            for (j, &value) in row.iter().enumerate() {
-                check_probability(&format!("B[{i}][{j}]"), value)?;
-            }
-        }
-        #[allow(clippy::needless_range_loop)] // symmetric (i, j)/(j, i) access
-        for i in 0..r {
-            for j in (i + 1)..r {
-                if (block_matrix[i][j] - block_matrix[j][i]).abs() > 1e-12 {
-                    return Err(GenError::MalformedBlockMatrix {
-                        reason: format!(
-                            "matrix is not symmetric at ({i}, {j}): {} vs {}",
-                            block_matrix[i][j], block_matrix[j][i]
-                        ),
-                    });
-                }
-            }
-        }
+        check_block_shape(&block_sizes, &block_matrix, |i, j, value| {
+            check_probability(&format!("B[{i}][{j}]"), value)
+        })?;
         Ok(SbmParams {
             block_sizes,
             block_matrix,
@@ -87,17 +50,11 @@ impl SbmParams {
     ///
     /// # Errors
     ///
-    /// Same validation as [`SbmParams::new`].
+    /// Same validation as [`SbmParams::new`], plus [`GenError::InvalidSize`]
+    /// when `r` does not divide `n`.
     pub fn symmetric(n: usize, r: usize, p: f64, q: f64) -> Result<Self, GenError> {
-        if r == 0 || n == 0 || !n.is_multiple_of(r) {
-            return Err(GenError::InvalidSize {
-                reason: format!("need r > 0 dividing n (got n = {n}, r = {r})"),
-            });
-        }
-        let matrix = (0..r)
-            .map(|i| (0..r).map(|j| if i == j { p } else { q }).collect())
-            .collect();
-        SbmParams::new(vec![n / r; r], matrix)
+        let (block_sizes, block_matrix) = symmetric_blocks(n, r, p, q)?;
+        SbmParams::new(block_sizes, block_matrix)
     }
 
     /// Total number of vertices.
@@ -146,40 +103,156 @@ impl SbmParams {
 /// Propagates graph-construction failures (which cannot occur for validated
 /// [`SbmParams`]).
 pub fn generate_sbm(params: &SbmParams, seed: u64) -> Result<(Graph, Partition), GenError> {
+    let graph = sample_blocks(
+        &params.block_sizes,
+        &params.block_matrix,
+        seed,
+        |builder, _, (u, v), _| Ok(builder.add_edge(u, v)?),
+    )?;
+    Ok((graph, block_partition(&params.block_sizes)?))
+}
+
+/// The block driver: lays out `block_sizes` as contiguous vertex ranges and
+/// selects each pair of blocks `i ≤ j` independently at rate `rates[i][j]` —
+/// first each block's `C(s, 2)` internal pairs, then each block pair `i < j`
+/// over its `s_i·s_j` rectangle, in that order, all from one RNG seeded with
+/// `seed`. `add(builder, rng, (u, v), (i, j))` records each selected pair
+/// `u < v` with `u` in block `i` and `v` in block `j`; it may draw from the
+/// RNG. Returns the built graph; [`block_partition`] is its truth.
+///
+/// The order of the blocks and of the draws is what makes every generator's
+/// output reproducible from its seed; `tests/generator_identity.rs` pins it.
+pub(crate) fn sample_blocks(
+    block_sizes: &[usize],
+    rates: &[Vec<f64>],
+    seed: u64,
+    mut add: impl FnMut(
+        &mut GraphBuilder,
+        &mut SmallRng,
+        (usize, usize),
+        (usize, usize),
+    ) -> Result<(), GenError>,
+) -> Result<Graph, GenError> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let n = params.num_vertices();
-    let mut builder = GraphBuilder::new(n);
-
-    let mut blocks: Vec<Vec<usize>> = Vec::with_capacity(params.num_blocks());
-    let mut offset = 0usize;
-    for &size in &params.block_sizes {
-        blocks.push((offset..offset + size).collect());
-        offset += size;
+    let mut builder = GraphBuilder::new(block_sizes.iter().sum());
+    let starts: Vec<usize> = block_sizes
+        .iter()
+        .scan(0, |end, &size| {
+            *end += size;
+            Some(*end - size)
+        })
+        .collect();
+    for (i, (&start, &size)) in starts.iter().zip(block_sizes).enumerate() {
+        let pairs = size * size.saturating_sub(1) / 2;
+        for_each_selected(&mut rng, pairs, rates[i][i], |rng, index| {
+            let (a, b) = unrank_pair(index, size);
+            add(&mut builder, rng, (start + a, start + b), (i, i))
+        })?;
     }
-
-    for (i, block) in blocks.iter().enumerate() {
-        sample_pairs_into(&mut builder, &mut rng, block, params.block_matrix[i][i])?;
-    }
-    for i in 0..blocks.len() {
-        for j in (i + 1)..blocks.len() {
-            sample_bipartite_into(
-                &mut builder,
+    for i in 0..block_sizes.len() {
+        for j in (i + 1)..block_sizes.len() {
+            let width = block_sizes[j];
+            for_each_selected(
                 &mut rng,
-                &blocks[i],
-                &blocks[j],
-                params.block_matrix[i][j],
+                block_sizes[i] * width,
+                rates[i][j],
+                |rng, index| {
+                    let pair = (starts[i] + index / width, starts[j] + index % width);
+                    add(&mut builder, rng, pair, (i, j))
+                },
             )?;
         }
     }
+    Ok(builder.build())
+}
 
-    let mut assignment = vec![0usize; n];
-    for (i, block) in blocks.iter().enumerate() {
-        for &v in block {
-            assignment[v] = i;
+/// The partition of the contiguous blocks [`sample_blocks`] lays out.
+pub(crate) fn block_partition(block_sizes: &[usize]) -> Result<Partition, GenError> {
+    let assignment = block_sizes
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &size)| std::iter::repeat_n(i, size))
+        .collect();
+    Ok(Partition::from_assignment(assignment)?)
+}
+
+/// The block-structure checks every block model shares: at least one block,
+/// no empty block, and an `r × r` symmetric matrix (to `1e-12`) whose
+/// entries pass `check_entry(i, j, value)`.
+pub(crate) fn check_block_shape(
+    block_sizes: &[usize],
+    block_matrix: &[Vec<f64>],
+    check_entry: impl Fn(usize, usize, f64) -> Result<(), GenError>,
+) -> Result<(), GenError> {
+    if block_sizes.is_empty() {
+        return Err(GenError::InvalidSize {
+            reason: "a block model needs at least one block".to_string(),
+        });
+    }
+    if let Some(i) = block_sizes.iter().position(|&s| s == 0) {
+        return Err(GenError::InvalidSize {
+            reason: format!("block {i} has zero vertices"),
+        });
+    }
+    let r = block_sizes.len();
+    if block_matrix.len() != r {
+        return Err(GenError::MalformedBlockMatrix {
+            reason: format!(
+                "expected {r} rows to match the number of blocks, found {}",
+                block_matrix.len()
+            ),
+        });
+    }
+    for (i, row) in block_matrix.iter().enumerate() {
+        if row.len() != r {
+            return Err(GenError::MalformedBlockMatrix {
+                reason: format!("row {i} has {} entries, expected {r}", row.len()),
+            });
+        }
+        for (j, &value) in row.iter().enumerate() {
+            check_entry(i, j, value)?;
+            // Rows before `i` already have `r` entries.
+            if j < i && (block_matrix[j][i] - value).abs() > 1e-12 {
+                return Err(GenError::MalformedBlockMatrix {
+                    reason: format!(
+                        "matrix is not symmetric at ({j}, {i}): {} vs {value}",
+                        block_matrix[j][i]
+                    ),
+                });
+            }
         }
     }
-    let partition = Partition::from_assignment(assignment)?;
-    Ok((builder.build(), partition))
+    Ok(())
+}
+
+/// [`GenError::InvalidSize`] unless `r > 0` divides `n > 0`, so `n`
+/// vertices split into `r` equal blocks.
+pub(crate) fn check_equal_blocks(n: usize, r: usize) -> Result<(), GenError> {
+    if r == 0 || n == 0 || !n.is_multiple_of(r) {
+        return Err(GenError::InvalidSize {
+            reason: format!("need r > 0 dividing n (got n = {n}, r = {r})"),
+        });
+    }
+    Ok(())
+}
+
+/// `r` equal blocks of `n/r` vertices with `diag` on the diagonal of the
+/// block matrix and `off` off it.
+///
+/// # Errors
+///
+/// As [`check_equal_blocks`].
+pub(crate) fn symmetric_blocks(
+    n: usize,
+    r: usize,
+    diag: f64,
+    off: f64,
+) -> Result<(Vec<usize>, Vec<Vec<f64>>), GenError> {
+    check_equal_blocks(n, r)?;
+    let matrix = (0..r)
+        .map(|i| (0..r).map(|j| if i == j { diag } else { off }).collect())
+        .collect();
+    Ok((vec![n / r; r], matrix))
 }
 
 #[cfg(test)]
@@ -260,8 +333,8 @@ mod tests {
 
     #[test]
     fn sbm_and_ppm_agree_in_distribution_shape() {
-        // Not an exact equality (different RNG consumption order), but the
-        // edge counts must concentrate around the same expectation.
+        // Different seeds, so not an exact equality, but the edge counts
+        // must concentrate around the same expectation.
         let sbm = SbmParams::symmetric(400, 4, 0.1, 0.01).unwrap();
         let ppm = crate::PpmParams::new(400, 4, 0.1, 0.01).unwrap();
         let (g_sbm, _) = generate_sbm(&sbm, 5).unwrap();

@@ -8,7 +8,7 @@
 
 use cdrw_graph::{Graph, GraphBuilder, Partition};
 
-use crate::GenError;
+use crate::{generate_gnp, generate_sbm, GenError, GnpParams, SbmParams};
 
 /// A ring of `num_cliques` cliques of size `clique_size`, adjacent cliques
 /// joined by a single bridge edge.
@@ -69,26 +69,14 @@ pub fn ring_of_cliques(
 ///
 /// Used as the canonical adversarial input for label propagation (the paper
 /// notes LPA "can run forever on a bipartite graph"). The returned partition
-/// is the two sides.
+/// is the two sides: the two-block SBM with `B = [[0, 1], [1, 0]]`.
 ///
 /// # Errors
 ///
 /// Returns [`GenError::InvalidSize`] when either side is empty.
 pub fn complete_bipartite(a: usize, b: usize) -> Result<(Graph, Partition), GenError> {
-    if a == 0 || b == 0 {
-        return Err(GenError::InvalidSize {
-            reason: "both sides of the bipartition must be non-empty".to_string(),
-        });
-    }
-    let n = a + b;
-    let mut builder = GraphBuilder::new(n);
-    for u in 0..a {
-        for v in a..n {
-            builder.add_edge(u, v)?;
-        }
-    }
-    let assignment: Vec<usize> = (0..n).map(|v| usize::from(v >= a)).collect();
-    Ok((builder.build(), Partition::from_assignment(assignment)?))
+    let sides = SbmParams::new(vec![a, b], vec![vec![0.0, 1.0], vec![1.0, 0.0]])?;
+    generate_sbm(&sides, 0)
 }
 
 /// A cycle on `n` vertices (the worst case for mixing time among connected
@@ -108,24 +96,14 @@ pub fn cycle(n: usize) -> Result<(Graph, Partition), GenError> {
     Ok((graph, Partition::single_community(n)?))
 }
 
-/// The complete graph `K_n` as a single community.
+/// The complete graph `K_n`, i.e. `G(n, 1)`, as a single community.
 ///
 /// # Errors
 ///
 /// Returns [`GenError::InvalidSize`] when `n == 0`.
 pub fn complete(n: usize) -> Result<(Graph, Partition), GenError> {
-    if n == 0 {
-        return Err(GenError::InvalidSize {
-            reason: "the complete graph needs at least one vertex".to_string(),
-        });
-    }
-    let mut builder = GraphBuilder::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            builder.add_edge(u, v)?;
-        }
-    }
-    Ok((builder.build(), Partition::single_community(n)?))
+    let graph = generate_gnp(&GnpParams::new(n, 1.0)?, 0)?;
+    Ok((graph, Partition::single_community(n)?))
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Seeded fault injection for the sharded runtime.
 //!
-//! [`ChaosTransport`] wraps any [`Transport`] and makes it misbehave
+//! `ChaosTransport` wraps any shard `Transport` and makes it misbehave
 //! according to a [`FaultPlan`]: messages are dropped, delayed (delivered
 //! out of order a few transport operations later), duplicated, and a shard
 //! can be crashed outright when a chosen command sequence number reaches it.
@@ -22,7 +22,7 @@
 //! transport).
 //!
 //! Crashes fire exactly once: the consumed state lives in the shared
-//! [`ChaosHarness`], so a replacement shard wrapped from the same harness
+//! `ChaosHarness`, so a replacement shard wrapped from the same harness
 //! does not instantly re-crash while replaying the same sequence numbers.
 //! The per-identity attempt counters are shared the same way — per shard
 //! slot, across instances — so a replacement continues its predecessor's
@@ -159,7 +159,7 @@ impl FaultPlan {
 /// including replacements spawned by recovery, which must share the
 /// consumed-crash state.
 #[derive(Debug)]
-pub struct ChaosHarness {
+pub(crate) struct ChaosHarness {
     plan: FaultPlan,
     fired: Arc<Mutex<Vec<bool>>>,
     attempts: Arc<Mutex<HashMap<(usize, u64), u32>>>,
@@ -204,7 +204,7 @@ enum Fate {
 /// and the receive side of one shard, so every link the shard touches
 /// (coordinator → shard, shard → shard, shard → coordinator) is lossy.
 #[derive(Debug)]
-pub struct ChaosTransport<T: Transport> {
+pub(crate) struct ChaosTransport<T: Transport> {
     inner: T,
     shard: usize,
     plan: FaultPlan,

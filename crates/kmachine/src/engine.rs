@@ -43,13 +43,13 @@
 //! ## Fault tolerance
 //!
 //! The coordinator never blocks unboundedly: every wait is a deadline
-//! ([`CoordinatorLinks::recv_deadline`]) with exponential backoff, every
+//! (`CoordinatorLinks::recv_deadline`) with exponential backoff, every
 //! command carries a sequence number and is re-broadcast on timeout
-//! (duplicates are absorbed by the shards — see [`crate::shard`]), and a
+//! (duplicates are absorbed by the shards — see the `shard` module), and a
 //! shard that stays silent past the retry budget is declared dead and
-//! re-materialised from its last [`Message::Checkpoint`] plus a replay of
+//! re-materialised from its last `Message::Checkpoint` plus a replay of
 //! the command log (peers re-send the replay window's share buckets on
-//! [`Message::Assist`]). Replayed and duplicate traffic is charged to a
+//! `Message::Assist`). Replayed and duplicate traffic is charged to a
 //! separate [`FaultLog`] — the conformance ledger counts only the first
 //! accepted reply per round, so measured-vs-modelled equality survives
 //! arbitrary recoverable fault schedules (deviation 16 in
@@ -271,8 +271,8 @@ impl KMachineEngine {
         &self.config
     }
 
-    /// Wraps every shard transport in a [`crate::chaos::ChaosTransport`]
-    /// injecting the given plan's faults. The plan is validated at run time.
+    /// Wraps every shard transport in a `ChaosTransport` injecting the given
+    /// plan's faults. The plan is validated at run time.
     /// A plan that injects faults also tightens the fault-tolerance budget
     /// (see the [module docs](self)).
     #[must_use]

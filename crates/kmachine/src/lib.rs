@@ -31,7 +31,7 @@
 //!   `Õ((n²/k² + n/(kr))(p + q(r−1)))` prediction for comparison;
 //! * [`KMachineEngine`] — the *execution* engine: actually runs the pipeline
 //!   distributed over `k` worker shards in explicit message rounds (see
-//!   [`engine`] and [`transport`]), producing decisions bit-identical to the
+//!   [`engine`] and the private `transport` module), producing decisions bit-identical to the
 //!   sequential driver alongside a measured-vs-modelled message-conformance
 //!   ledger. Since `u` sends the same share along every edge, the home
 //!   machine of `u` ships it once to each remote machine homing a neighbour
@@ -48,17 +48,16 @@ pub mod chaos;
 mod conversion;
 pub mod engine;
 mod partition;
-pub mod shard;
-pub mod transport;
+mod shard;
+mod transport;
 
-pub use chaos::{ChaosHarness, ChaosTransport, FaultPlan, ShardCrash};
+pub use chaos::{FaultPlan, ShardCrash};
 pub use conversion::{conversion_rounds, paper_round_bound, ConversionInput};
 pub use engine::{
     DetectionFlood, FaultLog, KMachineEngine, KMachineRunReport, RoundConformance, ShardRecovery,
     WalkConformance,
 };
 pub use partition::{PartitionStats, RandomVertexPartition};
-pub use transport::TransportError;
 
 use cdrw_congest::{CongestCdrw, CongestConfig, CongestReport};
 use cdrw_core::CdrwError;
