@@ -67,7 +67,19 @@ impl DcsbmParams {
         block_matrix: Vec<Vec<f64>>,
         theta: Vec<f64>,
     ) -> Result<Self, GenError> {
-        check_block_shape(&block_sizes, &block_matrix, |i, j, value| {
+        let params = DcsbmParams {
+            block_sizes,
+            block_matrix,
+            theta,
+        };
+        params.validate()?;
+        Ok(params)
+    }
+
+    /// The checks of [`DcsbmParams::new`], re-run by [`generate_dcsbm`] on
+    /// parameters whose public fields were set directly.
+    fn validate(&self) -> Result<(), GenError> {
+        check_block_shape(&self.block_sizes, &self.block_matrix, |i, j, value| {
             if value.is_finite() && value >= 0.0 {
                 Ok(())
             } else {
@@ -76,13 +88,13 @@ impl DcsbmParams {
                 })
             }
         })?;
-        let n: usize = block_sizes.iter().sum();
-        if theta.len() != n {
+        let n = self.num_vertices();
+        if self.theta.len() != n {
             return Err(GenError::InvalidSize {
-                reason: format!("theta has {} entries for {n} vertices", theta.len()),
+                reason: format!("theta has {} entries for {n} vertices", self.theta.len()),
             });
         }
-        for (v, &t) in theta.iter().enumerate() {
+        for (v, &t) in self.theta.iter().enumerate() {
             if !t.is_finite() || t <= 0.0 {
                 return Err(GenError::ProbabilityOutOfRange {
                     name: format!("theta[{v}]"),
@@ -90,11 +102,7 @@ impl DcsbmParams {
                 });
             }
         }
-        Ok(DcsbmParams {
-            block_sizes,
-            block_matrix,
-            theta,
-        })
+        Ok(())
     }
 
     /// The symmetric workhorse instance: `r` equal blocks of size `n/r` with
@@ -185,9 +193,10 @@ impl DcsbmParams {
 ///
 /// # Errors
 ///
-/// Propagates graph-construction failures (which cannot occur for validated
-/// [`DcsbmParams`]).
+/// The errors of [`DcsbmParams::new`] when the fields were set directly to
+/// values it rejects.
 pub fn generate_dcsbm(params: &DcsbmParams, seed: u64) -> Result<(Graph, Partition), GenError> {
+    params.validate()?;
     let mut start = 0;
     let theta_max: Vec<f64> = params
         .block_sizes

@@ -36,12 +36,19 @@ impl SbmParams {
     ///   matching dimension or not symmetric.
     /// * [`GenError::ProbabilityOutOfRange`] if an entry is outside `[0, 1]`.
     pub fn new(block_sizes: Vec<usize>, block_matrix: Vec<Vec<f64>>) -> Result<Self, GenError> {
-        check_block_shape(&block_sizes, &block_matrix, |i, j, value| {
-            check_probability(&format!("B[{i}][{j}]"), value)
-        })?;
-        Ok(SbmParams {
+        let params = SbmParams {
             block_sizes,
             block_matrix,
+        };
+        params.validate()?;
+        Ok(params)
+    }
+
+    /// The checks of [`SbmParams::new`], re-run by [`generate_sbm`] on
+    /// parameters whose public fields were set directly.
+    fn validate(&self) -> Result<(), GenError> {
+        check_block_shape(&self.block_sizes, &self.block_matrix, |i, j, value| {
+            check_probability(&format!("B[{i}][{j}]"), value)
         })
     }
 
@@ -100,9 +107,10 @@ impl SbmParams {
 ///
 /// # Errors
 ///
-/// Propagates graph-construction failures (which cannot occur for validated
-/// [`SbmParams`]).
+/// The errors of [`SbmParams::new`] when the fields were set directly to
+/// values it rejects.
 pub fn generate_sbm(params: &SbmParams, seed: u64) -> Result<(Graph, Partition), GenError> {
+    params.validate()?;
     let graph = sample_blocks(
         &params.block_sizes,
         &params.block_matrix,

@@ -46,8 +46,9 @@ pub struct Graph {
 impl Graph {
     /// Assembles a graph from raw CSR parts.
     ///
-    /// Intended for use by [`crate::GraphBuilder`]; the parts are trusted to
-    /// be consistent (symmetric, sorted, no self-loops).
+    /// Intended for [`crate::GraphBuilder`] and [`crate::DeltaGraph::commit`];
+    /// the parts are trusted to be consistent (symmetric, sorted, no
+    /// self-loops).
     pub(crate) fn from_csr_parts(
         offsets: Vec<usize>,
         neighbors: Vec<VertexId>,
@@ -69,9 +70,10 @@ impl Graph {
     /// Assembles a weighted graph from raw CSR parts plus a weight lane
     /// parallel to `neighbors`.
     ///
-    /// Intended for use by [`crate::GraphBuilder`]; the parts are trusted to
-    /// be consistent (symmetric slots with symmetric weights, sorted, no
-    /// self-loops, weights positive and finite).
+    /// Intended for [`crate::GraphBuilder`] and [`crate::DeltaGraph::commit`];
+    /// the parts are trusted to be consistent (symmetric slots with
+    /// symmetric weights, sorted, no self-loops, weights positive and
+    /// finite).
     pub(crate) fn from_weighted_csr_parts(
         offsets: Vec<usize>,
         neighbors: Vec<VertexId>,

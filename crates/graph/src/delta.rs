@@ -6,8 +6,9 @@
 //! every walk, sweep and absorption decision binary-searches sorted
 //! neighbour rows — so mutation lives here instead: a [`DeltaGraph`] is the
 //! committed CSR plus a buffer of pending add/remove operations, folded into
-//! a fresh CSR by [`DeltaGraph::commit`] through the same counting-sort
-//! [`GraphBuilder`] the generators use (weight lane included).
+//! a fresh CSR by [`DeltaGraph::commit`], which splices the committed CSR row
+//! by row: clean rows are copied whole, and only the rows of changed pairs
+//! are merged (weight lane included).
 //!
 //! Each commit reports the **dirty vertices** — the endpoints of every edge
 //! whose presence or weight actually changed. Dirtiness is the exact
@@ -36,7 +37,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{Graph, GraphBuilder, GraphError, VertexId};
+use crate::{Graph, GraphError, VertexId};
 
 /// What one [`DeltaGraph::commit`] changed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +62,7 @@ impl CommitReport {
 }
 
 /// A committed CSR [`Graph`] plus a buffer of pending edge additions and
-/// removals, rebuilt on [`DeltaGraph::commit`].
+/// removals, spliced into it on [`DeltaGraph::commit`].
 ///
 /// The vertex set is fixed at construction (`0..n`, like every [`Graph`]);
 /// only edges churn. The pending buffer stores the *absolute* post-commit
@@ -69,13 +70,14 @@ impl CommitReport {
 /// — so repeated operations on one pair collapse into a single entry and the
 /// weight arithmetic of stacked [`DeltaGraph::add_weighted_edge`] calls is
 /// folded left-to-right at operation time, exactly the order a from-scratch
-/// [`GraphBuilder`] would sum duplicate insertions in. A property test pins
-/// the committed CSR bit-identical (offsets, targets, weight lane) to a
-/// from-scratch build over the surviving edge set.
+/// [`GraphBuilder`](crate::GraphBuilder) would sum duplicate insertions in.
+/// A property test pins the committed CSR bit-identical (offsets, targets,
+/// weight lane) to a from-scratch build over the surviving edge set.
 ///
 /// Weightedness is decided by the committed graph: a weighted CSR stays
-/// weighted (plain [`DeltaGraph::add_edge`] contributes `1.0`, matching the
-/// builder's backfill), an unweighted CSR stays unweighted and rejects
+/// weighted until it loses its last edge (plain [`DeltaGraph::add_edge`]
+/// contributes `1.0`, matching the builder's backfill), an unweighted CSR
+/// stays unweighted and rejects
 /// [`DeltaGraph::add_weighted_edge`] — engaging the weight lane mid-stream
 /// would retroactively change the meaning of buffered plain additions.
 #[derive(Debug, Clone)]
@@ -139,8 +141,9 @@ impl DeltaGraph {
     /// On a weighted graph this contributes weight `1.0` (the builder's
     /// backfill value); re-adding a pair that is already present stacks
     /// another `1.0` onto it, matching duplicate-insertion summing in
-    /// [`GraphBuilder::build`]. On an unweighted graph re-adding a present
-    /// pair is a no-op, matching builder deduplication.
+    /// [`GraphBuilder::build`](crate::GraphBuilder::build). On an unweighted
+    /// graph re-adding a present pair is a no-op, matching builder
+    /// deduplication.
     ///
     /// # Errors
     ///
@@ -160,7 +163,7 @@ impl DeltaGraph {
     /// Buffers the addition of the undirected edge `(u, v)` with weight
     /// `weight`, summing onto the pair's current effective weight — the
     /// delta analogue of duplicate weighted insertions in
-    /// [`GraphBuilder::build`].
+    /// [`GraphBuilder::build`](crate::GraphBuilder::build).
     ///
     /// # Errors
     ///
@@ -213,86 +216,58 @@ impl DeltaGraph {
         self.pending.clear();
     }
 
-    /// Folds the pending buffer into a fresh committed CSR via the
-    /// counting-sort [`GraphBuilder`] and reports the dirty vertices.
+    /// Folds the pending buffer into a fresh committed CSR and reports the
+    /// dirty vertices.
     ///
-    /// With an empty or no-op buffer the committed graph is left untouched
-    /// (no rebuild) and the report is clean.
+    /// The new CSR is a row splice of the committed one: a row with no
+    /// changed pair is copied whole (targets and weight lane), and each
+    /// dirty row is merged with its changed pairs in target order, so a
+    /// commit costs one copy of the arrays plus `O(log d)` per changed
+    /// slot. With an empty or no-op buffer the committed graph is left
+    /// untouched and the report is clean. A weighted graph that loses its
+    /// last edge commits unweighted, as a from-scratch
+    /// [`GraphBuilder`](crate::GraphBuilder) over no edges would build it.
     ///
     /// # Errors
     ///
-    /// Never fails in practice — every pending entry was validated at
-    /// operation time — but propagates [`GraphBuilder`] errors rather than
-    /// panicking.
+    /// [`GraphError::InvalidParameter`] (`name: "weight"`) when stacked
+    /// [`DeltaGraph::add_weighted_edge`] calls folded a pending weight to a
+    /// non-finite value. Nothing is changed then: the committed graph still
+    /// serves and the pending buffer is kept, so the caller can
+    /// [`DeltaGraph::discard_pending`] and commit again.
     pub fn commit(&mut self) -> Result<CommitReport, GraphError> {
-        // Classify pending entries against the committed state first; no-op
-        // buffers skip the rebuild entirely.
+        // Classify pending entries against the committed state; only the
+        // changed ones reach the splice, once per direction.
         let mut dirty: Vec<VertexId> = Vec::new();
+        let mut splices: Vec<(VertexId, VertexId, Option<f64>)> = Vec::new();
         let mut edges_added = 0usize;
         let mut edges_removed = 0usize;
         let mut edges_reweighted = 0usize;
         for (&(u, v), &state) in &self.pending {
-            let before = self.committed.edge_weight(u, v);
-            let changed = match (before, state) {
-                (None, None) => false,
-                (Some(a), Some(b)) => {
-                    if a.to_bits() != b.to_bits() {
-                        edges_reweighted += 1;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                (None, Some(_)) => {
-                    edges_added += 1;
-                    true
-                }
-                (Some(_), None) => {
-                    edges_removed += 1;
-                    true
-                }
-            };
-            if changed {
-                dirty.push(u);
-                dirty.push(v);
+            match (self.committed.edge_weight(u, v), state) {
+                (None, None) => continue,
+                (Some(a), Some(b)) if a.to_bits() == b.to_bits() => continue,
+                (Some(_), Some(_)) => edges_reweighted += 1,
+                (None, Some(_)) => edges_added += 1,
+                (Some(_), None) => edges_removed += 1,
             }
+            if let Some(w) = state.filter(|w| !w.is_finite()) {
+                return Err(GraphError::InvalidParameter {
+                    name: "weight",
+                    reason: format!("pending weight of edge ({u}, {v}) folded to {w}"),
+                });
+            }
+            dirty.extend([u, v]);
+            splices.extend([(u, v, state), (v, u, state)]);
+        }
+        self.pending.clear();
+        if !splices.is_empty() {
+            splices.sort_unstable_by_key(|&(row, target, _)| (row, target));
+            let num_edges = self.committed.num_edges() + edges_added - edges_removed;
+            self.committed = self.spliced(&splices, num_edges);
         }
         dirty.sort_unstable();
         dirty.dedup();
-
-        if !dirty.is_empty() {
-            let weighted = self.is_weighted();
-            let mut builder = GraphBuilder::new(self.num_vertices());
-            // Surviving committed edges, with pending overrides applied; the
-            // iteration order (ascending pairs) matches a from-scratch build
-            // over the model map, so duplicate-free insertion keeps the
-            // weight lane bit-identical.
-            for (u, v) in self.committed.edges() {
-                match self.pending.get(&(u, v)) {
-                    Some(None) => continue,
-                    Some(Some(w)) => builder.add_weighted_edge(u, v, *w)?,
-                    None => match self.committed.edge_weight(u, v) {
-                        Some(w) if weighted => builder.add_weighted_edge(u, v, w)?,
-                        _ => builder.add_edge(u, v)?,
-                    },
-                }
-            }
-            // Pairs that are new outright.
-            for (&(u, v), &state) in &self.pending {
-                if self.committed.has_edge(u, v) {
-                    continue;
-                }
-                if let Some(w) = state {
-                    if weighted {
-                        builder.add_weighted_edge(u, v, w)?;
-                    } else {
-                        builder.add_edge(u, v)?;
-                    }
-                }
-            }
-            self.committed = builder.build();
-        }
-        self.pending.clear();
         Ok(CommitReport {
             dirty,
             edges_added,
@@ -300,11 +275,59 @@ impl DeltaGraph {
             edges_reweighted,
         })
     }
+
+    /// The committed CSR with `splices` applied: `(row, target, state)`
+    /// sorted by `(row, target)`, each setting the slot `target` of `row`
+    /// to `state` (`None` removes it). Rows no splice names are copied
+    /// whole; `num_edges` is the edge count after the splice.
+    fn spliced(&self, splices: &[(VertexId, VertexId, Option<f64>)], num_edges: usize) -> Graph {
+        let old = &self.committed;
+        let weighted = old.is_weighted();
+        let mut offsets = Vec::with_capacity(old.num_vertices() + 1);
+        let mut targets = Vec::with_capacity(2 * num_edges);
+        let mut lane = Vec::with_capacity(if weighted { 2 * num_edges } else { 0 });
+        offsets.push(0);
+        let mut splices = splices.iter().copied().peekable();
+        for row in old.vertices() {
+            let old_targets = old.neighbor_slice(row);
+            let old_weights = old.weight_slice(row);
+            // Slots of the old row before `kept` are already copied.
+            let mut kept = 0;
+            while let Some((_, target, state)) = splices.next_if(|&(r, _, _)| r == row) {
+                let end = kept + old_targets[kept..].partition_point(|&t| t < target);
+                targets.extend_from_slice(&old_targets[kept..end]);
+                if let Some(ws) = old_weights {
+                    lane.extend_from_slice(&ws[kept..end]);
+                }
+                // Drop the old slot of `target`, then insert its new state.
+                kept = end + usize::from(old_targets.get(end) == Some(&target));
+                if let Some(w) = state {
+                    targets.push(target);
+                    if weighted {
+                        lane.push(w);
+                    }
+                }
+            }
+            targets.extend_from_slice(&old_targets[kept..]);
+            if let Some(ws) = old_weights {
+                lane.extend_from_slice(&ws[kept..]);
+            }
+            offsets.push(targets.len());
+        }
+        // A weighted graph left with no edge loses its lane, as a builder
+        // fed no weighted edge builds it.
+        if weighted && num_edges > 0 {
+            Graph::from_weighted_csr_parts(offsets, targets, lane, num_edges)
+        } else {
+            Graph::from_csr_parts(offsets, targets, num_edges)
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphBuilder;
     use proptest::prelude::*;
 
     fn path(n: usize) -> Graph {

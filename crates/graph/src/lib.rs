@@ -14,9 +14,10 @@
 //! * [`GraphBuilder`] — a mutable adjacency-set builder used by the random
 //!   graph generators; deduplicates edges and rejects self-loops.
 //! * [`DeltaGraph`] — a committed CSR plus a pending add/remove buffer for
-//!   streaming edge churn; [`DeltaGraph::commit`] merge-rebuilds the CSR and
-//!   reports the dirty vertices, the invalidation signal the incremental
-//!   service layer (`cdrw_core::CdrwService`) keys its cache on.
+//!   streaming edge churn; [`DeltaGraph::commit`] splices the changed rows
+//!   into the CSR and reports the dirty vertices, the invalidation signal
+//!   the incremental service layer (`cdrw_core::CdrwService`) keys its
+//!   cache on.
 //! * [`traversal`] — breadth-first search, BFS trees (as used by the source
 //!   node of CDRW to aggregate values), connected components, balls `B_ℓ`
 //!   (the radius-`ℓ` neighbourhoods appearing in Lemma 1), eccentricity and

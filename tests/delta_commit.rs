@@ -3,12 +3,14 @@
 //! After any interleaving of adds and removes, applied across one or
 //! several commits, the committed CSR must equal (offsets, targets and
 //! weight lane; `Graph: PartialEq` compares all of them) a from-scratch
-//! `GraphBuilder` over the surviving edge set. The inputs are the ranges of
-//! `cdrw-graph`'s own property test, drawn for a fixed number of cases.
+//! `GraphBuilder` over the surviving edge set, and every commit's report
+//! must name exactly the pairs whose presence or weight bits changed. The
+//! inputs are the ranges of `cdrw-graph`'s own property test, drawn for a
+//! fixed number of cases.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use cdrw_repro::graph::DeltaGraph;
+use cdrw_repro::graph::{CommitReport, DeltaGraph, GraphError};
 use cdrw_repro::prelude::*;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -62,6 +64,35 @@ fn apply_op(
     true
 }
 
+/// The report a commit from the edge set `before` to `after` must give:
+/// every pair whose presence or weight bits differ, counted by kind, and
+/// the sorted, deduplicated endpoints of those pairs.
+fn model_diff(
+    before: &BTreeMap<(VertexId, VertexId), f64>,
+    after: &BTreeMap<(VertexId, VertexId), f64>,
+) -> CommitReport {
+    let mut report = CommitReport {
+        dirty: Vec::new(),
+        edges_added: 0,
+        edges_removed: 0,
+        edges_reweighted: 0,
+    };
+    let pairs: BTreeSet<_> = before.keys().chain(after.keys()).collect();
+    for &(u, v) in pairs {
+        match (before.get(&(u, v)), after.get(&(u, v))) {
+            (Some(a), Some(b)) if a.to_bits() == b.to_bits() => continue,
+            (Some(_), Some(_)) => report.edges_reweighted += 1,
+            (None, Some(_)) => report.edges_added += 1,
+            (Some(_), None) => report.edges_removed += 1,
+            (None, None) => unreachable!("the pair comes from one of the maps"),
+        }
+        report.dirty.extend([u, v]);
+    }
+    report.dirty.sort_unstable();
+    report.dirty.dedup();
+    report
+}
+
 fn check_case(
     base_edges: &[(VertexId, VertexId)],
     ops: &[EncodedOp],
@@ -91,20 +122,22 @@ fn check_case(
         "case {case}"
     );
 
+    // The model as of the last commit: each report is checked against the
+    // diff from it to the model at the next commit.
+    let mut committed = model.clone();
     let mut applied = 0usize;
     for op in ops {
         if apply_op(&mut delta, &mut model, op) {
             applied += 1;
             if applied.is_multiple_of(commit_every) {
-                delta.commit().unwrap();
+                let report = delta.commit().unwrap();
+                assert_eq!(report, model_diff(&committed, &model), "case {case}");
+                committed = model.clone();
             }
         }
     }
     let report = delta.commit().unwrap();
-    assert!(
-        report.dirty.len() <= 2 * delta.num_vertices(),
-        "case {case}"
-    );
+    assert_eq!(report, model_diff(&committed, &model), "case {case}");
 
     // The from-scratch reference over the surviving edge set.
     let mut reference = GraphBuilder::new(n);
@@ -130,4 +163,65 @@ fn commit_matches_from_scratch_build() {
         let commit_every = (1usize..8).generate(&mut rng);
         check_case(&base_edges, &ops, weighted, commit_every, case);
     }
+}
+
+fn weighted_path(n: usize) -> Graph {
+    let mut builder = GraphBuilder::new(n);
+    for u in 0..n - 1 {
+        builder.add_weighted_edge(u, u + 1, 1.0 + u as f64).unwrap();
+    }
+    builder.build()
+}
+
+#[test]
+fn a_poisoned_weight_fold_fails_the_commit_and_changes_nothing() {
+    // Each weight passes its own check, but the two fold to +inf in the
+    // pending buffer, which no CSR may hold.
+    let mut delta = DeltaGraph::new(weighted_path(4));
+    let before = delta.graph().clone();
+    delta.remove_edge(1, 2).unwrap();
+    delta.add_weighted_edge(0, 1, f64::MAX).unwrap();
+    delta.add_weighted_edge(0, 1, f64::MAX).unwrap();
+    assert_eq!(delta.pending_ops(), 2);
+
+    for _ in 0..2 {
+        assert!(matches!(
+            delta.commit(),
+            Err(GraphError::InvalidParameter { name: "weight", .. })
+        ));
+        assert_eq!(delta.graph(), &before);
+        assert_eq!(delta.pending_ops(), 2);
+    }
+
+    delta.discard_pending();
+    delta.remove_edge(1, 2).unwrap();
+    let report = delta.commit().unwrap();
+    assert_eq!((report.dirty, report.edges_removed), (vec![1, 2], 1));
+    assert!(!delta.graph().has_edge(1, 2));
+    assert_eq!(delta.graph().edge_weight(0, 1), Some(1.0));
+}
+
+#[test]
+fn removing_every_edge_of_a_weighted_graph_commits_an_unweighted_one() {
+    let n = 5;
+    let mut delta = DeltaGraph::new(weighted_path(n));
+    assert!(delta.is_weighted());
+    for u in 0..n - 1 {
+        delta.remove_edge(u + 1, u).unwrap();
+    }
+    let report = delta.commit().unwrap();
+    assert_eq!(report.edges_removed, n - 1);
+    assert_eq!(delta.graph(), &GraphBuilder::new(n).build());
+    assert!(!delta.is_weighted());
+    assert!(matches!(
+        delta.add_weighted_edge(0, 1, 2.0),
+        Err(GraphError::InvalidParameter { name: "weight", .. })
+    ));
+    // Plain additions still commit, onto the unweighted graph.
+    delta.add_edge(0, 1).unwrap();
+    delta.commit().unwrap();
+    assert_eq!(
+        delta.graph(),
+        &GraphBuilder::from_edges(n, [(0, 1)]).unwrap()
+    );
 }

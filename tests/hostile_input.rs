@@ -2,6 +2,7 @@
 //! errors, never as panics.
 
 use cdrw_bench::json::{Json, MAX_DEPTH};
+use cdrw_repro::gen::{generate_dcsbm, generate_sbm, DcsbmParams, GenError, SbmParams};
 use cdrw_repro::graph::io::{parse_edge_list, parse_metis};
 use cdrw_repro::graph::GraphError;
 
@@ -64,4 +65,46 @@ fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
     // Nesting up to the limit still parses.
     let deep = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
     assert!(Json::parse(&deep).is_ok());
+}
+
+#[test]
+fn literal_block_model_params_that_new_rejects_are_typed_errors() {
+    // The fields are public, so a caller can skip `new`; the generators
+    // re-run its checks instead of indexing past the matrix or theta.
+    let short_matrix = SbmParams {
+        block_sizes: vec![2, 2],
+        block_matrix: vec![vec![0.5]],
+    };
+    assert!(matches!(
+        generate_sbm(&short_matrix, 1),
+        Err(GenError::MalformedBlockMatrix { .. })
+    ));
+    let over_one = SbmParams {
+        block_sizes: vec![2, 2],
+        block_matrix: vec![vec![2.0, 0.1], vec![0.1, 0.5]],
+    };
+    match generate_sbm(&over_one, 1) {
+        Err(GenError::ProbabilityOutOfRange { name, value }) => {
+            assert_eq!((name.as_str(), value), ("B[0][0]", 2.0));
+        }
+        other => panic!("an entry of 2.0 is not a probability, got {other:?}"),
+    }
+    let short_theta = DcsbmParams {
+        block_sizes: vec![2, 2],
+        block_matrix: vec![vec![0.5, 0.1], vec![0.1, 0.5]],
+        theta: vec![1.0; 3],
+    };
+    match generate_dcsbm(&short_theta, 1) {
+        Err(GenError::InvalidSize { reason }) => {
+            assert!(
+                reason.contains("theta has 3 entries for 4 vertices"),
+                "{reason}"
+            );
+        }
+        other => panic!("theta shorter than n should be a size error, got {other:?}"),
+    }
+    // The same models built through `new` still generate.
+    let valid = SbmParams::new(vec![2, 2], vec![vec![1.0, 0.1], vec![0.1, 0.5]]).unwrap();
+    assert!(generate_sbm(&valid, 1).is_ok());
+    assert!(generate_dcsbm(&DcsbmParams::from_sbm(&valid), 1).is_ok());
 }
