@@ -6,7 +6,7 @@
 //! analysed on dense PPM graphs by Kothapalli et al. \[27\]) and
 //! averaging/linear dynamics (Becchetti et al. \[4\], Clementi et al. \[10\]) —
 //! and against centralized random-walk methods (Walktrap \[42\]) and spectral
-//! partitioning \[13, 29, 41\]. The `baseline_comparison` bench runs all of
+//! partitioning \[13, 29, 41\]. The `experiments -- baselines` table runs all of
 //! them on the same PPM sweeps as Figure 3 so the regimes where CDRW wins
 //! (sparse graphs, more than two communities) are visible.
 //!

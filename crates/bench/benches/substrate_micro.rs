@@ -1,7 +1,7 @@
 //! Microbenchmarks of the substrates the headline results depend on:
 //! graph generation, one walk step, one local-mixing sweep, and the F-score
 //! computation. These are not paper figures; they document where the time in
-//! the figure benches goes.
+//! the `experiments` tables goes.
 //!
 //! The `sparse_vs_dense_*` groups measure the frontier engine
 //! (`WalkEngine`/`WalkWorkspace`) against the dense oracles of

@@ -5,7 +5,7 @@
 //! experiments [--full | --huge] [--criterion NAME] [--ensemble WALKS[:QUORUM]]
 //!             [--assembly raw|reconcile|RESEED[:QUORUM]] [--kmachine K] [--json PATH]
 //!             [--dataset PATH] [--fault-plan JSON]
-//!             [fig1|fig2|fig2-smoke|fig3|fig4a|fig4b|congest|kmachine|kmachine-exec|baselines|ablations|dcsbm|weighted|churn|chaos|all]
+//!             [fig1|fig2|fig2-smoke|fig3|fig4a|fig4b|congest|kmachine-exec|baselines|ablations|dcsbm|weighted|churn|chaos|all]
 //! ```
 //!
 //! Without arguments it runs everything at quick scale. `--full` switches to
@@ -36,13 +36,15 @@
 //! walks per merged group (`--assembly 4:3`; the quorum defaults to
 //! `max(1, ⌈reseed/2⌉)`). The `ablations` experiment always compares all
 //! criteria, ensemble policies and assembly policies head-to-head regardless
-//! of the flags. `kmachine-exec` runs the pipeline on the *real* sharded
-//! execution engine (worker threads exchanging one walk share per source and
-//! remote shard, each receiver expanding the shares over its own rows) and
-//! records measured-vs-modelled message counts — the messages counted at the
-//! receivers, one per edge contribution applied — next to the share entries
-//! that crossed between shards; `--kmachine K` pins its
-//! shard count to a single `K` instead of the default `{1, 2, 4, 8}` sweep.
+//! of the flags. `kmachine-exec` is the §III-B table: it runs the pipeline
+//! on the sharded k-machine engine (worker threads exchanging one walk share
+//! per source and remote shard, each receiver expanding the shares over its
+//! own rows) and records measured-vs-modelled message counts — the messages
+//! counted at the receivers, one per edge contribution applied — next to
+//! the share entries that crossed between shards, and the measured link
+//! rounds next to the Conversion-Theorem bound and the paper's closed form;
+//! `--kmachine K` pins its shard count to a single `K` instead of the
+//! default `{1, 2, 4, 8}` sweep.
 //! `dcsbm` (alias `--dcsbm`) scores CDRW with ensemble + assembly against
 //! all four baselines on degree-corrected SBM instances of growing
 //! propensity spread, and `weighted` (alias `--weighted`) does the same on
@@ -221,9 +223,6 @@ fn main() {
     if wants("congest") {
         run("congest", distributed::congest_scaling);
     }
-    if wants("kmachine") {
-        run("kmachine", distributed::kmachine_scaling);
-    }
     if wants("baselines") {
         run("baselines", baselines::baseline_comparison);
     }
@@ -288,7 +287,7 @@ fn main() {
     if recorded.is_empty() {
         eprintln!(
             "unknown experiment selection {selected:?}; expected one of \
-             fig1, fig2, fig2-smoke, fig3, fig4a, fig4b, congest, kmachine, \
+             fig1, fig2, fig2-smoke, fig3, fig4a, fig4b, congest, \
              kmachine-exec, baselines, ablations, dcsbm, weighted, churn, \
              chaos, all (or --dataset PATH)"
         );

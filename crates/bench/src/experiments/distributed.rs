@@ -3,7 +3,10 @@
 use cdrw_congest::{CongestCdrw, CongestConfig};
 use cdrw_core::CdrwConfig;
 use cdrw_gen::{generate_ppm, PpmParams};
-use cdrw_kmachine::{paper_round_bound, KMachineConfig, KMachineEngine, KMachineSimulator};
+use cdrw_kmachine::{
+    conversion_rounds, link_rounds, paper_round_bound, ConversionInput, KMachineConfig,
+    KMachineEngine,
+};
 
 use crate::{BudgetClock, DataPoint, FigureResult, RunOptions, Scale};
 
@@ -80,65 +83,17 @@ pub fn congest_scaling(scale: Scale, base_seed: u64, options: RunOptions) -> Fig
     figure
 }
 
-/// Reproduces the §III-B k-machine claim: round complexity versus the number
-/// of machines `k`, with the paper's closed-form `Õ((n²/k² + n/(kr))(p+q(r−1)))`
-/// prediction alongside.
-pub fn kmachine_scaling(scale: Scale, base_seed: u64, options: RunOptions) -> FigureResult {
-    let n = match scale {
-        Scale::Quick => 256,
-        Scale::Full => 1024,
-        Scale::Huge => 4096,
-    };
-    let params = complexity_ppm(n);
-    let (graph, _) = generate_ppm(&params, base_seed).expect("validated parameters");
-    let delta = params.expected_block_conductance().clamp(0.01, 1.0);
-    let algorithm = CdrwConfig::builder()
-        .seed(base_seed)
-        .delta(delta)
-        .criterion(options.criterion)
-        .ensemble_policy(options.ensemble)
-        .assembly_policy(options.assembly)
-        .build();
-    let congest = CongestConfig::new(algorithm);
-
-    let mut figure = FigureResult::new(
-        format!("k-machine model: CDRW round complexity vs k (n = {n}, r = 2)"),
-        "conversion rounds",
-    );
-    for k in [2usize, 4, 8, 16, 32] {
-        let config = KMachineConfig::new(k)
-            .with_congest(congest)
-            .with_partition_seed(base_seed);
-        let report = KMachineSimulator::new(config)
-            .expect("k >= 2")
-            .run(&graph)
-            .expect("non-degenerate graph");
-        figure.push(
-            DataPoint::new(
-                "measured (Conversion Theorem)",
-                format!("k = {k}"),
-                report.conversion_rounds,
-            )
-            .with_extra("refined (cross-machine only)", report.refined_rounds())
-            .with_extra(
-                "paper closed form",
-                paper_round_bound(n, params.r, params.p, params.q, k),
-            )
-            .with_extra("cross-machine fraction", report.cross_machine_fraction)
-            .with_extra("max vertices/machine", report.partition.max_vertices as f64),
-        );
-    }
-    figure
-}
-
-/// The real k-machine execution engine (not the simulator): runs the full
-/// pipeline distributed over `k` worker shards and reports the *measured*
-/// flood message counts next to the exact-delta model's prediction — the two
-/// must agree exactly (the engine's conformance contract), so this table
-/// doubles as a standing end-to-end check of the sharded execution. Next to
-/// them it reports the share entries that crossed between shards: one per
-/// (source, remote shard homing a neighbour) per walk step, where the
-/// messages count one per edge.
+/// The §III-B table: runs the full pipeline on the k-machine engine over `k`
+/// worker shards and reports the *measured* flood message counts next to
+/// the exact-delta model's prediction — the two must agree exactly (the
+/// engine's conformance contract), so this table doubles as a standing
+/// end-to-end check of the sharded execution. Next to them it reports the
+/// share entries that crossed between shards (one per source and remote
+/// shard homing a neighbour, per walk step, where the messages count one
+/// per edge) and the round complexity three ways: the measured link
+/// rounds ([`link_rounds`]), the Conversion Theorem over one CONGEST run of
+/// the same configuration ([`conversion_rounds`]), and the paper's closed
+/// form ([`paper_round_bound`]).
 ///
 /// `k_override` (the CLI's `--kmachine K`) pins a single shard count;
 /// otherwise the table sweeps `k ∈ {1, 2, 4, 8}`.
@@ -166,6 +121,14 @@ pub fn kmachine_execution(
         .assembly_policy(options.assembly)
         .build();
 
+    let congest = CongestConfig::new(algorithm);
+    // The Conversion Theorem prices one CONGEST run of the same
+    // configuration; only `k` varies across the rows.
+    let congest_total = CongestCdrw::new(congest)
+        .detect_all(&graph)
+        .expect("non-degenerate graph")
+        .total;
+
     let ks: Vec<usize> = match k_override {
         Some(k) => vec![k],
         None => vec![1, 2, 4, 8],
@@ -173,19 +136,26 @@ pub fn kmachine_execution(
     let mut figure = FigureResult::new(
         format!(
             "k-machine execution engine: measured flood messages vs the \
-             exact-delta model (n = {n}, variant = {options})"
+             exact-delta model, measured link rounds vs the §III-B bounds \
+             (n = {n}, r = 2, variant = {options})"
         ),
         "measured messages",
     );
     for k in ks {
         let config = KMachineConfig::new(k)
-            .with_congest(CongestConfig::new(algorithm))
+            .with_congest(congest)
             .with_partition_seed(base_seed);
         let report = KMachineEngine::new(config)
             .expect("k >= 1")
             .run(&graph)
             .expect("non-degenerate graph");
         let ledger = &report.conformance;
+        let conversion = conversion_rounds(&ConversionInput {
+            messages: congest_total.messages,
+            rounds: congest_total.rounds,
+            max_degree: graph.max_degree() as u64,
+            num_machines: k,
+        });
         figure.push(
             DataPoint::new(
                 "measured",
@@ -196,6 +166,12 @@ pub fn kmachine_execution(
             .with_extra("wire entries", ledger.wire_entries as f64)
             .with_extra("physical rounds", ledger.physical_rounds as f64)
             .with_extra("lane rounds", ledger.lane_rounds as f64)
+            .with_extra("link rounds", link_rounds(&ledger.per_round) as f64)
+            .with_extra("conversion rounds", conversion)
+            .with_extra(
+                "paper closed form",
+                paper_round_bound(n, params.r, params.p, params.q, k),
+            )
             .with_extra("communities", report.result.detections().len() as f64)
             .with_extra("max vertices/shard", report.partition.max_vertices as f64)
             .with_extra("cross edges", report.partition.cross_edges as f64),
@@ -249,14 +225,20 @@ mod tests {
     }
 
     #[test]
-    fn kmachine_rounds_decrease_with_k() {
-        let figure = kmachine_scaling(Scale::Quick, 3, crate::RunOptions::default());
-        let measured = figure.series_values("measured (Conversion Theorem)");
-        assert_eq!(measured.len(), 5);
-        for window in measured.windows(2) {
-            assert!(window[1] < window[0], "{measured:?}");
+    fn kmachine_execution_prices_link_rounds_next_to_both_bounds() {
+        let figure = kmachine_execution(Scale::Quick, 3, crate::RunOptions::default(), None);
+        for point in &figure.points {
+            let extra = |name: &str| {
+                let found = point.extras.iter().find(|(k, _)| k == name);
+                found
+                    .unwrap_or_else(|| panic!("{}: no {name}", point.x_label))
+                    .1
+            };
+            // One machine has no link to load.
+            let link = extra("link rounds");
+            assert_eq!(link == 0.0, point.x_label == "k = 1", "{}", point.x_label);
+            assert!(extra("conversion rounds") > 0.0, "{}", point.x_label);
+            assert!(extra("paper closed form") > 0.0, "{}", point.x_label);
         }
-        // Scaling should be at least linear in k overall.
-        assert!(measured[0] / measured[4] > 8.0, "{measured:?}");
     }
 }

@@ -4,8 +4,8 @@
 //! *Efficient Distributed Community Detection in the Stochastic Block Model*
 //! (ICDCS 2019). The [`experiments`] module exposes one function per
 //! experiment; each returns structured rows that the `experiments` binary
-//! prints as the paper-shaped tables, and the Criterion benches under
-//! `benches/` time the underlying operations on the same workloads.
+//! prints as the paper-shaped tables, and the Criterion bench under
+//! `benches/` (`substrate_micro`) times the walk and sweep substrate.
 //!
 //! | experiment | paper artefact | function |
 //! |---|---|---|
@@ -14,7 +14,7 @@
 //! | E3 | Figure 3 (two blocks, p/q sweep) | [`experiments::two_blocks::figure3`] |
 //! | E4 | Figure 4a/4b (varying r) | [`experiments::vary_r::figure4`] |
 //! | E5 | Theorem 5/6 (CONGEST rounds & messages) | [`experiments::distributed::congest_scaling`] |
-//! | E6 | §III-B (k-machine scaling) | [`experiments::distributed::kmachine_scaling`] |
+//! | E6 | §III-B (k-machine rounds: measured vs both bounds) | [`experiments::distributed::kmachine_execution`] |
 //! | E7 | §II positioning (baseline comparison) | [`experiments::baselines::baseline_comparison`] |
 //! | E8 | design ablations | [`experiments::ablations::ablations`] |
 //! | E9 | beyond the paper: degree-corrected SBM | [`experiments::heterogeneous::dcsbm_comparison`] |

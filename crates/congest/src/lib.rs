@@ -31,7 +31,7 @@
 //!
 //! The resulting round counts reproduce the `O(log⁴ n)` shape of Theorem 5
 //! and the message counts the `Õ(n²(p + q(r−1))/r)` shape — the
-//! `congest_complexity` bench sweeps `n` and prints both next to the
+//! `experiments -- congest` table sweeps `n` and prints both next to the
 //! theoretical curves.
 
 #![forbid(unsafe_code)]

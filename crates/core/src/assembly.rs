@@ -13,7 +13,7 @@
 //! a [`WalkEvidence`] accumulator (one [`PooledClaim`] per detection per
 //! vertex its walks voted for) and proceeds in three stages:
 //!
-//! 1. **Evidence grouping** ([`evidence_groups`]): detections whose member
+//! 1. **Evidence grouping** (`evidence_groups`): detections whose member
 //!    sets overlap by at least [`LINK_FRACTION`] of the smaller set are
 //!    linked, and the connected components of the link graph become *evidence
 //!    groups* — fragments of one underlying community. Near the connectivity
@@ -135,7 +135,7 @@ pub struct AssemblyOutcome {
 /// half because on a two-block instance a legitimate block detection is
 /// `n/2` vertices plus leakage, which must stay linkable. Excluded
 /// detections stay in their own singleton group.
-pub fn evidence_groups(graph: &Graph, members: &[Vec<VertexId>]) -> Vec<usize> {
+fn evidence_groups(graph: &Graph, members: &[Vec<VertexId>]) -> Vec<usize> {
     let num_vertices = graph.num_vertices();
     let d = members.len();
     // Occupancy lists: which detections claim each vertex, ascending.

@@ -159,30 +159,6 @@ impl DcsbmParams {
     pub fn num_blocks(&self) -> usize {
         self.block_sizes.len()
     }
-
-    /// Expected total edge *weight* of the model,
-    /// `Σ_{u<v} θ_u·θ_v·B_{b(u)b(v)}` — exact, because a present pair's
-    /// weight deterministically compensates its presence probability.
-    pub fn expected_total_weight(&self) -> f64 {
-        let r = self.num_blocks();
-        let mut offset = 0usize;
-        let mut sums = Vec::with_capacity(r);
-        let mut sq_sums = Vec::with_capacity(r);
-        for &size in &self.block_sizes {
-            let block = &self.theta[offset..offset + size];
-            sums.push(block.iter().sum::<f64>());
-            sq_sums.push(block.iter().map(|t| t * t).sum::<f64>());
-            offset += size;
-        }
-        let mut total = 0.0;
-        for i in 0..r {
-            total += (sums[i] * sums[i] - sq_sums[i]) / 2.0 * self.block_matrix[i][i];
-            for j in (i + 1)..r {
-                total += sums[i] * sums[j] * self.block_matrix[i][j];
-            }
-        }
-        total
-    }
 }
 
 /// Generates a degree-corrected SBM graph (weighted CSR) and its ground-truth
@@ -267,13 +243,6 @@ impl WeightedPpmParams {
             }
         }
         Ok(WeightedPpmParams { base, w_in, w_out })
-    }
-
-    /// Expected weighted degree of a vertex:
-    /// `w_in·p·(n/r − 1) + w_out·q·(n − n/r)`.
-    pub fn expected_weighted_degree(&self) -> f64 {
-        let b = self.base.block_size() as f64;
-        self.w_in * self.base.p * (b - 1.0) + self.w_out * self.base.q * (self.base.n as f64 - b)
     }
 
     /// Expected *weighted* conductance of one planted block — the weighted
@@ -394,19 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn total_weight_concentrates_around_expectation() {
-        let params = DcsbmParams::symmetric(400, 2, 0.08, 0.005, 0.5, 1.5).unwrap();
-        let expected = params.expected_total_weight();
-        let (graph, _) = generate_dcsbm(&params, 17).unwrap();
-        // Total weight volume counts each edge twice.
-        let realised = graph.weighted_volume() / 2.0;
-        assert!(
-            (realised - expected).abs() < 0.15 * expected,
-            "realised = {realised}, expected = {expected}"
-        );
-    }
-
-    #[test]
     fn propensities_tilt_the_weighted_degrees() {
         // Within a block, high-θ vertices must end up with systematically
         // larger weighted degrees than low-θ vertices.
@@ -434,7 +390,6 @@ mod tests {
     fn from_sbm_with_unit_theta_matches_sbm_expectation() {
         let sbm = SbmParams::symmetric(200, 2, 0.1, 0.01).unwrap();
         let dc = DcsbmParams::from_sbm(&sbm);
-        assert!((dc.expected_total_weight() - sbm.expected_edges()).abs() < 1e-9);
         let (graph, _) = generate_dcsbm(&dc, 9).unwrap();
         // Unit propensities with probability-valued affinities give an
         // all-ones weight lane.
@@ -453,8 +408,6 @@ mod tests {
         assert!(WeightedPpmParams::new(base, 0.0, 1.0).is_err());
         assert!(WeightedPpmParams::new(base, 1.0, f64::INFINITY).is_err());
         let params = WeightedPpmParams::new(base, 3.0, 0.5).unwrap();
-        let expected = 3.0 * 0.2 * 49.0 + 0.5 * 0.02 * 50.0;
-        assert!((params.expected_weighted_degree() - expected).abs() < 1e-12);
         let phi = params.expected_block_conductance();
         assert!(phi > 0.0 && phi < params.base.expected_block_conductance());
     }

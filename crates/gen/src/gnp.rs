@@ -55,9 +55,11 @@ impl GnpParams {
 ///
 /// # Errors
 ///
-/// Propagates graph-construction failures (which cannot occur for valid
-/// [`GnpParams`]).
+/// [`GenError::ProbabilityOutOfRange`] when a literal `params.p` is not in
+/// `[0, 1]` (NaN and ±∞ included): the fields are public, so the check of
+/// [`GnpParams::new`] runs again here. A literal `n = 0` is the empty graph.
 pub fn generate_gnp(params: &GnpParams, seed: u64) -> Result<Graph, GenError> {
+    check_probability("p", params.p)?;
     sample_blocks(
         &[params.n],
         &[vec![params.p]],

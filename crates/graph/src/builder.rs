@@ -74,14 +74,6 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Number of edge insertions recorded so far — deliberately *not* named
-    /// `num_edges`: duplicates are resolved at [`GraphBuilder::build`] time,
-    /// so this is only an upper bound on the built graph's edge count (the
-    /// built [`Graph::num_edges`] is exact).
-    pub fn edges_recorded(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Returns `true` if the edge `(u, v)` has been recorded.
     ///
     /// Linear in the edges added so far — a debugging/testing convenience,
@@ -174,7 +166,7 @@ impl GraphBuilder {
     /// # Errors
     ///
     /// Stops at and returns the first error produced by [`GraphBuilder::add_edge`].
-    pub fn add_edges<I>(&mut self, edges: I) -> Result<(), GraphError>
+    fn add_edges<I>(&mut self, edges: I) -> Result<(), GraphError>
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
     {
@@ -367,9 +359,7 @@ mod tests {
         b.add_edge(0, 1).unwrap();
         b.add_edge(0, 1).unwrap();
         b.add_edge(1, 0).unwrap();
-        // All three insertions are recorded …
-        assert_eq!(b.edges_recorded(), 3);
-        // … and collapse to one edge in the built graph.
+        // All three insertions collapse to one edge in the built graph.
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.degree(0), 1);
@@ -474,10 +464,9 @@ mod tests {
         ));
         // A rejected weight must not engage weighted mode or record an edge.
         assert!(!b.is_weighted());
-        assert_eq!(b.edges_recorded(), 0);
         // An invalid endpoint on a valid weight must not record either.
         assert!(b.add_weighted_edge(0, 9, 1.0).is_err());
-        assert_eq!(b.edges_recorded(), 0);
+        assert_eq!(b.build().num_edges(), 0);
     }
 
     proptest! {

@@ -250,22 +250,6 @@ impl Graph {
         self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
-    /// Minimum degree of the graph, or 0 for an empty graph.
-    pub fn min_degree(&self) -> usize {
-        self.vertices().map(|v| self.degree(v)).min().unwrap_or(0)
-    }
-
-    /// Average degree `2m / n`.
-    ///
-    /// Returns 0.0 for the empty graph.
-    pub fn average_degree(&self) -> f64 {
-        if self.num_vertices() == 0 {
-            0.0
-        } else {
-            self.total_volume() as f64 / self.num_vertices() as f64
-        }
-    }
-
     /// Validates that a vertex id is in range.
     ///
     /// # Errors
@@ -280,47 +264,6 @@ impl Graph {
                 num_vertices: self.num_vertices(),
             })
         }
-    }
-
-    /// Builds the subgraph induced by `vertices`.
-    ///
-    /// Returns the induced graph together with the mapping from new vertex
-    /// ids (`0..vertices.len()`) back to the original ids. Duplicate entries
-    /// in `vertices` are an error.
-    ///
-    /// # Errors
-    ///
-    /// * [`GraphError::VertexOutOfRange`] for out-of-range members.
-    /// * [`GraphError::InvalidParameter`] when `vertices` contains duplicates.
-    pub fn induced_subgraph(
-        &self,
-        vertices: &[VertexId],
-    ) -> Result<(Graph, Vec<VertexId>), GraphError> {
-        let mut new_id = vec![usize::MAX; self.num_vertices()];
-        for (i, &v) in vertices.iter().enumerate() {
-            self.check_vertex(v)?;
-            if new_id[v] != usize::MAX {
-                return Err(GraphError::InvalidParameter {
-                    name: "vertices",
-                    reason: format!("vertex {v} appears more than once"),
-                });
-            }
-            new_id[v] = i;
-        }
-        let mut builder = crate::GraphBuilder::new(vertices.len());
-        for (i, &v) in vertices.iter().enumerate() {
-            for (k, &w) in self.neighbor_slice(v).iter().enumerate() {
-                let j = new_id[w];
-                if j != usize::MAX && i < j {
-                    match self.weight_slice(v) {
-                        Some(ws) => builder.add_weighted_edge(i, j, ws[k]),
-                        None => builder.add_edge(i, j),
-                    }
-                    .expect("induced edges are always in range and loop-free");
-                }
-            }
-        }
-        Ok((builder.build(), vertices.to_vec()))
     }
 }
 
@@ -371,16 +314,7 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.total_volume(), 0);
         assert_eq!(g.max_degree(), 0);
-        assert_eq!(g.min_degree(), 0);
-        assert_eq!(g.average_degree(), 0.0);
         assert_eq!(g.edges().count(), 0);
-    }
-
-    #[test]
-    fn zero_vertex_graph_average_degree_is_zero() {
-        let g = Graph::empty(0);
-        assert_eq!(g.average_degree(), 0.0);
-        assert_eq!(g.vertices().count(), 0);
     }
 
     #[test]
@@ -391,7 +325,6 @@ mod tests {
         assert_eq!(g.degree(2), 2);
         assert_eq!(g.degree(4), 1);
         assert_eq!(g.max_degree(), 2);
-        assert_eq!(g.min_degree(), 1);
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges, vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
     }
@@ -406,7 +339,6 @@ mod tests {
                 assert_eq!(g.has_edge(u, v), u != v);
             }
         }
-        assert!((g.average_degree() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -435,36 +367,6 @@ mod tests {
         let it = g.neighbors(1);
         assert_eq!(it.len(), 3);
         assert_eq!(it.collect::<Vec<_>>(), vec![0, 2, 3]);
-    }
-
-    #[test]
-    fn induced_subgraph_of_complete_graph() {
-        let g = complete_graph(6);
-        let (sub, mapping) = g.induced_subgraph(&[1, 3, 5]).unwrap();
-        assert_eq!(sub.num_vertices(), 3);
-        assert_eq!(sub.num_edges(), 3);
-        assert_eq!(mapping, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn induced_subgraph_of_path_keeps_only_internal_edges() {
-        let g = path_graph(6);
-        let (sub, _) = g.induced_subgraph(&[0, 1, 4, 5]).unwrap();
-        // Edges (0,1) and (4,5) survive; (1,2),(2,3),(3,4) are cut.
-        assert_eq!(sub.num_edges(), 2);
-    }
-
-    #[test]
-    fn induced_subgraph_rejects_duplicates_and_out_of_range() {
-        let g = path_graph(4);
-        assert!(matches!(
-            g.induced_subgraph(&[0, 0]),
-            Err(GraphError::InvalidParameter { .. })
-        ));
-        assert!(matches!(
-            g.induced_subgraph(&[0, 9]),
-            Err(GraphError::VertexOutOfRange { .. })
-        ));
     }
 
     #[test]
@@ -501,20 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph_preserves_weights() {
-        let mut b = GraphBuilder::new(4);
-        b.add_weighted_edge(0, 1, 2.0).unwrap();
-        b.add_weighted_edge(1, 2, 3.0).unwrap();
-        b.add_weighted_edge(2, 3, 4.0).unwrap();
-        let g = b.build();
-        let (sub, _) = g.induced_subgraph(&[1, 2, 3]).unwrap();
-        assert!(sub.is_weighted());
-        assert_eq!(sub.edge_weight(0, 1), Some(3.0));
-        assert_eq!(sub.edge_weight(1, 2), Some(4.0));
-        assert_eq!(sub.weighted_degree(1), 7.0);
-    }
-
-    #[test]
     fn rebuilding_from_edge_list_is_identity() {
         let g = complete_graph(5);
         let edges: Vec<_> = g.edges().collect();
@@ -535,17 +423,6 @@ mod tests {
                 prop_assert!(u < v);
                 prop_assert!(g.has_edge(u, v));
             }
-        }
-
-        /// Induced subgraph on all vertices is the graph itself (up to id relabeling,
-        /// which is identity here).
-        #[test]
-        fn induced_on_everything_is_identity(edges in proptest::collection::vec((0usize..15, 0usize..15), 0..60)) {
-            let clean: Vec<_> = edges.into_iter().filter(|(u, v)| u != v).collect();
-            let g = GraphBuilder::from_edges(15, clean).unwrap();
-            let all: Vec<_> = g.vertices().collect();
-            let (sub, _) = g.induced_subgraph(&all).unwrap();
-            prop_assert_eq!(sub, g);
         }
     }
 }

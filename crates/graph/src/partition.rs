@@ -149,11 +149,6 @@ impl Partition {
         &self.assignment
     }
 
-    /// Size of the largest community.
-    pub fn max_community_size(&self) -> usize {
-        self.members.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Size of the smallest community.
     pub fn min_community_size(&self) -> usize {
         self.members.iter().map(Vec::len).min().unwrap_or(0)
@@ -230,7 +225,6 @@ mod tests {
         let p = Partition::single_community(8).unwrap();
         assert_eq!(p.num_communities(), 1);
         assert_eq!(p.members(0).len(), 8);
-        assert_eq!(p.max_community_size(), 8);
         assert_eq!(p.min_community_size(), 8);
     }
 

@@ -89,51 +89,6 @@ pub fn internal_density(graph: &Graph, set: &[VertexId]) -> f64 {
     internal_edges(graph, set) as f64 / possible as f64
 }
 
-/// Newman–Girvan modularity contribution of a single set:
-/// `e_in/m − (µ(S)/2m)²`.
-pub fn modularity_contribution(graph: &Graph, set: &[VertexId]) -> f64 {
-    let m = graph.num_edges();
-    if m == 0 {
-        return 0.0;
-    }
-    let e_in = internal_edges(graph, set) as f64;
-    let vol = volume(graph, set) as f64;
-    e_in / m as f64 - (vol / (2.0 * m as f64)).powi(2)
-}
-
-/// Modularity of a full partition (sum of per-community contributions).
-pub fn modularity(graph: &Graph, communities: &[Vec<VertexId>]) -> f64 {
-    communities
-        .iter()
-        .map(|c| modularity_contribution(graph, c))
-        .sum()
-}
-
-/// Estimate of the graph conductance `Φ_G = min_S φ(S)` by sweeping the
-/// communities of a candidate partition.
-///
-/// Computing `Φ_G` exactly is NP-hard; the paper assumes it is "given as
-/// input, or computed by a distributed algorithm \[28\]". For the planted
-/// partition experiments the natural sweep is over the planted blocks — the
-/// minimum of their conductances is exactly the value the paper plugs in for
-/// `δ`. This function implements that sweep for an arbitrary candidate family.
-///
-/// # Errors
-///
-/// Returns [`GraphError::EmptyVertexSet`] if `candidates` is empty.
-pub fn conductance_from_candidates(
-    graph: &Graph,
-    candidates: &[Vec<VertexId>],
-) -> Result<f64, GraphError> {
-    if candidates.is_empty() {
-        return Err(GraphError::EmptyVertexSet);
-    }
-    Ok(candidates
-        .iter()
-        .map(|set| set_conductance(graph, set))
-        .fold(f64::INFINITY, f64::min))
-}
-
 /// Sweep-cut estimate of the graph conductance using a BFS-ordered sweep.
 ///
 /// Starts a breadth-first search at the minimum-degree vertex and sweeps the
@@ -361,23 +316,6 @@ mod tests {
         let all: Vec<_> = g.vertices().collect();
         assert!((internal_density(&g, &all) - 1.0).abs() < 1e-12);
         assert_eq!(internal_density(&g, &[0]), 0.0);
-    }
-
-    #[test]
-    fn modularity_of_planted_split_is_positive() {
-        let g = barbell();
-        let split = vec![vec![0, 1, 2], vec![3, 4, 5]];
-        let merged = vec![g.vertices().collect::<Vec<_>>()];
-        assert!(modularity(&g, &split) > modularity(&g, &merged));
-    }
-
-    #[test]
-    fn conductance_from_candidates_picks_minimum() {
-        let g = barbell();
-        let candidates = vec![vec![0, 1, 2], vec![0, 1]];
-        let phi = conductance_from_candidates(&g, &candidates).unwrap();
-        assert!((phi - 1.0 / 7.0).abs() < 1e-12);
-        assert!(conductance_from_candidates(&g, &[]).is_err());
     }
 
     #[test]

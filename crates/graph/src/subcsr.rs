@@ -41,8 +41,6 @@ pub struct SubCsr {
     /// Concatenated per-owned-vertex peer lists: the remote shards homing a
     /// neighbour, ascending and duplicate-free.
     peers: Vec<usize>,
-    /// Number of stored edge endpoints whose far end is remote.
-    remote_endpoints: usize,
     /// Vertex count of the originating graph (global id range).
     num_global_vertices: usize,
 }
@@ -84,7 +82,6 @@ impl SubCsr {
         let mut peer_offsets = Vec::with_capacity(owned.len() + 1);
         peer_offsets.push(0usize);
         let mut peers = Vec::new();
-        let mut remote_endpoints = 0usize;
         for &v in owned {
             let row = graph.neighbor_slice(v);
             neighbors.extend_from_slice(row);
@@ -95,11 +92,8 @@ impl SubCsr {
             let first = peers.len();
             for &u in row {
                 let m = home(u);
-                if m != here {
-                    remote_endpoints += 1;
-                    if !peers[first..].contains(&m) {
-                        peers.push(m);
-                    }
+                if m != here && !peers[first..].contains(&m) {
+                    peers.push(m);
                 }
             }
             peers[first..].sort_unstable();
@@ -116,7 +110,6 @@ impl SubCsr {
             weighted_degrees,
             peer_offsets,
             peers,
-            remote_endpoints,
             num_global_vertices: graph.num_vertices(),
         }
     }
@@ -192,27 +185,10 @@ impl SubCsr {
         &self.peers[self.peer_offsets[i]..self.peer_offsets[i + 1]]
     }
 
-    /// Whether the `i`-th owned vertex has at least one remote neighbour.
-    pub fn is_boundary(&self, i: usize) -> bool {
-        self.peer_offsets[i + 1] > self.peer_offsets[i]
-    }
-
-    /// Number of owned boundary vertices.
-    pub fn num_boundary(&self) -> usize {
-        (0..self.num_owned())
-            .filter(|&i| self.is_boundary(i))
-            .count()
-    }
-
     /// Total stored edge endpoints (the sum of owned degrees — the shard's
     /// share of the graph's volume).
     pub fn stored_endpoints(&self) -> usize {
         self.neighbors.len()
-    }
-
-    /// Stored edge endpoints whose far end is homed remotely.
-    pub fn remote_endpoints(&self) -> usize {
-        self.remote_endpoints
     }
 }
 
@@ -252,10 +228,8 @@ mod tests {
         // neighbour (3) is local.
         let owned = [3usize, 4];
         let sub = SubCsr::extract(&g, &owned, |v| usize::from(!owned.contains(&v)));
-        assert!(sub.is_boundary(0));
-        assert!(!sub.is_boundary(1));
-        assert_eq!(sub.num_boundary(), 1);
-        assert_eq!(sub.remote_endpoints(), 1);
+        assert_eq!(sub.peers(0), &[1]);
+        assert_eq!(sub.peers(1), &[] as &[usize]);
     }
 
     #[test]
@@ -266,10 +240,7 @@ mod tests {
         let assignment = [2usize, 1, 0, 2, 0];
         let sub = SubCsr::extract(&g, &[2, 4], |v| assignment[v]);
         assert_eq!(sub.peers(0), &[1, 2]);
-        assert!(sub.is_boundary(0));
         assert_eq!(sub.peers(1), &[] as &[usize]);
-        assert!(!sub.is_boundary(1));
-        assert_eq!(sub.remote_endpoints(), 3);
     }
 
     #[test]
@@ -278,8 +249,7 @@ mod tests {
         // remote.
         let g = GraphBuilder::from_edges(5, (1..5).map(|leaf| (0, leaf))).unwrap();
         let sub = SubCsr::extract(&g, &[0], |v| usize::from(v != 0));
-        assert!(sub.is_boundary(0));
-        assert_eq!(sub.remote_endpoints(), 4);
+        assert_eq!(sub.peers(0), &[1]);
         assert_eq!(sub.stored_endpoints(), 4);
     }
 
@@ -290,7 +260,6 @@ mod tests {
         assert!(sub.is_empty());
         assert_eq!(sub.num_owned(), 0);
         assert_eq!(sub.stored_endpoints(), 0);
-        assert_eq!(sub.num_boundary(), 0);
     }
 
     #[test]

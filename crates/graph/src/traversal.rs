@@ -53,11 +53,6 @@ impl BfsDistances {
             .max()
             .unwrap_or(0)
     }
-
-    /// Number of vertices reachable from the source (including itself).
-    pub fn reachable_count(&self) -> usize {
-        self.distances.iter().filter(|&&d| d != UNREACHABLE).count()
-    }
 }
 
 /// Runs breadth-first search from `source` and returns the hop distances.
@@ -221,7 +216,7 @@ pub fn ball(graph: &Graph, center: VertexId, radius: usize) -> Result<Vec<Vertex
 ///
 /// Returns `(component_id_per_vertex, number_of_components)`; component ids
 /// are contiguous, assigned in order of discovery by increasing vertex id.
-pub fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
+fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
     let n = graph.num_vertices();
     let mut component = vec![usize::MAX; n];
     let mut next_id = 0usize;
@@ -274,30 +269,6 @@ pub fn diameter(graph: &Graph) -> Result<usize, GraphError> {
     Ok(best)
 }
 
-/// Lower bound on the diameter via a double-sweep heuristic (two BFS runs).
-///
-/// Much faster than [`diameter`] and exact on trees; used by the experiment
-/// harness when reporting graph statistics for large instances.
-///
-/// # Errors
-///
-/// Same conditions as [`diameter`].
-pub fn diameter_double_sweep(graph: &Graph) -> Result<usize, GraphError> {
-    if graph.num_vertices() == 0 {
-        return Err(GraphError::EmptyGraph);
-    }
-    if !is_connected(graph) {
-        return Err(GraphError::Disconnected);
-    }
-    let first = bfs_distances(graph, 0)?;
-    let far = graph
-        .vertices()
-        .max_by_key(|&v| first.distance(v).unwrap_or(0))
-        .unwrap_or(0);
-    let second = bfs_distances(graph, far)?;
-    Ok(second.eccentricity())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,7 +296,6 @@ mod tests {
             assert_eq!(d.distance(v), Some(v));
         }
         assert_eq!(d.eccentricity(), 4);
-        assert_eq!(d.reachable_count(), 5);
     }
 
     #[test]
@@ -334,7 +304,7 @@ mod tests {
         let d = bfs_distances(&g, 0).unwrap();
         assert_eq!(d.distance(1), Some(1));
         assert_eq!(d.distance(2), None);
-        assert_eq!(d.reachable_count(), 2);
+        assert_eq!(d.distance(3), None);
     }
 
     #[test]
@@ -435,30 +405,9 @@ mod tests {
     fn diameter_errors_on_disconnected() {
         let g = GraphBuilder::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         assert_eq!(diameter(&g), Err(GraphError::Disconnected));
-        assert_eq!(diameter_double_sweep(&g), Err(GraphError::Disconnected));
-    }
-
-    #[test]
-    fn double_sweep_is_exact_on_paths() {
-        for n in 2..20 {
-            let g = path_graph(n);
-            assert_eq!(diameter_double_sweep(&g).unwrap(), n - 1);
-        }
     }
 
     proptest! {
-        /// The double-sweep lower bound never exceeds the exact diameter.
-        #[test]
-        fn double_sweep_is_a_lower_bound(edges in proptest::collection::vec((0usize..12, 0usize..12), 1..60)) {
-            let clean: Vec<_> = edges.into_iter().filter(|(u, v)| u != v).collect();
-            prop_assume!(!clean.is_empty());
-            let g = GraphBuilder::from_edges(12, clean).unwrap();
-            prop_assume!(is_connected(&g));
-            let exact = diameter(&g).unwrap();
-            let sweep = diameter_double_sweep(&g).unwrap();
-            prop_assert!(sweep <= exact);
-        }
-
         /// BFS distances satisfy the triangle-ish property along edges:
         /// adjacent vertices differ by at most one hop.
         #[test]
@@ -495,7 +444,8 @@ mod tests {
                 previous = b.len();
             }
             let d = bfs_distances(&g, 0).unwrap();
-            prop_assert_eq!(previous, d.reachable_count());
+            let reachable = g.vertices().filter(|&v| d.distance(v).is_some()).count();
+            prop_assert_eq!(previous, reachable);
         }
     }
 }

@@ -457,6 +457,7 @@ mod tests {
                 seq: 1,
                 shard: 0,
                 lanes: Default::default(),
+                max_link_entries: 0,
             },
         );
         assert!(matches!(

@@ -1,6 +1,14 @@
-//! The Conversion Theorem round bound.
+//! The §III-B round counts: the Conversion Theorem bound, the paper's
+//! closed form, and the link rounds measured by the execution engine.
 
+use cdrw_congest::CongestConfig;
+use cdrw_graph::VertexId;
 use serde::{Deserialize, Serialize};
+
+use crate::RoundConformance;
+
+/// Wire size of one share entry: a vertex id plus an `f64` share.
+const ENTRY_BITS: u64 = 8 * (std::mem::size_of::<VertexId>() + std::mem::size_of::<f64>()) as u64;
 
 /// Measured quantities of a CONGEST execution that are plugged into the
 /// Conversion Theorem.
@@ -20,8 +28,8 @@ pub struct ConversionInput {
 /// Section III-B: a CONGEST algorithm with message complexity `M` and time
 /// complexity `T` can be simulated in the k-machine model in
 /// `Õ(M/k² + ∆·T/k)` rounds. The `Õ` hides polylog factors; this function
-/// returns the bare `M/k² + ∆·T/k` value, which is what the scaling benches
-/// plot against `k`.
+/// returns the bare `M/k² + ∆·T/k` value, which the `kmachine-exec` table
+/// prints against `k` next to the measured [`link_rounds`].
 pub fn conversion_rounds(input: &ConversionInput) -> f64 {
     let k = input.num_machines.max(1) as f64;
     input.messages as f64 / (k * k) + (input.max_degree as f64 * input.rounds as f64) / k
@@ -36,9 +44,39 @@ pub fn paper_round_bound(n: usize, r: usize, p: f64, q: f64, k: usize) -> f64 {
     (n * n / (k * k) + n / (k * r)) * (p + q * (r - 1.0))
 }
 
+/// The k-machine rounds an engine run measured: each physical round costs
+/// its bottleneck link's load at `B =` [`CongestConfig::BANDWIDTH_BITS`] per
+/// round, `Σ_rounds ⌈max_link_entries · ENTRY_BITS / B⌉`. The links carry
+/// the walk's share exchange; the coordinator's load and gather traffic is
+/// not a machine-to-machine link and is not counted.
+pub fn link_rounds(per_round: &[RoundConformance]) -> u64 {
+    per_round
+        .iter()
+        .map(|round| (round.max_link_entries * ENTRY_BITS).div_ceil(CongestConfig::BANDWIDTH_BITS))
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn link_rounds_match_hand_computation() {
+        let round = |max_link_entries| RoundConformance {
+            round: 1,
+            lanes: 1,
+            measured_messages: 0,
+            modelled_messages: 0,
+            wire_entries: max_link_entries,
+            max_link_entries,
+        };
+        // A 64-bit id plus an f64 is 128 bits, four 32-bit link rounds.
+        assert_eq!(ENTRY_BITS, 128);
+        assert_eq!(CongestConfig::BANDWIDTH_BITS, 32);
+        // 0 + 4·1 + 4·3 + 4·10 = 56.
+        assert_eq!(link_rounds(&[round(0), round(1), round(3), round(10)]), 56);
+        assert_eq!(link_rounds(&[]), 0);
+    }
 
     #[test]
     fn conversion_formula_matches_hand_computation() {

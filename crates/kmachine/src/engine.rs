@@ -1,7 +1,6 @@
 //! The k-machine execution engine: CDRW running *on* the shards.
 //!
-//! Where [`crate::KMachineSimulator`] only prices a sequential execution,
-//! [`KMachineEngine`] actually runs it distributed: the graph is split over
+//! [`KMachineEngine`] runs CDRW distributed: the graph is split over
 //! `k` worker shards by the [`crate::RandomVertexPartition`] (each holding a
 //! [`cdrw_graph::SubCsr`] of its owned rows), every walk step is an explicit
 //! message round between the shards ([`cdrw_walk::shard`]), and the one
@@ -32,6 +31,13 @@
 //!   side, per physical round and per detection, so the cost tests double
 //!   as conformance tests of the real execution; next to them it records
 //!   the share entries that actually crossed between shards.
+//! * **Link loads are measured, not modelled.** Each shard reports the
+//!   entry count of its heaviest outgoing link per round, and the ledger
+//!   keeps the maximum over shards ([`RoundConformance::max_link_entries`]).
+//!   [`crate::link_rounds`] turns those into the run's k-machine round count
+//!   at `B` bits per link per round — the measured side of §III-B, next to
+//!   the Conversion-Theorem and closed-form bounds of [`crate::conversion_rounds`]
+//!   and [`crate::paper_round_bound`].
 //!
 //! Intentional deviations (asserted by the conformance suite, documented in
 //! `docs/PAPER_MAP.md`): sweep/coordination costs (BFS trees, binary-search
@@ -91,6 +97,10 @@ pub struct RoundConformance {
     /// Share entries that crossed between shards (summed over lanes; each
     /// shard's own run excluded).
     pub wire_entries: u64,
+    /// The most share entries one (sender shard, receiver shard) link
+    /// carried this round, summed over lanes: the round's bottleneck link,
+    /// which [`crate::link_rounds`] prices in bandwidth-bounded rounds.
+    pub max_link_entries: u64,
 }
 
 /// Flood conformance of one detection (or of the assembly phase): the
@@ -110,7 +120,7 @@ pub struct DetectionFlood {
 }
 
 /// Walk-phase conformance ledger of one engine run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WalkConformance {
     /// Physical message rounds executed.
     pub physical_rounds: u64,
@@ -234,12 +244,11 @@ pub struct KMachineRunReport {
     pub fault_log: FaultLog,
 }
 
-/// The real multi-shard CDRW execution engine.
+/// The multi-shard CDRW execution engine: the crate's k-machine runtime.
 ///
-/// Unlike the [`crate::KMachineSimulator`] (which requires `k ≥ 2` because a
-/// one-machine "distributed" simulation is meaningless), the engine accepts
-/// `k = 1`: a single shard exercises the full message protocol against
-/// itself, which the property tests use as the degenerate base case.
+/// It accepts `k = 1`: a single shard exercises the full message protocol
+/// against itself (no share crosses a link, so it measures zero link
+/// rounds), which the property tests use as the degenerate base case.
 #[derive(Debug, Clone)]
 pub struct KMachineEngine {
     config: KMachineConfig,
@@ -650,7 +659,7 @@ impl LaneExecutor for Coordinator<'_, '_> {
         });
 
         let k = self.links.num_shards();
-        let (mut measured, mut wire) = (0u64, 0u64);
+        let (mut measured, mut wire, mut max_link) = (0u64, 0u64, 0u64);
         // Each shard's accepted reply: its owned slice of every stepped
         // lane's support, read in place by the gather below.
         let mut replies: Vec<Arc<Vec<LaneState>>> = Vec::with_capacity(k);
@@ -673,6 +682,7 @@ impl LaneExecutor for Coordinator<'_, '_> {
                     seq: s,
                     shard,
                     lanes: shard_lanes,
+                    max_link_entries,
                 }) => {
                     heard[shard] = true;
                     if s == seq && !done[shard] {
@@ -689,6 +699,7 @@ impl LaneExecutor for Coordinator<'_, '_> {
                             measured += state.messages;
                             wire += state.wire_entries;
                         }
+                        max_link = max_link.max(max_link_entries);
                         replies.push(shard_lanes);
                     } else {
                         // A replay or a chaos duplicate: charged to the fault
@@ -787,6 +798,7 @@ impl LaneExecutor for Coordinator<'_, '_> {
             measured_messages: measured,
             modelled_messages: modelled,
             wire_entries: wire,
+            max_link_entries: max_link,
         });
         Ok(())
     }

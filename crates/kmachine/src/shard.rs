@@ -73,6 +73,8 @@ struct RoundCache {
     outgoing: Vec<Option<ShareBuckets>>,
     /// The `StepDone` lanes reply.
     reply: Arc<Vec<LaneState>>,
+    /// The `StepDone` heaviest-link entry count.
+    max_link_entries: u64,
 }
 
 /// One worker shard of the execution engine.
@@ -247,6 +249,7 @@ impl ShardWorker {
                     seq,
                     shard: self.id,
                     lanes: Arc::clone(&entry.reply),
+                    max_link_entries: entry.max_link_entries,
                 },
             );
         }
@@ -366,6 +369,16 @@ impl ShardWorker {
                 support: Vec::new(),
             });
         }
+
+        // The heaviest outgoing link: the most entries any one peer gets
+        // this round, over all stepped lanes.
+        let max_link_entries = outgoing
+            .iter()
+            .enumerate()
+            .filter(|&(m, _)| m != self.id)
+            .map(|(_, bucket)| bucket.iter().map(|ls| ls.shares.len() as u64).sum::<u64>())
+            .max()
+            .unwrap_or(0);
 
         // Share every peer's bucket (sent always, even when empty — the
         // barrier counts k − 1 senders) with the round cache, which serves
@@ -487,12 +500,14 @@ impl ShardWorker {
                 seq,
                 shard: self.id,
                 lanes: Arc::clone(&reply),
+                max_link_entries,
             },
         );
         self.cache.push_back(RoundCache {
             seq,
             outgoing,
             reply,
+            max_link_entries,
         });
         while self.cache.len() > CACHE_DEPTH {
             self.cache.pop_front();

@@ -32,7 +32,8 @@
 //!   touches the wire), over its own rows
 //!   ([`cdrw_walk::shard::ShareReceiver::absorb`]), counting the edge
 //!   contributions it applies, and replies [`Message::StepDone`] with those
-//!   counts and its owned slice of every stepped lane's support.
+//!   counts, its owned slice of every stepped lane's support, and the entry
+//!   count of its heaviest outgoing link.
 //! * [`Message::Checkpoint`] — shard → coordinator, every few rounds: a
 //!   snapshot of every lane's owned support, enough to re-materialise the
 //!   shard after a crash (see `ShardWorker::from_checkpoint`).
@@ -155,6 +156,9 @@ pub enum Message {
         /// Per-lane message counts and owned support slices, ascending by
         /// lane; shared with the shard's re-send cache.
         lanes: Arc<Vec<LaneState>>,
+        /// The most share entries this shard sent any one peer this round,
+        /// summed over the stepped lanes: its heaviest outgoing link.
+        max_link_entries: u64,
     },
     /// Shard → shard-coordinator liveness signal: the shard is alive and
     /// inside the exchange barrier of round `seq` (sent when a coordinator
@@ -419,6 +423,7 @@ mod tests {
                 seq: 1,
                 shard: 1,
                 lanes: Arc::default(),
+                max_link_entries: 0,
             },
         );
         assert!(matches!(

@@ -63,53 +63,6 @@ impl WalkDistribution {
         Ok(WalkDistribution { values })
     }
 
-    /// The stationary distribution restricted to a set,
-    /// `π_S(v) = w(v)/w(S)` for `v ∈ S` and 0 otherwise — the paper's
-    /// `d(v)/µ(S)` (Section I-C) on an unweighted graph.
-    ///
-    /// # Errors
-    ///
-    /// * [`WalkError::EmptyDistribution`] for a graph with no vertices.
-    /// * [`WalkError::InvalidParameter`] when `set` is empty or its volume is
-    ///   zero (the restricted stationary distribution is then undefined).
-    /// * [`WalkError::Graph`] when a member of `set` is out of range.
-    pub fn stationary_restricted(graph: &Graph, set: &[VertexId]) -> Result<Self, WalkError> {
-        if graph.num_vertices() == 0 {
-            return Err(WalkError::EmptyDistribution);
-        }
-        if set.is_empty() {
-            return Err(WalkError::InvalidParameter {
-                name: "set",
-                reason: "the restriction set must be non-empty".to_string(),
-            });
-        }
-        for &v in set {
-            graph.check_vertex(v)?;
-        }
-        // Deduplicate through a sorted copy of the (typically small) set
-        // instead of an O(n) membership mask.
-        let volume: f64 = {
-            let mut members = set.to_vec();
-            members.sort_unstable();
-            members.dedup();
-            members
-                .iter()
-                .fold(0.0, |acc, &v| acc + graph.weighted_degree(v))
-        };
-        // Weights are validated positive, so w(S) = 0 ⟺ µ(S) = 0.
-        if volume == 0.0 {
-            return Err(WalkError::InvalidParameter {
-                name: "set",
-                reason: "the restriction set has zero volume".to_string(),
-            });
-        }
-        let mut values = vec![0.0; graph.num_vertices()];
-        for &v in set {
-            values[v] = graph.weighted_degree(v) / volume;
-        }
-        Ok(WalkDistribution { values })
-    }
-
     /// Wraps a raw value vector (used by the CONGEST simulator, which owns
     /// per-node probability fragments).
     ///
@@ -215,17 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn stationary_restricted_normalises_over_the_set() {
-        let g = path(5); // degrees 1,2,2,2,1
-        let pi_s = WalkDistribution::stationary_restricted(&g, &[1, 2]).unwrap();
-        // µ(S) = 4; both members have degree 2.
-        assert!((pi_s.probability(1) - 0.5).abs() < 1e-15);
-        assert!((pi_s.probability(2) - 0.5).abs() < 1e-15);
-        assert_eq!(pi_s.probability(0), 0.0);
-        assert!((pi_s.total_mass() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn weighted_stationary_is_weighted_degree_proportional() {
         // Triangle with weights 1, 2, 3: w(0) = 1+3 = 4, w(1) = 1+2 = 3,
         // w(2) = 2+3 = 5, w(V) = 12.
@@ -238,10 +180,6 @@ mod tests {
         assert!((pi.probability(0) - 4.0 / 12.0).abs() < 1e-15);
         assert!((pi.probability(1) - 3.0 / 12.0).abs() < 1e-15);
         assert!((pi.probability(2) - 5.0 / 12.0).abs() < 1e-15);
-        let pi_s = WalkDistribution::stationary_restricted(&g, &[0, 1]).unwrap();
-        assert!((pi_s.probability(0) - 4.0 / 7.0).abs() < 1e-15);
-        assert!((pi_s.probability(1) - 3.0 / 7.0).abs() < 1e-15);
-        assert_eq!(pi_s.probability(2), 0.0);
     }
 
     #[test]
@@ -254,20 +192,6 @@ mod tests {
         for v in 0..4 {
             assert_eq!(a.probability(v).to_bits(), b.probability(v).to_bits());
         }
-        let ra = WalkDistribution::stationary_restricted(&plain, &[0, 3]).unwrap();
-        let rb = WalkDistribution::stationary_restricted(&unit, &[0, 3]).unwrap();
-        for v in 0..4 {
-            assert_eq!(ra.probability(v).to_bits(), rb.probability(v).to_bits());
-        }
-    }
-
-    #[test]
-    fn stationary_restricted_rejects_bad_sets() {
-        let g = path(5);
-        assert!(WalkDistribution::stationary_restricted(&g, &[]).is_err());
-        assert!(WalkDistribution::stationary_restricted(&g, &[9]).is_err());
-        let isolated = Graph::empty(3);
-        assert!(WalkDistribution::stationary_restricted(&isolated, &[0]).is_err());
     }
 
     #[test]

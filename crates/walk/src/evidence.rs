@@ -275,7 +275,7 @@ impl WalkEvidence {
     /// order. This makes the pool the unit of *cache* rather than the unit
     /// of run: an incremental driver drops the claims of invalidated
     /// detections and keeps the rest for the next assembly.
-    pub fn retain_pool(&mut self, mut keep: impl FnMut(&PooledClaim) -> bool) {
+    fn retain_pool(&mut self, mut keep: impl FnMut(&PooledClaim) -> bool) {
         self.pooled.retain(|claim| keep(claim));
     }
 

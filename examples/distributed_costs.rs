@@ -1,15 +1,17 @@
 //! Distributed complexity walkthrough: CONGEST rounds/messages and k-machine
-//! scaling for one PPM instance.
+//! rounds for one PPM instance.
 //!
 //! Reproduces, on a single graph, the quantities behind Theorems 5–6 and the
 //! Section III-B k-machine analysis: per-community round and message counts
-//! in the CONGEST model, and the conversion-theorem round complexity for a
-//! range of machine counts.
+//! in the CONGEST model, then the pipeline run on the k-machine engine for a
+//! range of machine counts, its measured link rounds next to the
+//! Conversion-Theorem bound and the paper's closed form.
 //!
 //! ```text
 //! cargo run --release --example distributed_costs
 //! ```
 
+use cdrw_repro::kmachine;
 use cdrw_repro::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,23 +50,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.total.messages as f64 / graph.num_edges() as f64
     );
 
-    // k-machine scaling via the Conversion Theorem.
-    println!("\nk-machine round complexity (same CONGEST execution, converted):");
+    // The same algorithm on the k-machine engine: measured link rounds next
+    // to the Conversion Theorem over the CONGEST run above and the closed form.
+    println!("\nk-machine rounds (engine run; bounds from the CONGEST run above):");
     println!(
-        "{:>4} {:>16} {:>16} {:>22}",
-        "k", "conversion rounds", "refined rounds", "paper closed form"
+        "{:>4} {:>12} {:>12} {:>12} {:>18} {:>18}",
+        "k", "wire entries", "phys rounds", "link rounds", "conversion rounds", "paper closed form"
     );
-    for k in [2usize, 4, 8, 16, 32] {
+    for k in [1usize, 2, 4, 8, 16] {
         let config = KMachineConfig::new(k)
             .with_congest(CongestConfig::new(algorithm))
             .with_partition_seed(1);
-        let km = KMachineSimulator::new(config)?.run(&graph)?;
+        let run = KMachineEngine::new(config)?.run(&graph)?;
+        let ledger = &run.conformance;
+        assert_eq!(run.result, report.result, "the engine left the algorithm");
+        assert_eq!(ledger.measured_messages, ledger.modelled_messages);
+        let conversion = kmachine::conversion_rounds(&kmachine::ConversionInput {
+            messages: report.total.messages,
+            rounds: report.total.rounds,
+            max_degree: graph.max_degree() as u64,
+            num_machines: k,
+        });
         println!(
-            "{:>4} {:>16.0} {:>16.0} {:>22.1}",
+            "{:>4} {:>12} {:>12} {:>12} {:>18.0} {:>18.1}",
             k,
-            km.conversion_rounds,
-            km.refined_rounds(),
-            cdrw_repro::kmachine::paper_round_bound(n, r, p, q, k)
+            ledger.wire_entries,
+            ledger.physical_rounds,
+            kmachine::link_rounds(&ledger.per_round),
+            conversion,
+            kmachine::paper_round_bound(n, r, p, q, k)
         );
     }
     Ok(())

@@ -51,7 +51,7 @@ pub mod prelude {
     };
     pub use cdrw_gen::{generate_gnp, generate_ppm, generate_sbm, GnpParams, PpmParams, SbmParams};
     pub use cdrw_graph::{Graph, GraphBuilder, Partition, VertexId};
-    pub use cdrw_kmachine::{KMachineConfig, KMachineReport, KMachineSimulator};
+    pub use cdrw_kmachine::{KMachineConfig, KMachineEngine};
     pub use cdrw_metrics::{
         adjusted_rand_index, f_score, f_score_for_detections, f_score_for_seeds, nmi, FScoreReport,
     };

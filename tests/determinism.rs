@@ -46,12 +46,14 @@ fn full_detection_pipeline_is_deterministic() {
     assert_eq!(congest(), congest());
 
     let kmachine = || {
-        KMachineSimulator::new(KMachineConfig::new(4).with_congest(CongestConfig::new(config)))
+        KMachineEngine::new(KMachineConfig::new(4).with_congest(CongestConfig::new(config)))
             .unwrap()
             .run(&graph)
             .unwrap()
     };
-    assert_eq!(kmachine(), kmachine());
+    let (a, b) = (kmachine(), kmachine());
+    assert_eq!(a.result, b.result);
+    assert_eq!(a.conformance, b.conformance);
 }
 
 #[test]

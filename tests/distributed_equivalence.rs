@@ -2,6 +2,7 @@
 //! and with each other: same detected communities, costs consistent with the
 //! theory they implement.
 
+use cdrw_repro::kmachine::{conversion_rounds, ConversionInput, RandomVertexPartition};
 use cdrw_repro::prelude::*;
 
 fn instance(n: usize, seed: u64) -> (Graph, Partition, f64) {
@@ -55,63 +56,52 @@ fn congest_costs_track_the_detection_structure() {
 fn kmachine_conversion_uses_the_congest_measurements() {
     let (graph, _, delta) = instance(256, 7);
     let algorithm = CdrwConfig::builder().seed(7).delta(delta).build();
-    let congest_config = CongestConfig::new(algorithm);
-    let congest = CongestCdrw::new(congest_config).detect_all(&graph).unwrap();
+    let congest = CongestCdrw::new(CongestConfig::new(algorithm))
+        .detect_all(&graph)
+        .unwrap();
 
     let k = 8usize;
-    let report = KMachineSimulator::new(
-        KMachineConfig::new(k)
-            .with_congest(congest_config)
-            .with_partition_seed(1),
-    )
-    .unwrap()
-    .run(&graph)
-    .unwrap();
-
+    let rounds = conversion_rounds(&ConversionInput {
+        messages: congest.total.messages,
+        rounds: congest.total.rounds,
+        max_degree: graph.max_degree() as u64,
+        num_machines: k,
+    });
     // The conversion bound must equal M/k² + ∆T/k computed from the CONGEST
-    // measurements embedded in the report.
-    let expected = report.congest.total.messages as f64 / (k * k) as f64
-        + graph.max_degree() as f64 * report.congest.total.rounds as f64 / k as f64;
-    assert!((report.conversion_rounds - expected).abs() < 1e-6);
-    // And the embedded CONGEST run is the same execution.
-    assert_eq!(report.congest.total, congest.total);
-    // Refinement can only help.
-    assert!(report.refined_rounds() <= report.conversion_rounds + 1e-9);
+    // measurements.
+    let expected = congest.total.messages as f64 / (k * k) as f64
+        + graph.max_degree() as f64 * congest.total.rounds as f64 / k as f64;
+    assert!((rounds - expected).abs() < 1e-6);
 }
 
 #[test]
 fn kmachine_round_complexity_decreases_monotonically_in_k() {
     let (graph, _, delta) = instance(256, 9);
     let congest_config = CongestConfig::new(CdrwConfig::builder().seed(9).delta(delta).build());
+    // One CONGEST run prices every k: only the machine count varies.
+    let total = CongestCdrw::new(congest_config)
+        .detect_all(&graph)
+        .unwrap()
+        .total;
     let mut previous = f64::INFINITY;
     for k in [2usize, 4, 8, 16, 32, 64] {
-        let report = KMachineSimulator::new(KMachineConfig::new(k).with_congest(congest_config))
-            .unwrap()
-            .run(&graph)
-            .unwrap();
-        assert!(
-            report.conversion_rounds < previous,
-            "rounds did not decrease at k = {k}"
-        );
-        previous = report.conversion_rounds;
+        let rounds = conversion_rounds(&ConversionInput {
+            messages: total.messages,
+            rounds: total.rounds,
+            max_degree: graph.max_degree() as u64,
+            num_machines: k,
+        });
+        assert!(rounds < previous, "rounds did not decrease at k = {k}");
+        previous = rounds;
     }
 }
 
 #[test]
 fn partition_balance_matches_the_rvp_claims() {
-    let (graph, _, delta) = instance(512, 11);
-    let congest_config = CongestConfig::new(CdrwConfig::builder().seed(11).delta(delta).build());
+    let (graph, _, _) = instance(512, 11);
     let k = 16usize;
-    let report = KMachineSimulator::new(
-        KMachineConfig::new(k)
-            .with_congest(congest_config)
-            .with_partition_seed(3),
-    )
-    .unwrap()
-    .run(&graph)
-    .unwrap();
+    let stats = RandomVertexPartition::new(&graph, k, 3).stats(&graph);
     let n = graph.num_vertices();
-    let stats = report.partition;
     // Õ(n/k) vertices per machine: allow a generous constant.
     assert!(stats.max_vertices < 3 * n / k);
     assert!(stats.min_vertices > n / (3 * k));

@@ -2,7 +2,9 @@
 //! errors, never as panics.
 
 use cdrw_bench::json::{Json, MAX_DEPTH};
-use cdrw_repro::gen::{generate_dcsbm, generate_sbm, DcsbmParams, GenError, SbmParams};
+use cdrw_repro::gen::{
+    generate_dcsbm, generate_gnp, generate_sbm, DcsbmParams, GenError, GnpParams, SbmParams,
+};
 use cdrw_repro::graph::io::{parse_edge_list, parse_metis};
 use cdrw_repro::graph::GraphError;
 
@@ -107,4 +109,35 @@ fn literal_block_model_params_that_new_rejects_are_typed_errors() {
     let valid = SbmParams::new(vec![2, 2], vec![vec![1.0, 0.1], vec![0.1, 0.5]]).unwrap();
     assert!(generate_sbm(&valid, 1).is_ok());
     assert!(generate_dcsbm(&DcsbmParams::from_sbm(&valid), 1).is_ok());
+}
+
+#[test]
+fn literal_gnp_params_with_a_bad_probability_are_typed_errors() {
+    // `for_each_selected` reads `p >= 1` as "select every pair", so an
+    // unchecked NaN or 1.5 would come back as the complete graph.
+    for p in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5, -0.1] {
+        match generate_gnp(&GnpParams { n: 100, p }, 1) {
+            Err(GenError::ProbabilityOutOfRange { name, value }) => {
+                assert_eq!(name, "p");
+                assert_eq!(value.to_bits(), p.to_bits());
+            }
+            other => panic!("p = {p} is not a probability, got {other:?}"),
+        }
+    }
+    // A literal `n = 0` stays the empty graph.
+    let empty = generate_gnp(&GnpParams { n: 0, p: 0.5 }, 1).unwrap();
+    assert_eq!((empty.num_vertices(), empty.num_edges()), (0, 0));
+    // The bounds themselves are probabilities.
+    assert_eq!(
+        generate_gnp(&GnpParams { n: 5, p: 1.0 }, 1)
+            .unwrap()
+            .num_edges(),
+        10
+    );
+    assert_eq!(
+        generate_gnp(&GnpParams { n: 5, p: 0.0 }, 1)
+            .unwrap()
+            .num_edges(),
+        0
+    );
 }

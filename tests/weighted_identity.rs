@@ -173,8 +173,8 @@ proptest! {
         }
     }
 
-    /// k-machine driver: the simulator's conversion (built on the CONGEST
-    /// measurements) and its partition statistics are identical too.
+    /// k-machine driver: the engine's results, conformance ledgers (per-link
+    /// loads included) and partition statistics are identical too.
     #[test]
     fn kmachine_reports_are_identical_under_unit_weights(
         edges in proptest::collection::vec((0usize..12, 0usize..12), 1..50),
@@ -185,16 +185,15 @@ proptest! {
         let unit = with_unit_weights(&plain);
         let congest = CongestConfig::new(CdrwConfig::builder().seed(seed).delta(0.4).build());
         let run = |graph: &Graph| {
-            KMachineSimulator::new(KMachineConfig::new(k).with_congest(congest).with_partition_seed(seed))
+            KMachineEngine::new(KMachineConfig::new(k).with_congest(congest).with_partition_seed(seed))
                 .unwrap()
                 .run(graph)
         };
         match (run(&plain), run(&unit)) {
             (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.congest.total, b.congest.total, "k-machine message ledgers diverged");
-                prop_assert_eq!(a.conversion_rounds.to_bits(), b.conversion_rounds.to_bits());
-                prop_assert_eq!(a.partition.max_vertices, b.partition.max_vertices);
-                prop_assert_eq!(a.partition.max_stored_edges, b.partition.max_stored_edges);
+                assert_same_result(&a.result, &b.result);
+                prop_assert_eq!(a.conformance, b.conformance, "k-machine ledgers diverged");
+                prop_assert_eq!(a.partition, b.partition);
             }
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
             (a, b) => prop_assert!(false, "drivers disagreed: {:?} vs {:?}", a.is_ok(), b.is_ok()),
