@@ -248,12 +248,6 @@ fn identity(message: &Message, endpoint: Peer) -> Option<u64> {
         Message::StepDone { seq, shard, .. } => (4, *seq, *shard as u64),
         Message::Nack { shard, expected } => (5, *expected, *shard as u64),
         Message::Busy { seq, shard } => (8, *seq, *shard as u64),
-        Message::Checkpoint { seq, shard, .. } => (6, *seq, *shard as u64),
-        Message::Assist {
-            shard,
-            from_seq,
-            to_seq,
-        } => (7, from_seq.wrapping_shl(20) ^ to_seq, *shard as u64),
         Message::Halt => return None,
     };
     let end = match endpoint {

@@ -53,9 +53,18 @@
 //! command carries a sequence number and is re-broadcast on timeout
 //! (duplicates are absorbed by the shards — see the `shard` module), and a
 //! shard that stays silent past the retry budget is declared dead and
-//! re-materialised from its last `Message::Checkpoint` plus a replay of
-//! the command log (peers re-send the replay window's share buckets on
-//! `Message::Assist`). Replayed and duplicate traffic is charged to a
+//! re-materialised from the coordinator's own gathered lanes. That view is
+//! exact: while round `S` is being collected it holds the state after every
+//! command before `S` — `LoadLanes` is applied to it when issued, a round's
+//! supports are gathered only once all `k` replies are in, and the sweep
+//! borrows a lane only as scratch, never changing its masses or support. So
+//! the replacement starts at `S − 1` with its owned slice of every lane and
+//! replays round `S` alone, on the same re-broadcast that makes its peers
+//! re-send their round-`S` share buckets. The recovery relies on that gather
+//! (deviation 13 in `docs/PAPER_MAP.md`): a coordinator that stopped
+//! gathering supports would need its own copy of the shards' state. Once a
+//! round is gathered every shard has run every logged command, so the
+//! command log is cleared. Replayed and duplicate traffic is charged to a
 //! separate [`FaultLog`] — the conformance ledger counts only the first
 //! accepted reply per round, so measured-vs-modelled equality survives
 //! arbitrary recoverable fault schedules (deviation 16 in
@@ -149,8 +158,8 @@ pub struct ShardRecovery {
     /// The command sequence number the run had reached when the shard was
     /// declared dead.
     pub at_seq: u64,
-    /// The first command sequence number the replacement replayed (one past
-    /// its restored checkpoint).
+    /// The first command sequence number the replacement replayed: always
+    /// `at_seq`, since one round is replayed.
     pub replay_from: u64,
 }
 
@@ -368,14 +377,14 @@ impl KMachineEngine {
             // Spawns one worker thread for shard `m`. The thread extracts
             // its SubCsr and builds its reverse index itself — fresh on a
             // recovery, which cannot reuse the dead worker's (it lives on the
-            // wedged thread) — and starts from the given checkpoint
-            // (`seq == 0` with an empty checkpoint is a cold start).
-            let spawn = |m: usize, mut transport, seq: u64, lanes: Vec<LaneState>| {
+            // wedged thread) — and starts from the given view of the lanes
+            // (`seq == 0` with an empty view is a cold start).
+            let spawn = |m: usize, mut transport, seq: u64, view: Vec<Vec<(VertexId, f64)>>| {
                 let worker = move || {
                     let sub = SubCsr::extract(graph, partition.vertices_of(m), |v| {
                         partition.machine_of(v)
                     });
-                    ShardWorker::from_checkpoint(m, k, sub, laziness, patience, seq, &lanes)
+                    ShardWorker::new(m, k, sub, laziness, patience, seq, &view)
                 };
                 match &chaos {
                     Some(harness) => {
@@ -390,8 +399,17 @@ impl KMachineEngine {
             for (m, transport) in transports.into_iter().enumerate() {
                 spawn(m, transport, 0, Vec::new());
             }
-            let respawn = |m: usize, seq: u64, checkpoint: Vec<LaneState>| {
-                spawn(m, reconnector.reconnect(m), seq, checkpoint);
+            // A replacement gets its owned slice of every gathered lane.
+            let respawn = |m: usize, seq: u64, lanes: &[WalkWorkspace]| {
+                let view = lanes
+                    .iter()
+                    .map(|lane| {
+                        let mut owned = lane.snapshot_sparse();
+                        owned.retain(|&(v, _)| partition.machine_of(v) == m);
+                        owned
+                    })
+                    .collect();
+                spawn(m, reconnector.reconnect(m), seq, view);
             };
             let mut coordinator = Coordinator::new(graph, &links, budget, &respawn);
             let result = pipeline.detect_all(&mut coordinator);
@@ -415,9 +433,10 @@ struct Coordinator<'g, 'l> {
     graph: &'g Graph,
     links: &'l CoordinatorLinks,
     budget: Budget,
-    /// Re-materialises shard `m` from `(seq, checkpoint)` on a fresh
-    /// transport (wired by the caller through the mesh's reconnector).
-    respawn: &'l dyn Fn(usize, u64, Vec<LaneState>),
+    /// Re-materialises shard `m` at `seq` from the gathered view of every
+    /// lane on a fresh transport (wired by the caller through the mesh's
+    /// reconnector).
+    respawn: &'l dyn Fn(usize, u64, &[WalkWorkspace]),
     /// Per-lane gathered global distributions — bit-identical to the
     /// sequential workspaces (the shards' owned slices concatenate to them).
     lanes: Vec<WalkWorkspace>,
@@ -426,11 +445,9 @@ struct Coordinator<'g, 'l> {
     mark: (u64, u64, u64, u64),
     /// Last issued command sequence number.
     seq: u64,
-    /// Issued commands, ascending by seq, kept for `Nack`-triggered re-sends
-    /// and recovery replay; pruned below the oldest shard checkpoint.
+    /// The commands issued since the last gathered round, ascending by seq,
+    /// kept for `Nack`-triggered re-sends.
     command_log: Vec<(u64, Message)>,
-    /// Per-shard newest received checkpoint: `(seq, all-lane snapshot)`.
-    checkpoints: Vec<(u64, Vec<LaneState>)>,
     /// Per-shard re-materialisations consumed from the recovery budget.
     recoveries_used: Vec<u32>,
     fault_log: FaultLog,
@@ -441,7 +458,7 @@ impl<'g, 'l> Coordinator<'g, 'l> {
         graph: &'g Graph,
         links: &'l CoordinatorLinks,
         budget: Budget,
-        respawn: &'l dyn Fn(usize, u64, Vec<LaneState>),
+        respawn: &'l dyn Fn(usize, u64, &[WalkWorkspace]),
     ) -> Self {
         let k = links.num_shards();
         Coordinator {
@@ -454,7 +471,6 @@ impl<'g, 'l> Coordinator<'g, 'l> {
             mark: (0, 0, 0, 0),
             seq: 0,
             command_log: Vec::new(),
-            checkpoints: vec![(0, Vec::new()); k],
             recoveries_used: vec![0; k],
             fault_log: FaultLog::default(),
         }
@@ -490,35 +506,20 @@ impl<'g, 'l> Coordinator<'g, 'l> {
         }
     }
 
-    /// Drops log entries every live shard has durably passed: each shard's
-    /// recovery replays from its own checkpoint, so nothing below the oldest
-    /// checkpoint can ever be asked for again (a live shard's `Nack` always
-    /// names a seq past its own checkpoint).
-    fn prune_log(&mut self) {
-        let oldest = self
-            .checkpoints
-            .iter()
-            .map(|(seq, _)| *seq)
-            .min()
-            .unwrap_or(0);
-        if oldest > 0 {
-            self.command_log.retain(|(seq, _)| *seq > oldest);
-        }
-    }
-
-    /// Re-materialises a silent shard from its last checkpoint: respawn a
-    /// worker, ask the peers to re-send the replay window's share buckets,
-    /// and replay the command log to it.
+    /// Re-materialises a shard found silent while round `seq` is collected:
+    /// respawns its worker at `seq − 1` from the gathered lanes (see the
+    /// module docs for why they are exact). The caller re-broadcasts round
+    /// `seq`, which the replacement then runs.
     ///
     /// # Errors
     ///
     /// [`CdrwError::ShardFailure`] when the shard's recovery budget
     /// (`Budget::max_recoveries`) is exhausted.
-    fn recover(&mut self, shard: usize, current_seq: u64) -> Result<(), CdrwError> {
+    fn recover(&mut self, shard: usize, seq: u64) -> Result<(), CdrwError> {
         if self.recoveries_used[shard] >= self.budget.max_recoveries {
             return Err(CdrwError::ShardFailure {
                 shard,
-                seq: current_seq,
+                seq,
                 reason: format!(
                     "silent past {} retries with all {} recoveries spent",
                     MAX_RETRIES, self.budget.max_recoveries
@@ -526,61 +527,24 @@ impl<'g, 'l> Coordinator<'g, 'l> {
             });
         }
         self.recoveries_used[shard] += 1;
-        let (checkpoint_seq, checkpoint) = self.checkpoints[shard].clone();
-        (self.respawn)(shard, checkpoint_seq, checkpoint);
-        let replay_from = checkpoint_seq + 1;
+        (self.respawn)(shard, seq - 1, &self.lanes);
         self.fault_log.recoveries.push(ShardRecovery {
             shard,
-            at_seq: current_seq,
-            replay_from,
+            at_seq: seq,
+            replay_from: seq,
         });
-        self.links.broadcast(&Message::Assist {
-            shard,
-            from_seq: replay_from,
-            to_seq: current_seq,
-        });
-        self.resend_log(shard, replay_from);
         Ok(())
     }
 
-    /// Handles one non-`StepDone` shard message inside the collect loop of
-    /// round `current_seq`, marking the sender alive in `heard`. `done` marks
-    /// the shards whose reply for that round has been accepted.
-    fn absorb_control(
-        &mut self,
-        message: Message,
-        current_seq: u64,
-        heard: &mut [bool],
-        done: &[bool],
-    ) {
+    /// Handles one non-`StepDone` shard message inside a collect loop,
+    /// marking the sender alive in `heard`.
+    fn absorb_control(&mut self, message: Message, heard: &mut [bool]) {
         match message {
             Message::Busy { shard, .. } => heard[shard] = true,
             Message::Nack { shard, expected } => {
                 heard[shard] = true;
                 self.fault_log.nacks += 1;
                 self.resend_log(shard, expected);
-                if self.recoveries_used[shard] > 0 {
-                    // A replaying replacement hit a gap (its re-sent log was
-                    // itself lossy): refresh the peers' assist window too.
-                    self.links.broadcast(&Message::Assist {
-                        shard,
-                        from_seq: expected,
-                        to_seq: current_seq,
-                    });
-                }
-            }
-            Message::Checkpoint { seq, shard, lanes } => {
-                heard[shard] = true;
-                // A checkpoint taken after the round being collected, from
-                // a shard whose reply to that round is still missing, is not
-                // adopted: a replacement restored from it would start past
-                // the round with an empty reply cache, so it could never
-                // answer the round's retries and every recovery would fail
-                // the same way. The shard's next checkpoint is adopted.
-                if seq > self.checkpoints[shard].0 && (seq < current_seq || done[shard]) {
-                    self.checkpoints[shard] = (seq, lanes);
-                    self.prune_log();
-                }
             }
             _ => {}
         }
@@ -639,8 +603,8 @@ impl LaneExecutor for Coordinator<'_, '_> {
     /// The collect loop is the resilient heart of the engine: every wait is
     /// deadline-bounded with exponential backoff, a timeout re-broadcasts
     /// the round (shards absorb duplicates idempotently), and a shard silent
-    /// past `MAX_RETRIES` consecutive timeouts is
-    /// declared dead and re-materialised from its checkpoint. Only the first
+    /// past `MAX_RETRIES` consecutive timeouts is declared dead and
+    /// re-materialised from the gathered lanes. Only the first
     /// accepted `StepDone` per shard enters the conformance ledger; all
     /// retry-induced traffic lands in the [`FaultLog`].
     ///
@@ -709,7 +673,7 @@ impl LaneExecutor for Coordinator<'_, '_> {
                             shard_lanes.iter().map(|state| state.messages).sum::<u64>();
                     }
                 }
-                Ok(other) => self.absorb_control(other, seq, &mut heard, &done),
+                Ok(other) => self.absorb_control(other, &mut heard),
                 // The mesh's reconnector keeps the coordinator channel open,
                 // so a disconnect here means every shard endpoint crashed at
                 // once — handled like silence: retry, then recover.
@@ -747,30 +711,20 @@ impl LaneExecutor for Coordinator<'_, '_> {
                                 late[shard] = true;
                             }
                         }
-                        // Re-broadcast the round: finished shards re-send
-                        // their cached replies (the lost message might be
-                        // theirs), stuck shards answer `Busy` and re-send
-                        // their in-flight share buckets.
-                        self.links.broadcast(&Message::Step {
-                            seq,
-                            lanes: lanes.to_vec(),
-                        });
-                        // A recovered shard still missing may be wedged in
-                        // its replay because the assist (or its re-sent
-                        // shares) was lost: probe the peers again.
-                        for (shard, finished) in done.iter().enumerate() {
-                            if !finished && self.recoveries_used[shard] > 0 {
-                                self.links.broadcast(&Message::Assist {
-                                    shard,
-                                    from_seq: self.checkpoints[shard].0 + 1,
-                                    to_seq: seq,
-                                });
-                            }
-                        }
                     }
+                    // Re-broadcast the round: a replacement runs it, finished
+                    // shards re-send their cached replies (the lost message
+                    // might be theirs), stuck shards answer `Busy` and
+                    // re-send their in-flight share buckets.
+                    self.links.broadcast(&Message::Step {
+                        seq,
+                        lanes: lanes.to_vec(),
+                    });
                 }
             }
         }
+        // Every shard has now run every logged command.
+        self.command_log.clear();
         // Every shard's slice is ascending by vertex and the slices are
         // disjoint (each vertex has one home), so merging them yields the
         // global support in order.

@@ -18,11 +18,13 @@
 //!
 //! * `seq == last + 1` — execute it (the normal case).
 //! * `seq ≤ last` — a duplicate (a coordinator retry, or a chaos-delayed
-//!   copy): for a `Step`, re-send the cached outgoing share buckets and the
-//!   cached `StepDone` reply for that round; never re-execute. The cache
+//!   copy): for the last completed `Step`, re-send its cached outgoing share
+//!   buckets and its cached `StepDone` reply; never re-execute. The cache
 //!   holds the very `Arc`s that were sent, so a re-send copies no payload,
 //!   and it holds no run for the shard itself — that one never touches the
-//!   wire and is dropped once absorbed. A duplicate
+//!   wire and is dropped once absorbed. One round is all it keeps: the
+//!   coordinator issues nothing new before every shard has replied to the
+//!   round, so no shard ever asks for an older one. A duplicate
 //!   `LoadLanes` is ignored outright — re-running it would reset live walk
 //!   state.
 //! * `seq > last + 1` — a gap: reply [`Message::Nack`] naming the first
@@ -30,18 +32,17 @@
 //!
 //! Inter-shard `Shares` are keyed by `(seq, from)`: buckets for a future
 //! round are buffered, duplicates for an already-counted sender are
-//! discarded, and stale rounds are dropped. Every 4 commands
-//! (`CHECKPOINT_INTERVAL`) the worker ships a [`Message::Checkpoint`]
-//! snapshot of all lane supports to the coordinator — the state a
-//! replacement worker is rebuilt from ([`ShardWorker::from_checkpoint`])
-//! after a crash, which is bit-exact because a workspace's support order
+//! discarded, and stale rounds are dropped. The worker keeps no recovery
+//! state of its own: a replacement for a crashed worker is rebuilt
+//! ([`ShardWorker::new`]) from the coordinator's gathered view of every
+//! lane, which holds exactly what the shard held before the round in flight,
+//! and the restore is bit-exact because a workspace's support order
 //! survives the snapshot/restore round-trip (see
 //! [`WalkWorkspace::snapshot_sparse`]). A worker that hears nothing for its
 //! patience window (which the engine sets from the fault plan) assumes the
 //! run is gone and exits rather than blocking forever on a lost `Halt`.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,17 +53,6 @@ use cdrw_walk::WalkWorkspace;
 use crate::transport::{
     LaneShares, LaneState, Message, Peer, ShareBuckets, Transport, TransportError,
 };
-
-/// A worker ships a [`Message::Checkpoint`] after every this-many executed
-/// commands.
-const CHECKPOINT_INTERVAL: u64 = 4;
-
-/// How many completed rounds of outgoing buckets and `StepDone` replies a
-/// worker keeps for duplicate-triggered re-sends and recovery assists. It
-/// covers the widest replay window a recovery can need: two checkpoint
-/// intervals (the latest checkpoint message may itself have been lost),
-/// plus slack.
-const CACHE_DEPTH: usize = 2 * CHECKPOINT_INTERVAL as usize + 2;
 
 /// One completed round's cached artefacts, for duplicate-triggered re-sends.
 #[derive(Debug)]
@@ -97,55 +87,58 @@ pub struct ShardWorker {
     lanes: Vec<WalkWorkspace>,
     /// Per-destination share buckets (`k` of them) the emission fills.
     buckets: Vec<Vec<Share>>,
-    /// Completed rounds, newest last, bounded by `CACHE_DEPTH`.
-    cache: VecDeque<RoundCache>,
+    /// The last completed round.
+    cache: Option<RoundCache>,
 }
 
 impl ShardWorker {
     /// Builds the worker for shard `id` of `k`, owning `sub`, and its
-    /// reverse index, with `seq` commands already executed and every
-    /// checkpointed lane's support restored bit-exactly (`seq == 0` with an
-    /// empty checkpoint is a cold start). After a crash the coordinator
-    /// replays the command log from `seq + 1` and peers re-send the matching
-    /// share rounds ([`Message::Assist`]), after which the replacement is
-    /// indistinguishable from a worker that never died.
-    pub fn from_checkpoint(
+    /// reverse index, with `seq` commands already executed and every lane
+    /// restored bit-exactly from `view`: per lane, the owned slice of the
+    /// coordinator's gathered support, `(vertex, mass)` ascending by vertex
+    /// (`seq == 0` with an empty view is a cold start). After a crash the
+    /// coordinator re-broadcasts round `seq + 1`, whose share buckets the
+    /// peers re-send, after which the replacement is indistinguishable from
+    /// a worker that never died.
+    pub fn new(
         id: usize,
         k: usize,
         sub: SubCsr,
         laziness: f64,
         patience: Duration,
         seq: u64,
-        checkpoint: &[LaneState],
+        view: &[Vec<(VertexId, f64)>],
     ) -> Self {
-        let mut worker = ShardWorker {
+        let n = sub.num_global_vertices();
+        let lanes = view
+            .iter()
+            .map(|owned| {
+                let mut ws = WalkWorkspace::with_len(n);
+                ws.load_sparse(owned)
+                    .expect("gathered support is strictly ascending and in range");
+                ws
+            })
+            .collect();
+        ShardWorker {
             id,
             k,
-            n: sub.num_global_vertices(),
+            n,
             receiver: ShareReceiver::new(&sub),
             sub,
             laziness,
             patience,
             seq,
-            lanes: Vec::new(),
+            lanes,
             buckets: (0..k).map(|_| Vec::new()).collect(),
-            cache: VecDeque::new(),
-        };
-        for lane in checkpoint {
-            worker.ensure_lane(lane.lane);
-            worker.lanes[lane.lane as usize]
-                .load_sparse(&lane.support)
-                .expect("checkpointed support is strictly ascending");
+            cache: None,
         }
-        worker
     }
 
     /// Runs the blocking message loop until [`Message::Halt`], a patience
     /// timeout, or transport disconnection.
     pub fn run<T: Transport>(mut self, transport: &mut T) {
         // Share buckets that raced ahead of this shard's own `Step` command
-        // (a peer received its command first, or a recovery assist replayed
-        // a future round), keyed by (seq, sender).
+        // (a peer received its command first), keyed by (seq, sender).
         let mut early: BTreeMap<(u64, usize), ShareBuckets> = BTreeMap::new();
         loop {
             // Silence for the whole patience window means the run is gone
@@ -170,13 +163,12 @@ impl ShardWorker {
                             return;
                         }
                         self.seq = seq;
-                        self.maybe_checkpoint(transport);
                     } else if seq > self.seq + 1 {
                         self.nack(transport);
                     } else {
                         // Coordinator retry of a round we completed: its
                         // `StepDone` (or a peer's shares) went missing.
-                        self.resend_round(seq, transport, true);
+                        self.resend_round(seq, transport);
                     }
                 }
                 Message::Shares { seq, from, lanes } => {
@@ -184,18 +176,10 @@ impl ShardWorker {
                         early.entry((seq, from)).or_insert(lanes);
                     }
                 }
-                Message::Assist {
-                    shard,
-                    from_seq,
-                    to_seq,
-                } => self.assist(shard, from_seq, to_seq, transport),
                 Message::Halt => return,
                 // Stray traffic (chaos-delayed replies addressed elsewhere
                 // on a real network would not even arrive here): ignore.
-                Message::StepDone { .. }
-                | Message::Nack { .. }
-                | Message::Checkpoint { .. }
-                | Message::Busy { .. } => {}
+                Message::StepDone { .. } | Message::Nack { .. } | Message::Busy { .. } => {}
             }
             early.retain(|&(seq, _), _| seq > self.seq);
         }
@@ -233,69 +217,22 @@ impl ShardWorker {
         }
     }
 
-    /// Re-sends a completed round's cached artefacts: the outgoing share
-    /// buckets to every peer and (when `with_reply`) the `StepDone` to the
-    /// coordinator. A round that has aged out of the cache is ignored — the
-    /// coordinator only retries recent rounds.
-    fn resend_round<T: Transport>(&self, seq: u64, transport: &mut T, with_reply: bool) {
-        let Some(entry) = self.cache.iter().find(|c| c.seq == seq) else {
+    /// Re-sends the last completed round's cached artefacts, if `seq` names
+    /// it: the outgoing share buckets to every peer and the `StepDone` to the
+    /// coordinator. Any older round is ignored — the coordinator only ever
+    /// retries the round in flight.
+    fn resend_round<T: Transport>(&self, seq: u64, transport: &mut T) {
+        let Some(entry) = self.cache.as_ref().filter(|c| c.seq == seq) else {
             return;
         };
         self.send_buckets(seq, &entry.outgoing, transport);
-        if with_reply {
-            transport.send(
-                Peer::Coordinator,
-                Message::StepDone {
-                    seq,
-                    shard: self.id,
-                    lanes: Arc::clone(&entry.reply),
-                    max_link_entries: entry.max_link_entries,
-                },
-            );
-        }
-    }
-
-    /// Serves a recovery assist: re-sends the cached outgoing buckets for
-    /// every requested round directly to the recovering shard.
-    fn assist<T: Transport>(&self, shard: usize, from_seq: u64, to_seq: u64, transport: &mut T) {
-        if shard == self.id {
-            return;
-        }
-        for entry in &self.cache {
-            if !(from_seq..=to_seq).contains(&entry.seq) {
-                continue;
-            }
-            if let Some(bucket) = &entry.outgoing[shard] {
-                transport.send(
-                    Peer::Shard(shard),
-                    Message::Shares {
-                        seq: entry.seq,
-                        from: self.id,
-                        lanes: Arc::clone(bucket),
-                    },
-                );
-            }
-        }
-    }
-
-    fn maybe_checkpoint<T: Transport>(&mut self, transport: &mut T) {
-        if !self.seq.is_multiple_of(CHECKPOINT_INTERVAL) {
-            return;
-        }
-        let lanes = (0..self.lanes.len())
-            .map(|lane| LaneState {
-                lane: lane as u32,
-                messages: 0,
-                wire_entries: 0,
-                support: self.lanes[lane].snapshot_sparse(),
-            })
-            .collect();
         transport.send(
             Peer::Coordinator,
-            Message::Checkpoint {
-                seq: self.seq,
+            Message::StepDone {
+                seq,
                 shard: self.id,
-                lanes,
+                lanes: Arc::clone(&entry.reply),
+                max_link_entries: entry.max_link_entries,
             },
         );
     }
@@ -382,8 +319,7 @@ impl ShardWorker {
 
         // Share every peer's bucket (sent always, even when empty — the
         // barrier counts k − 1 senders) with the round cache, which serves
-        // duplicate-triggered re-sends and recovery assists from the same
-        // allocations. The own slot stays empty: the own run never touches
+        // duplicate-triggered re-sends from the same allocations. The own slot stays empty: the own run never touches
         // the wire.
         let outgoing: Vec<Option<ShareBuckets>> = outgoing
             .into_iter()
@@ -404,8 +340,8 @@ impl ShardWorker {
         }
 
         // Barrier: wait for every peer's bucket for this round, absorbing
-        // duplicates/stale traffic and serving retries and assists so a
-        // faulty transport cannot wedge two shards against each other.
+        // duplicates/stale traffic and serving retries so a faulty transport
+        // cannot wedge two shards against each other.
         let mut waited = Instant::now();
         while incoming.len() + 1 < self.k {
             match transport.recv_deadline(Duration::from_millis(20)) {
@@ -422,43 +358,20 @@ impl ShardWorker {
                         early.entry((s, from)).or_insert(lanes);
                     }
                 }
-                Ok(Message::Step { seq: s, .. }) => {
+                // Coordinator retry of the round we are inside (the only
+                // round it can be retrying): a peer may be missing our
+                // buckets — re-send them — and tell the coordinator we are
+                // alive-but-blocked so it recovers the silent peer, not us.
+                Ok(Message::Step { seq: s, .. }) if s == seq => {
                     waited = Instant::now();
-                    if s == seq {
-                        // Coordinator retry of the round we are inside: a
-                        // peer may be missing our buckets — re-send them —
-                        // and tell the coordinator we are alive-but-blocked
-                        // so it recovers the silent peer, not us.
-                        self.send_buckets(seq, &outgoing, transport);
-                        transport.send(
-                            Peer::Coordinator,
-                            Message::Busy {
-                                seq,
-                                shard: self.id,
-                            },
-                        );
-                    } else if s < seq {
-                        self.resend_round(s, transport, true);
-                    } else {
-                        // A retry of a round we have not reached yet (we are
-                        // replaying after recovery): we are alive, just
-                        // behind — say so, or the coordinator re-recovers us.
-                        transport.send(
-                            Peer::Coordinator,
-                            Message::Busy {
-                                seq,
-                                shard: self.id,
-                            },
-                        );
-                    }
-                }
-                Ok(Message::Assist {
-                    shard,
-                    from_seq,
-                    to_seq,
-                }) => {
-                    waited = Instant::now();
-                    self.assist(shard, from_seq, to_seq, transport);
+                    self.send_buckets(seq, &outgoing, transport);
+                    transport.send(
+                        Peer::Coordinator,
+                        Message::Busy {
+                            seq,
+                            shard: self.id,
+                        },
+                    );
                 }
                 Ok(Message::Halt) => return false,
                 Ok(_) => {}
@@ -487,11 +400,7 @@ impl ShardWorker {
             report.messages = self
                 .receiver
                 .absorb(&self.sub, self.laziness, ws, own, &remote);
-            report.support = ws
-                .support()
-                .iter()
-                .map(|&v| (v, ws.probability(v)))
-                .collect();
+            report.support = ws.snapshot_sparse();
         }
         let reply = Arc::new(reports);
         transport.send(
@@ -503,15 +412,12 @@ impl ShardWorker {
                 max_link_entries,
             },
         );
-        self.cache.push_back(RoundCache {
+        self.cache = Some(RoundCache {
             seq,
             outgoing,
             reply,
             max_link_entries,
         });
-        while self.cache.len() > CACHE_DEPTH {
-            self.cache.pop_front();
-        }
         true
     }
 }

@@ -34,12 +34,6 @@
 //!   contributions it applies, and replies [`Message::StepDone`] with those
 //!   counts, its owned slice of every stepped lane's support, and the entry
 //!   count of its heaviest outgoing link.
-//! * [`Message::Checkpoint`] — shard → coordinator, every few rounds: a
-//!   snapshot of every lane's owned support, enough to re-materialise the
-//!   shard after a crash (see `ShardWorker::from_checkpoint`).
-//! * [`Message::Assist`] — coordinator → shards during recovery: re-send
-//!   your cached outgoing share buckets for the named rounds to the named
-//!   (re-materialised) shard so it can replay them.
 //! * [`Message::Halt`] — shut the shard down.
 //!
 //! On a fault-free transport rounds are globally synchronous — the
@@ -48,14 +42,19 @@
 //! sequence numbers are pure bookkeeping. Under faults (see the
 //! [`chaos`](crate::chaos) module) they are what makes retries idempotent:
 //! duplicates are absorbed by the `(seq, from)` keys, never double-counted.
+//! The same synchrony is what lets a crash be repaired without a message of
+//! its own: every shard has run every command up to the last gathered round,
+//! so a replacement is rebuilt from the coordinator's gathered view and only
+//! the round in flight is replayed (see the [`engine`](crate::engine)
+//! module).
 //!
 //! ## Shared payloads
 //!
 //! The bulk payloads — a `Shares` message's buckets ([`ShareBuckets`]) and a
 //! `StepDone`'s lane reports — travel behind an [`Arc`]. A shard builds each
 //! peer's bucket once and keeps the same `Arc` in its round cache, so the
-//! first send, a retry's re-send, a recovery assist and a chaos duplicate
-//! all share one allocation; the receiver only reads it. A shard never
+//! first send, a retry's re-send and a chaos duplicate all share one
+//! allocation; the receiver only reads it. A shard never
 //! caches its own run: it never touches the wire, is read in place by the
 //! absorb, and is dropped with the round. A socket transport
 //! would serialise the pointee, so the wire format is unaffected.
@@ -178,27 +177,6 @@ pub enum Message {
         shard: usize,
         /// The lowest sequence number the shard has not yet executed.
         expected: u64,
-    },
-    /// Shard → coordinator: a recovery snapshot of every lane's owned
-    /// support, taken after executing command `seq`.
-    Checkpoint {
-        /// The last command sequence number covered by the snapshot.
-        seq: u64,
-        /// The reporting shard.
-        shard: usize,
-        /// Every lane's owned support slice, ascending by lane.
-        lanes: Vec<LaneState>,
-    },
-    /// Coordinator → shards: shard `shard` was re-materialised and is
-    /// replaying commands `from_seq..=to_seq`; re-send it your cached
-    /// outgoing share buckets for those rounds.
-    Assist {
-        /// The recovering shard.
-        shard: usize,
-        /// First command sequence number being replayed.
-        from_seq: u64,
-        /// Last command sequence number being replayed.
-        to_seq: u64,
     },
     /// Coordinator → shard: shut down.
     Halt,

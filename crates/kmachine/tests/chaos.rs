@@ -108,7 +108,7 @@ fn a_fault_free_plan_leaves_a_clean_fault_log() {
 #[test]
 fn crash_recovery_restores_the_exact_result() {
     // Kill shard 1 mid-run: the coordinator must re-materialise it from its
-    // checkpoint and finish with the bit-identical answer.
+    // gathered lanes and finish with the bit-identical answer.
     let plan = FaultPlan::seeded(41).with_crash(1, 6);
     let report = assert_chaos_is_invisible(2, &plan);
     assert_eq!(report.fault_log.recoveries.len(), 1);
@@ -121,10 +121,10 @@ fn crash_recovery_restores_the_exact_result() {
 
 #[test]
 fn a_recovered_shard_replays_the_command_log_without_a_nack() {
-    // The coordinator replays its command log to the replacement from the
-    // restored checkpoint. Without that replay the replacement still
-    // recovers the exact result, by NACKing the gap it sees, so only the
-    // NACK count tells the two apart.
+    // The replacement starts from the gathered lanes just before the round
+    // in flight and is sent that round. Started from any older state it
+    // would see a gap in the command sequence and NACK it, so the NACK
+    // count tells the two apart.
     let plan = FaultPlan::seeded(41).with_crash(1, 6);
     let report = assert_chaos_is_invisible(2, &plan);
     assert_eq!(report.fault_log.recoveries.len(), 1);
@@ -133,8 +133,8 @@ fn a_recovered_shard_replays_the_command_log_without_a_nack() {
 
 #[test]
 fn single_shard_crash_recovers_from_its_own_checkpoint() {
-    // k = 1: no peers to assist, so recovery leans entirely on the
-    // checkpoint plus the coordinator's command log.
+    // k = 1: no peers to re-send shares, so recovery leans entirely on the
+    // coordinator's gathered lanes plus the re-sent round.
     let plan = FaultPlan::seeded(5).with_crash(0, 7);
     let report = assert_chaos_is_invisible(1, &plan);
     assert_eq!(report.fault_log.recoveries.len(), 1);

@@ -984,11 +984,13 @@ impl WalkWorkspace {
     }
 
     /// Snapshots the sparse state as sorted `(vertex, mass)` entries — the
-    /// checkpointable lane state of the sharded runtime. The support list is
-    /// kept ascending by every load/absorb path, so feeding the snapshot
-    /// back through [`WalkWorkspace::load_sparse`] reproduces the workspace
-    /// bit for bit, including zero-mass support entries: a checkpoint-
-    /// restored shard emits exactly the shares the lost shard would have.
+    /// form in which the sharded runtime's shards report a lane and a
+    /// crashed shard's replacement is restored. The support list is kept
+    /// ascending by every load/absorb path, so feeding the snapshot (or its
+    /// restriction to a shard's vertices) back through
+    /// [`WalkWorkspace::load_sparse`] reproduces the workspace bit for bit,
+    /// including zero-mass support entries: a restored shard emits exactly
+    /// the shares the lost shard would have.
     pub fn snapshot_sparse(&self) -> Vec<(VertexId, f64)> {
         debug_assert!(
             self.support.windows(2).all(|w| w[0] < w[1]),

@@ -129,8 +129,9 @@ pub fn estimate_graph_mixing_time(
 /// `N = D^{-1/2} A D^{-1/2}`, deflating the known top eigenvector `D^{1/2}·1`.
 ///
 /// The mixing time of the walk is `Θ(log n / (1 − λ₂))`, and Equation (2) of
-/// the paper bounds `λ₂ ≈ 1/√d` for random `d`-regular graphs — the
-/// `spectral_gap` bench checks that relationship empirically.
+/// the paper bounds `λ₂ ≈ 1/√d` for random `d`-regular graphs. The tier-1
+/// test `tests/metrics_and_api.rs` checks the bounded-away-from-1 side on a
+/// 256-vertex expander (a `G(n, 0.1)` graph): `λ₂ < 0.7`.
 ///
 /// # Errors
 ///
