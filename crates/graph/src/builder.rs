@@ -16,6 +16,16 @@ use crate::{Graph, GraphError, VertexId};
 /// list; a property test pins the produced CSR identical to the ordered-set
 /// reference builder.
 ///
+/// ## Sizing
+///
+/// [`GraphBuilder::from_edges`] and [`GraphBuilder::from_weighted_edges`]
+/// reserve the edge list (and the weight lane) from the iterator's lower
+/// size hint before the first insertion, as `Vec::from_iter` does: a slice
+/// or `Vec` iterator, or a `map` over one, allocates its edge list exactly
+/// once. An unsized iterator (`filter`, `flat_map`; lower bound 0) and
+/// [`GraphBuilder::new`] + [`GraphBuilder::add_edge`] grow it by doubling.
+/// The sizing changes only allocations, never the built CSR.
+///
 /// # Example
 ///
 /// ```
@@ -48,8 +58,8 @@ pub struct GraphBuilder {
     /// until [`GraphBuilder::build`] sorts and deduplicates them.
     edges: Vec<(VertexId, VertexId)>,
     /// Weight per recorded edge, parallel to `edges`; engaged by the first
-    /// [`GraphBuilder::add_weighted_edge`] (earlier plain insertions are
-    /// backfilled with `1.0`).
+    /// [`GraphBuilder::add_weighted_edge`] at the edge list's capacity
+    /// (earlier plain insertions are backfilled with `1.0`).
     weights: Option<Vec<f64>>,
 }
 
@@ -152,8 +162,11 @@ impl GraphBuilder {
                 w[recorded] = weight;
             }
             None => {
-                // Engage the weight lane, backfilling earlier plain edges.
-                let mut w = vec![1.0; recorded];
+                // Engage the weight lane at the edge list's capacity,
+                // backfilling earlier plain edges (none on the
+                // `from_weighted_edges` path, so nothing is copied).
+                let mut w = Vec::with_capacity(self.edges.capacity());
+                w.resize(recorded, 1.0);
                 w.push(weight);
                 self.weights = Some(w);
             }
@@ -161,7 +174,8 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Adds every edge from an iterator of pairs.
+    /// Adds every edge from an iterator of pairs, reserving the iterator's
+    /// lower size hint up front.
     ///
     /// # Errors
     ///
@@ -170,6 +184,8 @@ impl GraphBuilder {
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
     {
+        let edges = edges.into_iter();
+        self.edges.reserve(edges.size_hint().0);
         for (u, v) in edges {
             self.add_edge(u, v)?;
         }
@@ -253,28 +269,25 @@ impl GraphBuilder {
     }
 }
 
-/// Builds a graph directly from an edge list.
-///
-/// Convenience wrapper over [`GraphBuilder`] used pervasively in tests.
-///
-/// # Errors
-///
-/// Propagates the first invalid edge ([`GraphError::VertexOutOfRange`] or
-/// [`GraphError::SelfLoop`]).
-///
-/// # Example
-///
-/// ```
-/// let g = cdrw_graph::GraphBuilder::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
-/// assert_eq!(g.degree(1), 2);
-/// # Ok::<(), cdrw_graph::GraphError>(())
-/// ```
 impl GraphBuilder {
-    /// See the type-level documentation; builds a [`Graph`] from an edge list.
+    /// Builds a [`Graph`] directly from an edge list; duplicates and
+    /// reversed pairs collapse to one edge.
+    ///
+    /// The edge list is reserved once from `edges`' lower size hint (see
+    /// [Sizing](GraphBuilder#sizing)).
     ///
     /// # Errors
     ///
-    /// Propagates the first invalid edge.
+    /// Propagates the first invalid edge ([`GraphError::VertexOutOfRange`] or
+    /// [`GraphError::SelfLoop`]).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// let g = cdrw_graph::GraphBuilder::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
+    /// assert_eq!(g.degree(1), 2);
+    /// # Ok::<(), cdrw_graph::GraphError>(())
+    /// ```
     pub fn from_edges<I>(num_vertices: usize, edges: I) -> Result<Graph, GraphError>
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
@@ -285,7 +298,12 @@ impl GraphBuilder {
     }
 
     /// Builds a weighted [`Graph`] from `(u, v, weight)` triples; duplicate
-    /// pairs merge by summing their weights.
+    /// pairs merge by summing their weights in insertion order.
+    ///
+    /// The edge list and the weight lane are each reserved once from
+    /// `edges`' lower size hint (see [Sizing](GraphBuilder#sizing)). The
+    /// lane engages at the first weighted edge, so an empty input still
+    /// builds a weight-free graph.
     ///
     /// # Errors
     ///
@@ -294,7 +312,9 @@ impl GraphBuilder {
     where
         I: IntoIterator<Item = (VertexId, VertexId, f64)>,
     {
+        let edges = edges.into_iter();
         let mut builder = GraphBuilder::new(num_vertices);
+        builder.edges.reserve(edges.size_hint().0);
         for (u, v, w) in edges {
             builder.add_weighted_edge(u, v, w)?;
         }

@@ -37,20 +37,30 @@ fn parse_field<T: std::str::FromStr>(
 /// per edge, vertex ids 0-based, blank lines and `#`/`%` comments ignored —
 /// both full-line comments and trailing inline ones (`0 1 2.5 # note`).
 ///
-/// The vertex count is `max id + 1`. A weight column on *any* line engages
-/// the weight lane for the whole graph (weight-less lines contribute `1.0`);
-/// duplicate pairs merge by summing weights, matching
-/// [`GraphBuilder::add_weighted_edge`]. Self-loops are skipped — real
-/// datasets commonly carry them, and the walk substrate works on simple
-/// graphs.
+/// The vertex count is `max id + 1`, bounded by the input's size: an id
+/// whose vertex count would exceed `max(2^20, 16 · text.len())` is a
+/// [`GraphError::ParseError`] on its line, raised before anything is built.
+/// A dense list spends at least two bytes per vertex, so it never meets the
+/// bound; sparse SNAP-style ids up to `2^20 − 1` load from any input; and a
+/// single line such as `0 4000000000` cannot ask the build for a 32 GB
+/// offsets array.
+///
+/// A weight column on *any* line engages the weight lane for the whole
+/// graph (weight-less lines contribute `1.0`); duplicate pairs merge by
+/// summing weights, matching [`GraphBuilder::add_weighted_edge`]. Self-loops
+/// are skipped — real datasets commonly carry them, and the walk substrate
+/// works on simple graphs. The collected edges are handed to
+/// [`GraphBuilder::from_edges`] or [`GraphBuilder::from_weighted_edges`],
+/// which size their edge list from the count.
 ///
 /// # Errors
 ///
-/// [`GraphError::ParseError`] on malformed lines (including a vertex id of
-/// `usize::MAX`, whose vertex count would overflow),
+/// [`GraphError::ParseError`] on malformed lines (including a vertex id
+/// past the bound above, `usize::MAX` among them),
 /// [`GraphError::InvalidParameter`] on non-positive or non-finite weights.
 pub fn parse_edge_list(text: &str) -> Result<Graph, GraphError> {
-    let mut edges: Vec<(VertexId, VertexId, Option<f64>)> = Vec::new();
+    let vertex_limit = (1usize << 20).max(text.len().saturating_mul(16));
+    let mut edges: Vec<(VertexId, VertexId, f64)> = Vec::new();
     let mut max_vertex = 0usize;
     let mut any_weight = false;
     for (idx, raw) in text.lines().enumerate() {
@@ -73,25 +83,27 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, GraphError> {
         let w = match fields.next() {
             Some(tok) => {
                 any_weight = true;
-                Some(parse_field::<f64>(tok, line_no, "edge weight")?)
+                parse_field::<f64>(tok, line_no, "edge weight")?
             }
-            None => None,
+            None => 1.0,
         };
         if fields.next().is_some() {
             return Err(parse_err(line_no, "expected at most three fields"));
         }
-        // The vertex count is `max id + 1`, so the largest id must leave
-        // room for it.
-        if u.max(v) == VertexId::MAX {
+        // The vertex count is `max id + 1`, so the largest id must stay
+        // below the limit (which also leaves room for the `+ 1`).
+        let id = u.max(v);
+        if id >= vertex_limit {
             return Err(parse_err(
                 line_no,
                 format!(
-                    "vertex id {} leaves no room for a vertex count",
-                    VertexId::MAX
+                    "vertex id {id} asks for more than {vertex_limit} vertices, \
+                     the limit for {} input bytes (max(2^20, 16 per byte))",
+                    text.len()
                 ),
             ));
         }
-        max_vertex = max_vertex.max(u).max(v);
+        max_vertex = max_vertex.max(id);
         if u == v {
             continue; // tolerated and dropped: the substrate is simple
         }
@@ -102,15 +114,11 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, GraphError> {
     } else {
         max_vertex + 1
     };
-    let mut builder = GraphBuilder::new(n);
-    for (u, v, w) in edges {
-        match (any_weight, w) {
-            (true, Some(w)) => builder.add_weighted_edge(u, v, w)?,
-            (true, None) => builder.add_weighted_edge(u, v, 1.0)?,
-            (false, _) => builder.add_edge(u, v)?,
-        }
+    if any_weight {
+        GraphBuilder::from_weighted_edges(n, edges)
+    } else {
+        GraphBuilder::from_edges(n, edges.into_iter().map(|(u, v, _)| (u, v)))
     }
-    Ok(builder.build())
 }
 
 /// Parses a METIS graph file: header `n m [fmt]`, then one adjacency line

@@ -181,7 +181,11 @@ pub struct FaultLog {
     /// Edge contributions counted by those duplicate/replayed replies — the
     /// recovery overhead in model units.
     pub replayed_messages: u64,
-    /// Shards that replied only after at least one retry of a round.
+    /// Shards that stayed silent through at least one retry of a round and
+    /// then replied. A live shard that answers the retry with `Busy` —
+    /// blocked in the exchange barrier on a silent peer's shares — is not
+    /// counted, so one crash contributes at most one straggler: the
+    /// re-materialised shard.
     pub stragglers: u64,
     /// Shard re-materialisations, in occurrence order.
     pub recoveries: Vec<ShardRecovery>,
@@ -536,11 +540,24 @@ impl<'g, 'l> Coordinator<'g, 'l> {
         Ok(())
     }
 
-    /// Handles one non-`StepDone` shard message inside a collect loop,
-    /// marking the sender alive in `heard`.
-    fn absorb_control(&mut self, message: Message, heard: &mut [bool]) {
+    /// Handles one non-`StepDone` shard message inside the collect loop of
+    /// round `seq`, marking the sender alive in `heard`. A `Busy` for this
+    /// round also clears the sender's `late` mark: it answered the retry,
+    /// so it is blocked on a peer, not straggling.
+    fn absorb_control(
+        &mut self,
+        message: Message,
+        seq: u64,
+        heard: &mut [bool],
+        late: &mut [bool],
+    ) {
         match message {
-            Message::Busy { shard, .. } => heard[shard] = true,
+            Message::Busy { seq: s, shard } => {
+                heard[shard] = true;
+                if s == seq {
+                    late[shard] = false;
+                }
+            }
             Message::Nack { shard, expected } => {
                 heard[shard] = true;
                 self.fault_log.nacks += 1;
@@ -673,7 +690,7 @@ impl LaneExecutor for Coordinator<'_, '_> {
                             shard_lanes.iter().map(|state| state.messages).sum::<u64>();
                     }
                 }
-                Ok(other) => self.absorb_control(other, &mut heard),
+                Ok(other) => self.absorb_control(other, seq, &mut heard, &mut late),
                 // The mesh's reconnector keeps the coordinator channel open,
                 // so a disconnect here means every shard endpoint crashed at
                 // once — handled like silence: retry, then recover.

@@ -30,6 +30,49 @@ fn edge_list_with_the_largest_vertex_id_is_a_parse_error() {
 }
 
 #[test]
+fn edge_list_vertex_count_is_bounded_by_the_input_size() {
+    // The vertex count is `max id + 1`, capped at `max(2^20, 16 · bytes)`:
+    // a lone large id must be refused on its line before `build()` sizes an
+    // offsets array from it (4·10⁹ vertices would be 32 GB).
+    let started = std::time::Instant::now();
+    for (text, line, id) in [
+        ("0 4000000000", 1, 4_000_000_000usize),
+        ("# header\n0 1\n1048576 2 0.5\n", 3, 1 << 20),
+        ("0 1\n1 2\n2 3\n3 99999999999\n", 4, 99_999_999_999),
+    ] {
+        match parse_edge_list(text) {
+            Err(GraphError::ParseError { line: at, reason }) => {
+                assert_eq!(at, line, "{text:?}: {reason}");
+                assert!(reason.contains(&id.to_string()), "{reason}");
+            }
+            other => panic!("{text:?} should be a parse error, got {other:?}"),
+        }
+    }
+    assert!(
+        started.elapsed() < std::time::Duration::from_millis(250),
+        "refusing an id took {:?}",
+        started.elapsed()
+    );
+    // Sparse ids below 2^20 load from a one-line file.
+    let sparse = parse_edge_list("0 1048575\n").unwrap();
+    assert_eq!((sparse.num_vertices(), sparse.num_edges()), (1 << 20, 1));
+    // A longer input raises the bound by 16 vertices per byte: pad a
+    // comment until the file is exactly long enough for the id.
+    let id = 2_000_000usize;
+    let mut text = format!("0 {id}\n");
+    let padding = (id + 1).div_ceil(16) - text.len() - "#\n".len();
+    text.push_str(&format!("#{}\n", "x".repeat(padding)));
+    assert_eq!(16 * text.len(), (id + 1).next_multiple_of(16));
+    assert_eq!(parse_edge_list(&text).unwrap().num_vertices(), id + 1);
+    // One byte fewer and the same id is refused.
+    text.pop();
+    assert!(matches!(
+        parse_edge_list(&text),
+        Err(GraphError::ParseError { line: 1, .. })
+    ));
+}
+
+#[test]
 fn metis_header_with_four_billion_vertices_is_a_parse_error() {
     // The header's `n` only sizes the row count the parser expects: the
     // builder allocates nothing per vertex, and the rows are counted before

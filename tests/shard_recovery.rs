@@ -48,6 +48,13 @@ fn assert_crashes_replay_one_round(k: usize) {
             );
         }
         assert_eq!(log.nacks, 0, "k = {k}, crash at {at}: {log:?}");
+        // Live peers blocked on the dead shard answer the retries with
+        // `Busy`; only the silent, re-materialised shard is a straggler.
+        assert!(
+            log.stragglers <= 1,
+            "k = {k}, crash at {at}: one crash, {} stragglers: {log:?}",
+            log.stragglers
+        );
         assert_eq!(
             report.conformance.per_round, clean.conformance.per_round,
             "k = {k}, crash at {at}: the recovery leaked into the ledger"
